@@ -19,7 +19,7 @@ from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.core.heading import headings_evenly_spaced
 from repro.digital.counter import CountResult
 from repro.errors import ConfigurationError
-from repro.physics.noise import TYPICAL_1997_CMOS
+from repro.physics.noise import NOISELESS, TYPICAL_1997_CMOS
 
 #: Full 1997-era noise budget — white floor, flicker, offset and jitter.
 NOISY_CONFIG = CompassConfig(
@@ -129,10 +129,14 @@ class TestBatchApi:
         with pytest.raises(ConfigurationError):
             BatchCompass(chunk_size=0)
 
-    def test_hysteretic_core_falls_back_to_scalar(self):
+    @pytest.mark.parametrize(
+        "noise", [NOISELESS, TYPICAL_1997_CMOS], ids=["noiseless", "noisy"]
+    )
+    def test_hysteretic_core_falls_back_to_scalar(self, noise):
         sensor = CompassConfig().sensor
         config = dataclasses.replace(
             CompassConfig(),
+            front_end=FrontEndConfig(noise=noise, noise_seed=42),
             core_model="jiles-atherton",
             sensor=dataclasses.replace(
                 sensor,

@@ -139,33 +139,64 @@ class TestClosedFormEdges:
         )
 
 
-class TestFrontEndRouting:
-    def test_fastpath_measurement_skips_waveforms(self, sensor, grid):
-        fe = AnalogFrontEnd(FrontEndConfig(fastpath=True))
-        m = fe.measure_channel(sensor, "x", 30.0, grid)
-        assert m.waveforms is None and m.amplified_pickup is None
-        assert fe.fastpath_stats.used == 1
-        ref = AnalogFrontEnd().measure_channel(sensor, "x", 30.0, grid)
-        worst = max(
-            abs(a.time - b.time)
-            for a, b in zip(m.detector_output.edges, ref.detector_output.edges)
-        )
-        assert worst < 0.05 * grid.dt
+class TestCompassRouting:
+    """Routing happens once, at the compass entry point."""
 
-    def test_envelope_fallback_is_silent_and_identical(self, sensor, grid):
-        fe = AnalogFrontEnd(FrontEndConfig(fastpath=True))
-        m = fe.measure_channel(sensor, "x", 60.0, grid)
-        ref = AnalogFrontEnd().measure_channel(sensor, "x", 60.0, grid)
-        assert m.waveforms is not None  # stepped engine ran
-        assert [(e.time, e.value) for e in m.detector_output.edges] == [
-            (e.time, e.value) for e in ref.detector_output.edges
-        ]
-        assert fe.fastpath_stats.fallbacks == {"validity-envelope": 1}
+    @staticmethod
+    def _count_waveforms(monkeypatch):
+        # Class-level spies: an instance-level override would read as an
+        # armed fault and force the stepped engine.
+        calls = []
+        for name in ("simulate", "simulate_batch"):
+            original = getattr(FluxgateSensor, name)
 
-    def test_default_config_never_attempts_fastpath(self, sensor, grid):
-        fe = AnalogFrontEnd()
-        fe.measure_channel(sensor, "x", 30.0, grid)
-        assert fe.fastpath_stats.attempted == 0
+            def spy(self, *args, _original=original, **kwargs):
+                calls.append(name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(FluxgateSensor, name, spy)
+        return calls
+
+    @staticmethod
+    def _edges(compass, h_x, h_y):
+        recorder = attach_recorder(compass, LogRecorder())
+        compass.measure_components(h_x, h_y)
+        return {
+            name: channel.edges
+            for name, channel in recorder.records[-1].channels.items()
+        }
+
+    def test_fastpath_measurement_skips_waveforms(self, monkeypatch, grid):
+        calls = self._count_waveforms(monkeypatch)
+        fast = fast_compass()
+        edges = self._edges(fast, 30.0, -20.0)
+        assert calls == []
+        assert fast.front_end.fastpath_stats.used == 2
+        ref = self._edges(IntegratedCompass(), 30.0, -20.0)
+        for channel in ("x", "y"):
+            assert [v for _, v in edges[channel]] == [
+                v for _, v in ref[channel]
+            ]
+            worst = max(
+                abs(a - b) for (a, _), (b, _) in zip(edges[channel], ref[channel])
+            )
+            assert worst < 0.05 * grid.dt
+
+    def test_envelope_fallback_is_silent_and_identical(self, monkeypatch):
+        calls = self._count_waveforms(monkeypatch)
+        fast = fast_compass()
+        edges = self._edges(fast, 60.0, 0.0)
+        assert calls  # the stepped engine ran for the x channel
+        ref = self._edges(IntegratedCompass(), 60.0, 0.0)
+        assert edges["x"] == ref["x"]
+        stats = fast.front_end.fastpath_stats
+        assert stats.fallbacks == {"validity-envelope": 1}
+        assert stats.used == 1
+
+    def test_default_config_never_attempts_fastpath(self):
+        compass = IntegratedCompass()
+        compass.measure_components(30.0, -20.0)
+        assert compass.front_end.fastpath_stats.attempted == 0
 
 
 class TestCompassEquivalence:

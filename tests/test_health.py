@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.analog.frontend import FrontEndConfig
 from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.core.health import HEALTHY, HealthConfig, HealthReport, HealthSupervisor
 from repro.errors import (
@@ -22,6 +23,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.faults import REGISTRY
+from repro.physics.noise import TYPICAL_1997_CMOS
 
 # Recorded from the design-point compass (ideal-target sensors, 50 µT,
 # 8-period window, 8-iteration CORDIC).  Any arithmetic change anywhere
@@ -192,6 +194,51 @@ class TestSingleAxisFallback:
         with REGISTRY.inject("sensor.axis_gain_mismatch", compass, 0.9):
             with pytest.raises(ConfigurationError, match="no pulses"):
                 compass.measure_heading(50.0)
+
+    @pytest.mark.parametrize(
+        "fault,severity,pinned",
+        [
+            # The open coil trips the V-I compliance check before the x
+            # amplifier draws noise: the measurement consumes one draw.
+            (
+                "sensor.open_excitation_coil",
+                1.0,
+                ((0, -1207, 51.404808381887065), (767, -1351, 60.37890625), 1),
+            ),
+            # The pickup gain loss fails in the detector, after the x
+            # amplifier drew: the measurement consumes both draws.
+            (
+                "sensor.axis_gain_mismatch",
+                0.9,
+                ((0, -1195, 50.696582201675106), (775, -1339, 59.9296875), 2),
+            ),
+        ],
+    )
+    def test_noisy_fallback_keeps_the_noise_draw_order(
+        self, fault, severity, pinned
+    ):
+        # A channel that fails before its amplifier runs draws no noise,
+        # so the surviving channel and every later measurement see the
+        # same stream positions as before the failure was handled.
+        compass = IntegratedCompass(
+            CompassConfig(
+                front_end=FrontEndConfig(noise=TYPICAL_1997_CMOS, noise_seed=42),
+                health=HealthConfig(degrade=True),
+            )
+        )
+        compass.measure_heading(45.0)
+        amplifier = compass.front_end.amplifier
+        before = amplifier.noise_draws
+        with REGISTRY.inject(fault, compass, severity):
+            fallback = compass.measure_heading(50.0)
+        drawn = amplifier.noise_draws - before
+        after = compass.measure_heading(60.0)
+        assert fallback.health.fallback == "single-axis-y"
+        assert (
+            (fallback.x_count, fallback.y_count, fallback.heading_deg),
+            (after.x_count, after.y_count, after.heading_deg),
+            drawn,
+        ) == pinned
 
     def test_both_channels_dead_is_degraded_operation(self):
         compass = _compass(degrade=True)
