@@ -101,12 +101,11 @@ class Comparator:
         reallocating these multi-megabyte temporaries per chunk costs
         kernel page faults; none of them escape the method, so reuse is
         safe.  The cache is LRU-bounded at :attr:`SCRATCH_CAPACITY`
-        shapes so varying chunk sizes cannot grow memory without bound.
+        shapes so varying chunk sizes cannot grow memory without bound,
+        and a one-row call (a scalar measurement) keeps nothing.
         """
         buffers = self._batch_scratch.pop(shape, None)
         if buffers is None:
-            while len(self._batch_scratch) >= self.SCRATCH_CAPACITY:
-                self._batch_scratch.pop(next(iter(self._batch_scratch)))
             buffers = (
                 np.empty(shape, dtype=bool),
                 np.empty(shape, dtype=bool),
@@ -115,7 +114,10 @@ class Comparator:
                 np.empty((shape[0], shape[1] - 1), dtype=bool),
             )
         # (Re-)insert so dict order tracks recency: oldest first.
-        self._batch_scratch[shape] = buffers
+        if shape[0] > 1:
+            while len(self._batch_scratch) >= self.SCRATCH_CAPACITY:
+                self._batch_scratch.pop(next(iter(self._batch_scratch)))
+            self._batch_scratch[shape] = buffers
         return buffers
 
     def _states(self, v: np.ndarray) -> np.ndarray:
@@ -171,8 +173,10 @@ class Comparator:
 
     # -- batched path (repro.batch) -------------------------------------------
 
-    def _codes(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column event codes for the parity-accumulate state machine."""
+    def _codes(self, shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-column event codes for the parity-accumulate state machine,
+        cached per grid size (a one-row call keeps nothing)."""
+        n = shape[1]
         cached = self._code_cache.get(n)
         if cached is None:
             # Odd codes mark a "forced high" sample, even codes "forced
@@ -184,7 +188,8 @@ class Comparator:
             set_codes = (2 * np.arange(n, dtype=np.int64) + 3).astype(np.int32)
             reset_codes = set_codes - np.int32(1)
             cached = (set_codes, reset_codes)
-            self._code_cache[n] = cached
+            if shape[0] > 1:
+                self._code_cache[n] = cached
         return cached
 
     def falling_edges_batch(
@@ -205,7 +210,7 @@ class Comparator:
                 "falling_edges_batch needs an (N, n_samples) matrix on the "
                 "shared time axis"
             )
-        set_codes, reset_codes = self._codes(times.size)
+        set_codes, reset_codes = self._codes(V.shape)
         forced_high, forced_low, encoded, parity, fall = self._batch_buffers(V.shape)
         if negate:
             np.less(V, -p.trip_level, out=forced_high)

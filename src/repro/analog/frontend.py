@@ -19,19 +19,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigurationError
-from ..observe import DISABLED, Observer
-from ..observe.trace import (
-    STAGE_CHANNEL,
-    STAGE_COMPARATOR,
-    STAGE_EXCITATION,
-    STAGE_FASTPATH,
-    STAGE_PICKUP,
-)
 from ..physics.noise import NoiseBudget, NOISELESS
 from ..sensors.fluxgate import FluxgateSensor, SensorWaveforms
 from ..simulation.engine import TimeGrid
 from ..simulation.signals import Trace
-from . import fastpath
 from .excitation import ExcitationSettings, ExcitationSource
 from .fastpath import FastPathStats
 from .mux import SensorMultiplexer
@@ -41,16 +32,11 @@ from .pulse_detector import DetectorOutput, DetectorParameters, PulsePositionDet
 
 @dataclass
 class ChannelMeasurement:
-    """Everything produced by one single-channel front-end run.
-
-    A fast-path solve produces only the detector output — no waveform is
-    ever materialised, so ``waveforms`` and ``amplified_pickup`` are
-    ``None`` for those measurements.
-    """
+    """Everything produced by one single-channel front-end run."""
 
     channel: str
-    waveforms: Optional[SensorWaveforms]
-    amplified_pickup: Optional[Trace]
+    waveforms: SensorWaveforms
+    amplified_pickup: Trace
     detector_output: DetectorOutput
 
     @property
@@ -62,12 +48,13 @@ class ChannelMeasurement:
 class FrontEndConfig:
     """Front-end configuration knobs gathered in one place.
 
-    ``fastpath`` opts in to the closed-form pulse-timing solver
-    (:mod:`repro.analog.fastpath`): noiseless measurements on the tanh
-    core skip the sampled simulation entirely and compute the comparator
-    edge times algebraically, falling back to the stepped engine
-    whenever the closed form would not apply.  Default off — the stepped
-    path stays bit-identical to previous releases.
+    ``fastpath`` opts the compass's measurement engine in to the
+    closed-form pulse-timing solver (:mod:`repro.analog.fastpath`):
+    noiseless measurements on the tanh core skip the sampled simulation
+    entirely and compute the comparator edge times algebraically,
+    falling back to the stepped engine whenever the closed form would
+    not apply.  Default off — the stepped path stays bit-identical to
+    previous releases.
     """
 
     excitation: ExcitationSettings = field(default_factory=ExcitationSettings)
@@ -94,11 +81,8 @@ class AnalogFrontEnd:
         self.multiplexer = SensorMultiplexer()
         self._enabled = True
         #: Routing decisions of the opt-in fast path (attempts, uses,
-        #: fallback reasons) — a test and debugging aid.
+        #: fallback reasons), kept by the compass's measurement engine.
         self.fastpath_stats = FastPathStats()
-        #: Set by the owning compass; DISABLED means every span/metric
-        #: call below is a no-op costing one attribute check.
-        self.observer: Observer = DISABLED
 
     # -- power gating ---------------------------------------------------------
 
@@ -125,6 +109,10 @@ class AnalogFrontEnd:
     ) -> ChannelMeasurement:
         """Excite one sensor and detect its pulse positions.
 
+        The stepped reference chain, keeping every intermediate waveform
+        (the compass measures through its own row engine, which
+        reproduces this chain bit for bit or solves it in closed form).
+
         Parameters
         ----------
         sensor:
@@ -138,75 +126,17 @@ class AnalogFrontEnd:
         """
         if not self._enabled:
             raise ConfigurationError("front-end is powered down")
-        if self.config.fastpath:
-            fast = self._measure_channel_fastpath(sensor, channel, h_external, grid)
-            if fast is not None:
-                return fast
-        observer = self.observer
-        with observer.span(
-            f"{STAGE_CHANNEL}.{channel}", channel=channel, h_external=h_external
-        ) as span:
-            self.excitation.select_channel(channel)
-            self.multiplexer.select(channel)
-            with observer.span(STAGE_EXCITATION, channel=channel) as exc_span:
-                current = self.excitation.current(
-                    grid, channel, sensor.params.series_resistance
-                )
-                exc_span.set(
-                    samples=len(current),
-                    frequency_hz=self.excitation.oscillator.params.frequency_hz,
-                )
-            with observer.span(STAGE_PICKUP, channel=channel):
-                waveforms = sensor.simulate(current, h_external)
-                amplified = self.amplifier.amplify(waveforms.pickup_voltage)
-            with observer.span(STAGE_COMPARATOR, channel=channel) as cmp_span:
-                detected = self.detector.detect(amplified)
-                cmp_span.set(
-                    edges=len(detected.edges), duty=detected.duty_cycle()
-                )
-            span.set(duty=detected.duty_cycle())
+        self.excitation.select_channel(channel)
+        self.multiplexer.select(channel)
+        current = self.excitation.current(
+            grid, channel, sensor.params.series_resistance
+        )
+        waveforms = sensor.simulate(current, h_external)
+        amplified = self.amplifier.amplify(waveforms.pickup_voltage)
+        detected = self.detector.detect(amplified)
         return ChannelMeasurement(
             channel=channel,
             waveforms=waveforms,
             amplified_pickup=amplified,
-            detector_output=detected,
-        )
-
-    def _measure_channel_fastpath(
-        self,
-        sensor: FluxgateSensor,
-        channel: str,
-        h_external: float,
-        grid: TimeGrid,
-    ) -> Optional[ChannelMeasurement]:
-        """Attempt the closed-form solve; ``None`` routes to the stepped path."""
-        stats = self.fastpath_stats
-        stats.attempted += 1
-        reason = fastpath.ineligibility_reason(self, sensor)
-        detected: Optional[DetectorOutput] = None
-        if reason is None:
-            # Keep the multiplexing/power-gating state identical to a
-            # stepped measurement — observable via measured_offset etc.
-            self.excitation.select_channel(channel)
-            self.multiplexer.select(channel)
-            detected = fastpath.solve_channel(self, sensor, channel, h_external, grid)
-        if detected is None:
-            stats.record_fallback(reason or "validity-envelope")
-            return None
-        stats.used += 1
-        observer = self.observer
-        with observer.span(
-            f"{STAGE_CHANNEL}.{channel}",
-            channel=channel,
-            h_external=h_external,
-            fastpath=True,
-        ) as span:
-            with observer.span(STAGE_FASTPATH, channel=channel) as fp_span:
-                fp_span.set(edges=len(detected.edges))
-            span.set(duty=detected.duty_cycle())
-        return ChannelMeasurement(
-            channel=channel,
-            waveforms=None,
-            amplified_pickup=None,
             detector_output=detected,
         )

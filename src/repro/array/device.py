@@ -102,8 +102,6 @@ class ArrayConfig:
         (≥0.4 µT at ~1 m) leaves across a 0.3 m aperture.
     strict:
         When True a gradiometer trip raises instead of flagging.
-    chunk_size:
-        Batch-engine chunk size for the sweep path.
     observe:
         Array-level observability; every element reports into the same
         registry, labelled per element.
@@ -117,7 +115,6 @@ class ArrayConfig:
     vote_mad_scale: float = 3.0
     gradient_threshold: float = 0.005
     strict: bool = False
-    chunk_size: int = 12
     observe: Observability = Observability()
 
     def __post_init__(self) -> None:
@@ -195,16 +192,9 @@ class ArrayCompass:
                 )
             )
             element.observer = self.observer
-            element.front_end.observer = self.observer
             element.back_end.observer = self.observer
             self.elements.append(element)
-            self._batches.append(
-                BatchCompass(
-                    element,
-                    chunk_size=self.config.chunk_size,
-                    cache=self.cache,
-                )
-            )
+            self._batches.append(BatchCompass(element, cache=self.cache))
         #: Injection seam for ``array.element_rotated``: *actual* extra
         #: rotation of each element against its nominal mounting [deg].
         #: Fusion keeps assuming the nominal geometry — that mismatch is

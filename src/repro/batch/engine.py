@@ -1,27 +1,24 @@
-"""The batch-measurement engine behind :class:`BatchCompass`.
+"""Sweep-shaped measurement over one compass: :class:`BatchCompass`.
 
-A scalar ``IntegratedCompass.measure_heading`` pays the full dense
-analogue grid (settle + count periods × 4096 samples, twice — once per
-channel) per call, plus Python-level overhead per block.  Sweeps repeat
-almost all of that work: the excitation current is identical across
-headings, and every per-sample transform (magnetisation, gradient,
-band-limit, comparator) is an elementwise or row-wise operation that
-vectorizes over a ``(N, n_samples)`` matrix.
+The compass's measurement engine (``IntegratedCompass._measure_rows``)
+turns ``N`` axis-field rows into ``N`` heading records; a scalar
+``measure_heading`` is its one-row case.  Sweeps repeat almost all of
+the per-row work — the excitation current is identical across headings
+and every per-sample transform vectorizes over a ``(N, n_samples)``
+matrix — so :class:`BatchCompass` drives the engine with many rows and
+adds what only multi-row calls need:
 
-The engine exploits exactly that:
+* :class:`ExcitationTraceCache` — the excitation trace is computed once
+  per ``(grid, channel, series_resistance)`` key (with its precomputed
+  finite-difference gradient coefficients) and reused across calls,
+* row *chunks*, so every intermediate matrix stays cache-resident (a
+  full 72 × 36864 float64 matrix is ~21 MB per temporary — memory-bound
+  and slower than chunks of 12),
+* the scene, sweep and Monte-Carlo APIs.
 
-* the excitation trace is computed once per ``(grid, channel,
-  series_resistance)`` key and cached (with its precomputed
-  finite-difference gradient coefficients),
-* headings are processed in small row *chunks* so every intermediate
-  matrix stays cache-resident (a full 72 × 36864 float64 matrix is
-  ~21 MB per temporary — memory-bound and slower than the scalar loop),
-* comparator edge extraction runs as one ``maximum.accumulate`` state
-  machine per chunk instead of a per-waveform searchsorted pass.
-
-Every arithmetic step reproduces the scalar path bit-for-bit, so the
-resulting counts and headings are not merely close — they are identical
-(asserted by ``tests/test_batch_sweep.py`` and the BENCH_sweep record).
+Results are bit-identical to the scalar loop — counts, headings, duty
+cycles and noise draws (asserted by ``tests/test_batch_sweep.py`` and
+the golden vectors).
 """
 
 from __future__ import annotations
@@ -32,22 +29,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analog import fastpath
 from ..analog.excitation import ExcitationSource
-from ..analog.frontend import AnalogFrontEnd
-from ..analog.pulse_detector import DetectorOutput
 from ..core.accuracy import ErrorStats
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.heading import HeadingMeasurement, headings_evenly_spaced
 from ..errors import ConfigurationError
-from ..observe import (
-    M_BATCH_CHUNKS,
-    M_BATCH_ROWS,
-    M_CACHE_EVENTS,
-    MetricsRegistry,
-)
-from ..observe.trace import STAGE_MEASURE
-from ..sensors.fluxgate import FluxgateSensor
+from ..observe import M_BATCH_ROWS, M_CACHE_EVENTS, MetricsRegistry
 from ..simulation.engine import TimeGrid
 from ..simulation.signals import TimeGradient, Trace
 from .scene import BatchScene
@@ -141,9 +128,9 @@ class BatchCompass:
     ----------
     compass:
         The compass to drive (or a :class:`CompassConfig` / ``None`` to
-        build one).  The batch engine shares the compass's front- and
-        back-end instances, so interleaving scalar and batch measurements
-        keeps a single noise stream.
+        build one).  Batches run through the compass's own measurement
+        engine and front- and back-end instances, so interleaving scalar
+        and batch measurements keeps a single noise stream.
     chunk_size:
         Rows processed per numpy pass.  Small chunks keep every
         intermediate ``(chunk, n_samples)`` matrix inside the CPU caches;
@@ -190,8 +177,8 @@ class BatchCompass:
         ``h_x[i]``/``h_y[i]`` are the axis fields of measurement ``i``
         [A/m]; the result list is bit-identical (counts, headings, duty
         cycles, noise draws) to calling the scalar method per pair, in
-        order.  Hysteretic cores fall back to exactly that scalar loop —
-        their state makes row-parallel evaluation meaningless.
+        order — both run the compass's one measurement engine, the
+        scalar method with one row and this one with ``N``.
 
         Failure parity: a broken sensor raises the same typed
         :class:`~repro.errors.ReproError` subclass the scalar loop
@@ -209,150 +196,15 @@ class BatchCompass:
             raise ConfigurationError("h_x and h_y must be 1-D arrays of equal length")
         if h_x.size == 0:
             return []
-        compass = self.compass
-        if compass.sensors.sensor_x.core.is_hysteretic:
-            return [
-                compass.measure_components(float(x), float(y))
-                for x, y in zip(h_x, h_y)
-            ]
-
-        schedule = compass.config.schedule
-        grid = compass._channel_grid()
-        settle_time = schedule.settle_periods * grid.period
-        t0, t1 = grid.window()
-        count_window = (t0 + settle_time, t1)
-        compass.supervisor.watchdog_guard(grid.n_periods)
-
-        front_end = compass.front_end
-        amplifier = front_end.amplifier
-        noisy = not amplifier.budget.is_noiseless
-        # The scalar loop draws noise x0, y0, x1, y1, …; reserve the same
-        # block up front and index into it per channel so realizations
-        # match draw-for-draw.
-        draw_base = amplifier.consume_noise_draws(2 * h_x.size) if noisy else 0
-
-        observer = compass.observer
-        with observer.span(
-            "batch.sweep", rows=int(h_x.size), chunk_size=self.chunk_size
-        ):
-            front_end.enable()
-            try:
-                detected_x = self._measure_channel_batch(
-                    compass.sensors.sensor_x, "x", h_x, grid, draw_base, 0
-                )
-                detected_y = self._measure_channel_batch(
-                    compass.sensors.sensor_y, "y", h_y, grid, draw_base, 1
-                )
-            finally:
-                front_end.disable()
-
-            measurements = []
-            recorder = observer.recorder
-            for row, (out_x, out_y) in enumerate(zip(detected_x, detected_y)):
-                if recorder is not None:
-                    recorder.on_inputs(float(h_x[row]), float(h_y[row]))
-                with observer.span(
-                    STAGE_MEASURE, path="batch", row=row
-                ) as span:
-                    measurement = compass.assemble_measurement(
-                        out_x, out_y, count_window, path="batch"
-                    )
-                    span.set(heading_deg=measurement.heading_deg)
-                measurements.append(measurement)
-            if observer.metrics is not None:
-                observer.metrics.counter(
-                    M_BATCH_ROWS, "measurement rows served by the batch engine"
-                ).inc(len(measurements))
-        return measurements
-
-    def _measure_channel_batch(
-        self,
-        sensor: FluxgateSensor,
-        channel: str,
-        h_values: np.ndarray,
-        grid: TimeGrid,
-        draw_base: int,
-        draw_offset: int,
-    ) -> List[DetectorOutput]:
-        """One channel's chunked sensor → amplifier → detector pipeline."""
-        front_end: AnalogFrontEnd = self.compass.front_end
-        front_end.excitation.select_channel(channel)
-        front_end.multiplexer.select(channel)
-        if front_end.config.fastpath:
-            solved = self._solve_channel_fastpath(sensor, channel, h_values, grid)
-            if solved is not None:
-                return solved
-        entry = self.cache.entry(
-            front_end.excitation, grid, channel, sensor.params.series_resistance
+        measurements = self.compass._measure_rows(
+            h_x, h_y, "batch", cache=self.cache, chunk_size=self.chunk_size
         )
-        current, gradient = entry.current, entry.gradient
-        sample_rate = current.sample_rate
-        amplifier = front_end.amplifier
-        detector = front_end.detector
-        noisy = not amplifier.budget.is_noiseless
-
-        observer = self.compass.observer
-        metrics = observer.metrics
-        outputs: List[DetectorOutput] = []
-        with observer.span(f"batch.channel.{channel}", channel=channel) as span:
-            for start in range(0, h_values.size, self.chunk_size):
-                h_chunk = h_values[start : start + self.chunk_size]
-                with observer.span(
-                    "batch.chunk", channel=channel, start=start,
-                    rows=int(h_chunk.size),
-                ):
-                    pickup = sensor.simulate_batch(current, h_chunk, gradient)
-                    draw_indices: Optional[List[int]] = None
-                    if noisy:
-                        draw_indices = [
-                            draw_base + 2 * (start + row) + draw_offset
-                            for row in range(h_chunk.size)
-                        ]
-                    amplified = amplifier.amplify_batch(
-                        pickup, sample_rate, draw_indices
-                    )
-                    outputs.extend(detector.detect_batch(amplified, current.t))
-                if metrics is not None:
-                    metrics.counter(
-                        M_BATCH_CHUNKS,
-                        "vectorized chunks processed, by channel",
-                        ("channel",),
-                    ).inc(channel=channel)
-            span.set(rows=int(h_values.size))
-        return outputs
-
-    def _solve_channel_fastpath(
-        self,
-        sensor: FluxgateSensor,
-        channel: str,
-        h_values: np.ndarray,
-        grid: TimeGrid,
-    ) -> Optional[List[DetectorOutput]]:
-        """Vectorised closed-form solve for one channel's whole batch.
-
-        Falls back (returns ``None``) for the entire batch when any row
-        is ineligible, so routing stays deterministic per sweep.
-        """
-        front_end: AnalogFrontEnd = self.compass.front_end
-        stats = front_end.fastpath_stats
-        stats.attempted += int(h_values.size)
-        reason = fastpath.ineligibility_reason(front_end, sensor)
-        solved: Optional[List[DetectorOutput]] = None
-        if reason is None:
-            solved = fastpath.solve_channel_batch(
-                front_end, sensor, channel, h_values, grid
-            )
-        if solved is None:
-            for _ in range(int(h_values.size)):
-                stats.record_fallback(reason or "validity-envelope")
-            return None
-        stats.used += int(h_values.size)
-        observer = self.compass.observer
-        with observer.span(
-            f"batch.channel.{channel}", channel=channel, fastpath=True
-        ) as span:
-            span.set(rows=int(h_values.size))
-        return solved
+        metrics = self.compass.observer.metrics
+        if metrics is not None:
+            metrics.counter(
+                M_BATCH_ROWS, "measurement rows served by the batch engine"
+            ).inc(len(measurements))
+        return measurements
 
     # -- scene / sweep APIs ------------------------------------------------------
 

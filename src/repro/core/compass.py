@@ -10,10 +10,14 @@ compute the arctangent, update the display.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
+import numpy as np
+
+from ..analog import fastpath
 from ..analog.frontend import AnalogFrontEnd, FrontEndConfig
 from ..analog.mux import MeasurementSchedule
 from ..analog.pulse_detector import DetectorOutput
@@ -24,6 +28,7 @@ from ..errors import ConfigurationError, DegradedOperationError, FaultError, Rep
 from ..observe import (
     FIELD_BUCKETS_UT,
     HEADING_BUCKETS,
+    M_BATCH_CHUNKS,
     M_COUNTER_TICKS,
     M_FIELD,
     M_HEADING,
@@ -32,8 +37,17 @@ from ..observe import (
     Observability,
     build_observer,
 )
-from ..observe.trace import STAGE_MEASURE
+from ..observe.trace import (
+    STAGE_BATCH,
+    STAGE_CHANNEL,
+    STAGE_COMPARATOR,
+    STAGE_EXCITATION,
+    STAGE_FASTPATH,
+    STAGE_MEASURE,
+    STAGE_PICKUP,
+)
 from ..physics.earth_field import FieldVector
+from ..sensors.fluxgate import FluxgateSensor
 from ..sensors.pair import IDEAL_PAIR, OrthogonalSensorPair, PairImperfections
 from ..sensors.parameters import FluxgateParameters, IDEAL_TARGET
 from ..simulation.engine import TimeGrid
@@ -123,10 +137,9 @@ class IntegratedCompass:
                 self.front_end.excitation.oscillator.params.frequency_hz
             ),
         )
-        # Observability resolves once here; the front- and back-end share
-        # the compass's observer so one measurement is one span tree.
+        # Observability resolves once here; the back-end shares the
+        # compass's observer so one measurement is one span tree.
         self.observer = build_observer(config.observe)
-        self.front_end.observer = self.observer
         self.back_end.observer = self.observer
         if self.observer.recorder is not None:
             self.observer.recorder.bind(config)
@@ -168,9 +181,38 @@ class IntegratedCompass:
     ) -> HeadingMeasurement:
         """Measure from explicit axis field components [A/m].
 
-        The lowest-level entry point: drives the multiplexed front-end
-        once per channel and runs the digital back-end.
+        The lowest-level entry point: a one-row run of the measurement
+        engine.  Unlike a batch, a scalar measurement degrades to a
+        single axis when one channel fails (with health degradation on).
         """
+        (measurement,) = self._measure_rows(
+            np.array([h_x], dtype=float), np.array([h_y], dtype=float), "scalar"
+        )
+        return measurement
+
+    def _measure_rows(
+        self,
+        h_x: np.ndarray,
+        h_y: np.ndarray,
+        path: str,
+        cache=None,
+        chunk_size: int = 1,
+    ) -> List[HeadingMeasurement]:
+        """The measurement engine: ``N`` axis-field rows → ``N`` records.
+
+        A scalar measurement is a one-row batch, so the grid, watchdog,
+        noise-draw block, power gating, spans, recorder callbacks,
+        metrics and assembly happen here once for both paths.
+        ``path="scalar"`` roots the spans at ``measure``, draws noise as
+        each amplifier runs (a channel that fails first draws nothing)
+        and keeps the single-axis degrade.  ``path="batch"``
+        (:class:`repro.batch.BatchCompass`, with its excitation-trace
+        ``cache``) roots them at ``batch.sweep`` with a ``measure`` child
+        per row and reserves the scalar loop's ``x0, y0, x1, y1, …``
+        noise draws up front; it never degrades to one axis, because its
+        failing channel is shared by every row.
+        """
+        scalar = path == "scalar"
         schedule = self.config.schedule
         grid = self._channel_grid()
         settle_time = schedule.settle_periods * grid.period
@@ -178,24 +220,32 @@ class IntegratedCompass:
         count_window = (t0 + settle_time, t1)
         self.supervisor.watchdog_guard(grid.n_periods)
 
-        degrade = self.config.health.enabled and self.config.health.degrade
-        failures = {}
-        outputs = {}
-        recorder = self.observer.recorder
-        if recorder is not None:
-            recorder.on_inputs(h_x, h_y)
-        with self.observer.span(STAGE_MEASURE, path="scalar") as root:
+        rows = int(h_x.size)
+        amplifier = self.front_end.amplifier
+        draw_base = None
+        if not scalar and not amplifier.budget.is_noiseless:
+            draw_base = amplifier.consume_noise_draws(2 * rows)
+        degrade = scalar and self.config.health.enabled and self.config.health.degrade
+        observer = self.observer
+        recorder = observer.recorder
+        if scalar:
+            root_span = observer.span(STAGE_MEASURE, path=path)
+        else:
+            root_span = observer.span(STAGE_BATCH, rows=rows, chunk_size=chunk_size)
+        with root_span as root:
+            failures = {}
+            outputs = {}
             self.front_end.enable()
             try:
-                for channel, sensor, h in (
-                    ("x", self.sensors.sensor_x, h_x),
-                    ("y", self.sensors.sensor_y, h_y),
+                for offset, channel, sensor, h in (
+                    (0, "x", self.sensors.sensor_x, h_x),
+                    (1, "y", self.sensors.sensor_y, h_y),
                 ):
+                    draws = None if draw_base is None else draw_base + offset
                     try:
-                        meas = self.front_end.measure_channel(
-                            sensor, channel, h, grid
+                        outputs[channel] = self._channel_rows(
+                            sensor, channel, h, grid, draws, cache, chunk_size, path
                         )
-                        outputs[channel] = meas.detector_output
                     except ReproError as exc:
                         if not degrade or isinstance(exc, FaultError):
                             raise
@@ -203,34 +253,147 @@ class IntegratedCompass:
             finally:
                 self.front_end.disable()
 
-            if failures:
-                if len(failures) == 2:
-                    raise DegradedOperationError(
-                        "both sensor channels failed — no heading can be "
-                        f"produced (x: {failures['x']}; y: {failures['y']})"
-                    ) from failures["x"]
-                (dead,) = failures
-                alive = "y" if dead == "x" else "x"
-                fallback = self.supervisor.single_axis_fallback(
-                    alive, outputs[alive], count_window, failures[dead]
-                )
-                self.supervisor.observe(fallback)
+            measurements = []
+            for row in range(rows):
                 if recorder is not None:
-                    recorder.on_fallback(
-                        "scalar", {alive: outputs[alive]}, count_window, fallback
-                    )
-                root.set(heading_deg=fallback.heading_deg, fallback=True)
-                if self.observer.metrics is not None:
-                    _record_measurement(
-                        self.observer.metrics, fallback, "scalar"
-                    )
-                return fallback
+                    recorder.on_inputs(float(h_x[row]), float(h_y[row]))
+                with (
+                    contextlib.nullcontext(root)
+                    if scalar
+                    else observer.span(STAGE_MEASURE, path=path, row=row)
+                ) as span:
+                    if failures:
+                        measurement = self._single_axis_fallback(
+                            failures, outputs, count_window
+                        )
+                        span.set(heading_deg=measurement.heading_deg, fallback=True)
+                    else:
+                        measurement = self.assemble_measurement(
+                            outputs["x"][row], outputs["y"][row], count_window, path
+                        )
+                        span.set(heading_deg=measurement.heading_deg)
+                measurements.append(measurement)
+        return measurements
 
-            measurement = self.assemble_measurement(
-                outputs["x"], outputs["y"], count_window
+    def _channel_rows(
+        self,
+        sensor: FluxgateSensor,
+        channel: str,
+        h: np.ndarray,
+        grid: TimeGrid,
+        draws: Optional[int],
+        cache,
+        chunk_size: int,
+        path: str,
+    ) -> List[DetectorOutput]:
+        """One channel's detector outputs for every row.
+
+        The one routing point: the closed-form fast path for the whole
+        channel when it is enabled and every row is eligible, else the
+        sampled excitation → pickup → comparator chain, ``chunk_size``
+        rows per numpy pass and bit-identical to
+        :meth:`AnalogFrontEnd.measure_channel` row by row.  ``draws`` is
+        a batch's reserved noise-block base plus the channel offset (row
+        ``i`` draws ``draws + 2·i``), or ``None`` to draw as the
+        amplifier runs.
+        """
+        front_end = self.front_end
+        amplifier = front_end.amplifier
+        observer = self.observer
+        rows = int(h.size)
+        front_end.excitation.select_channel(channel)
+        front_end.multiplexer.select(channel)
+        with observer.span(
+            f"{STAGE_CHANNEL}.{channel}", channel=channel, rows=rows
+        ) as channel_span:
+            if front_end.config.fastpath:
+                stats = front_end.fastpath_stats
+                stats.attempted += rows
+                reason = fastpath.ineligibility_reason(front_end, sensor)
+                if reason is None:
+                    with observer.span(STAGE_FASTPATH, channel=channel) as span:
+                        solved = fastpath.solve_channel_batch(
+                            front_end, sensor, channel, h, grid
+                        )
+                        span.set(solved=solved is not None)
+                    if solved is not None:
+                        stats.used += rows
+                        channel_span.set(fastpath=True)
+                        return solved
+                for _ in range(rows):
+                    stats.record_fallback(reason or "validity-envelope")
+
+            load = sensor.params.series_resistance
+            with observer.span(STAGE_EXCITATION, channel=channel) as span:
+                if cache is None:
+                    current = front_end.excitation.current(grid, channel, load)
+                    gradient = None
+                else:
+                    entry = cache.entry(front_end.excitation, grid, channel, load)
+                    current, gradient = entry.current, entry.gradient
+                span.set(
+                    samples=len(current),
+                    frequency_hz=front_end.excitation.oscillator.params.frequency_hz,
+                )
+            noisy = not amplifier.budget.is_noiseless
+            outputs: List[DetectorOutput] = []
+            for start in range(0, rows, chunk_size):
+                chunk = h[start : start + chunk_size]
+                with observer.span(STAGE_PICKUP, channel=channel, rows=int(chunk.size)):
+                    if sensor.core.is_hysteretic:
+                        # A hysteretic core integrates sample by sample,
+                        # so its rows cannot share one vectorised pass.
+                        pickup = np.stack([
+                            sensor.simulate(current, float(x)).pickup_voltage.v
+                            for x in chunk
+                        ])
+                    else:
+                        pickup = sensor.simulate_batch(current, chunk, gradient)
+                    indices = None
+                    if noisy:
+                        indices = (
+                            [amplifier.consume_noise_draws(1)]
+                            if draws is None
+                            else [draws + 2 * (start + i) for i in range(chunk.size)]
+                        )
+                    amplified = amplifier.amplify_batch(
+                        pickup, current.sample_rate, indices
+                    )
+                with observer.span(STAGE_COMPARATOR, channel=channel) as span:
+                    detected = front_end.detector.detect_batch(amplified, current.t)
+                    span.set(edges=sum(len(d.edges) for d in detected))
+                outputs.extend(detected)
+                if observer.metrics is not None and path != "scalar":
+                    observer.metrics.counter(
+                        M_BATCH_CHUNKS,
+                        "vectorized chunks processed, by channel",
+                        ("channel",),
+                    ).inc(channel=channel)
+        return outputs
+
+    def _single_axis_fallback(
+        self, failures: dict, outputs: dict, count_window: Tuple[float, float]
+    ) -> HeadingMeasurement:
+        """The scalar-only degrade: serve the surviving channel's heading."""
+        if len(failures) == 2:
+            raise DegradedOperationError(
+                "both sensor channels failed — no heading can be "
+                f"produced (x: {failures['x']}; y: {failures['y']})"
+            ) from failures["x"]
+        (dead,) = failures
+        alive = "y" if dead == "x" else "x"
+        (detected,) = outputs[alive]
+        fallback = self.supervisor.single_axis_fallback(
+            alive, detected, count_window, failures[dead]
+        )
+        self.supervisor.observe(fallback)
+        if self.observer.recorder is not None:
+            self.observer.recorder.on_fallback(
+                "scalar", {alive: detected}, count_window, fallback
             )
-            root.set(heading_deg=measurement.heading_deg)
-        return measurement
+        if self.observer.metrics is not None:
+            _record_measurement(self.observer.metrics, fallback, "scalar")
+        return fallback
 
     def assemble_measurement(
         self,

@@ -38,6 +38,7 @@ from ..simulation.vcd import VCDWriter
 #: ``tests/test_observe.py`` and ``repro trace`` treat this as the
 #: taxonomy contract; see docs/observability.md for attribute tables.
 STAGE_MEASURE = "measure"
+STAGE_BATCH = "batch.sweep"        # one BatchCompass call (N measure rows)
 STAGE_CHANNEL = "channel"          # channel.x / channel.y
 STAGE_EXCITATION = "excitation"
 STAGE_PICKUP = "pickup"

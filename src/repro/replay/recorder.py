@@ -221,8 +221,8 @@ def attach_recorder(compass, recorder: LogRecorder) -> LogRecorder:
 
     If the compass carries the shared do-nothing observer, a fresh
     recorder-only :class:`~repro.observe.Observer` is installed on the
-    compass and both halves of the signal chain; an already-enabled
-    observer simply gains the recorder.  Returns the recorder.
+    compass and its back-end; an already-enabled observer simply gains
+    the recorder.  Returns the recorder.
     """
     from ..observe import DISABLED, Observer
 
@@ -230,7 +230,6 @@ def attach_recorder(compass, recorder: LogRecorder) -> LogRecorder:
     if compass.observer is DISABLED:
         observer = Observer(recorder=recorder)
         compass.observer = observer
-        compass.front_end.observer = observer
         compass.back_end.observer = observer
     else:
         compass.observer.recorder = recorder

@@ -310,7 +310,6 @@ class ScenarioRunner:
         if observer is DISABLED:
             observer = Observer()
             compass.observer = observer
-            compass.front_end.observer = observer
             compass.back_end.observer = observer
         observer.recorder = self._recorder
 

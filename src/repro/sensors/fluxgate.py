@@ -184,11 +184,13 @@ class FluxgateSensor:
         shape = (h.size, current.t.size)
         scratch = self._batch_scratch.pop(shape, None)
         if scratch is None:
+            scratch = (np.empty(shape), np.empty(shape))
+        # A one-row call (a scalar measurement) keeps nothing; otherwise
+        # (re-)insert so dict order tracks recency: oldest first.
+        if h.size > 1:
             while len(self._batch_scratch) >= self.SCRATCH_CAPACITY:
                 self._batch_scratch.pop(next(iter(self._batch_scratch)))
-            scratch = (np.empty(shape), np.empty(shape))
-        # (Re-)insert so dict order tracks recency: oldest first.
-        self._batch_scratch[shape] = scratch
+            self._batch_scratch[shape] = scratch
         h_total, deriv = scratch
         np.add(current.v * p.excitation_coil_constant, h[:, None], out=h_total)
         b = self.core.flux_density_into(h_total, out=h_total)

@@ -64,12 +64,11 @@ class CompassReplica:
         """Report this replica's spans/metrics into the service observer.
 
         The compass resolved its own (disabled) observer at build time;
-        re-pointing the compass and its front-/back-end at the service's
+        re-pointing the compass and its back-end at the service's
         observer merges every replica into one span tree and one metrics
         registry, which is where fleet-level questions get answered.
         """
         self.compass.observer = observer
-        self.compass.front_end.observer = observer
         self.compass.back_end.observer = observer
 
     def draw_latency(self) -> float:

@@ -130,9 +130,14 @@ class TestBatchApi:
             BatchCompass(chunk_size=0)
 
     @pytest.mark.parametrize(
-        "noise", [NOISELESS, TYPICAL_1997_CMOS], ids=["noiseless", "noisy"]
+        "noise,counts",
+        [
+            (NOISELESS, [(1545, -15), (-1545, 13)]),
+            (TYPICAL_1997_CMOS, [(1533, -9), (-1529, 5)]),
+        ],
+        ids=["noiseless", "noisy"],
     )
-    def test_hysteretic_core_falls_back_to_scalar(self, noise):
+    def test_hysteretic_core_falls_back_to_scalar(self, noise, counts):
         sensor = CompassConfig().sensor
         config = dataclasses.replace(
             CompassConfig(),
@@ -149,6 +154,7 @@ class TestBatchApi:
             headings, field_magnitude_t=50e-6
         )
         assert_bit_identical(batch, scalar)
+        assert [(m.x_count, m.y_count) for m in scalar] == counts
 
 
 class TestZeroTickGuard:

@@ -156,9 +156,9 @@ class TestNoiseStream:
 
 
 class TestBatchCaches:
-    def _edges(self, comp, n):
+    def _edges(self, comp, n, rows=2):
         t = np.linspace(0.0, 1e-3, n)
-        v = np.sin(2 * np.pi * 4e3 * t)[None, :]
+        v = np.tile(np.sin(2 * np.pi * 4e3 * t), (rows, 1))
         return comp.falling_edges_batch(v, t)
 
     def test_code_cache_holds_multiple_grid_sizes(self):
@@ -178,7 +178,7 @@ class TestBatchCaches:
             self._edges(comp, n)
         assert len(comp._batch_scratch) == comp.SCRATCH_CAPACITY == 2
         # Oldest shape (400) was evicted; most recent two remain.
-        assert set(comp._batch_scratch) == {(1, 500), (1, 600)}
+        assert set(comp._batch_scratch) == {(2, 500), (2, 600)}
 
     def test_scratch_reuse_tracks_recency(self):
         comp = Comparator(ComparatorParameters(threshold=0.1))
@@ -186,4 +186,11 @@ class TestBatchCaches:
         self._edges(comp, 500)
         self._edges(comp, 400)  # refresh 400 -> 500 is now oldest
         self._edges(comp, 600)
-        assert set(comp._batch_scratch) == {(1, 400), (1, 600)}
+        assert set(comp._batch_scratch) == {(2, 400), (2, 600)}
+
+    def test_one_row_call_keeps_nothing(self):
+        # A scalar measurement is a one-row batch; it must not leave
+        # per-compass scratch or code tables behind.
+        comp = Comparator(ComparatorParameters(threshold=0.1))
+        self._edges(comp, 500, rows=1)
+        assert comp._batch_scratch == {} and comp._code_cache == {}

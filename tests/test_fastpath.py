@@ -12,6 +12,7 @@ inexact.  Enabling the fast path must never change what is measured.
 import dataclasses
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from repro.analog.frontend import AnalogFrontEnd, FrontEndConfig
 from repro.batch.engine import BatchCompass
 from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.faults.model import REGISTRY
+from repro.observe import Observability
+from repro.observe.trace import STAGE_FASTPATH
 from repro.physics.noise import NoiseBudget
 from repro.replay import (
     LogRecorder,
@@ -197,6 +200,32 @@ class TestCompassRouting:
         compass = IntegratedCompass()
         compass.measure_components(30.0, -20.0)
         assert compass.front_end.fastpath_stats.attempted == 0
+
+
+    @pytest.mark.parametrize("path", ["scalar", "batch"])
+    def test_solver_runs_inside_the_fastpath_span(self, monkeypatch, path):
+        compass = IntegratedCompass(CompassConfig(
+            front_end=FrontEndConfig(fastpath=True), observe=Observability.on()
+        ))
+        solves = []
+        original = fastpath.solve_channel_batch
+
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            result = original(*args, **kwargs)
+            solves.append((start, time.perf_counter()))
+            return result
+
+        monkeypatch.setattr(fastpath, "solve_channel_batch", timed)
+        if path == "scalar":
+            compass.measure_heading(45.0)
+        else:
+            BatchCompass(compass).sweep_headings([45.0, 90.0])
+        root = compass.observer.ring().roots[-1]
+        spans = [s for s in root.walk() if s.name == STAGE_FASTPATH]
+        assert len(solves) == len(spans) == 2
+        for (start, end), span in zip(solves, spans):
+            assert span.start_s <= start and end <= span.end_s
 
 
 class TestCompassEquivalence:

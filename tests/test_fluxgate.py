@@ -186,6 +186,11 @@ class TestBatchScratchBound:
         n = current.t.size
         assert set(sensor._batch_scratch) == {(3, n), (4, n)}
 
+    def test_one_row_call_keeps_nothing(self, current):
+        sensor = FluxgateSensor(IDEAL_TARGET)
+        sensor.simulate_batch(current, np.zeros(1))
+        assert sensor._batch_scratch == {}
+
     def test_scratch_reuse_tracks_recency(self, current):
         sensor = FluxgateSensor(IDEAL_TARGET)
         sensor.simulate_batch(current, np.zeros(2))

@@ -23,6 +23,7 @@ from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.observe import Observability
 from repro.observe.trace import (
     STAGE_BACKEND,
+    STAGE_BATCH,
     STAGE_CHANNEL,
     STAGE_COMPARATOR,
     STAGE_CORDIC,
@@ -149,13 +150,18 @@ class TestInstrumentedPaths:
         for m, vector in zip(measurements, _vectors_for(field_ut)):
             assert_matches(m, vector)
 
-    def test_span_tree_covers_every_stage(self, compass):
-        compass.measure_heading(45.0, 50.0e-6)
+    @pytest.mark.parametrize("path", ["scalar", "batch"])
+    def test_span_tree_covers_every_stage(self, compass, path):
+        if path == "scalar":
+            compass.measure_heading(45.0, 50.0e-6)
+        else:
+            BatchCompass(compass).sweep_headings([45.0, 90.0], 50.0e-6)
         root = compass.observer.ring().roots[-1]
         validate_tree(root)
         names = {span.name for span in root.walk()}
-        assert root.name == STAGE_MEASURE
+        assert root.name == (STAGE_MEASURE if path == "scalar" else STAGE_BATCH)
         for stage in (
+            STAGE_MEASURE,
             f"{STAGE_CHANNEL}.x",
             f"{STAGE_CHANNEL}.y",
             STAGE_EXCITATION,
@@ -169,6 +175,8 @@ class TestInstrumentedPaths:
             assert stage in names, f"missing span: {stage}"
         iters = {n for n in names if n.startswith(STAGE_CORDIC_ITER)}
         assert iters == {f"{STAGE_CORDIC_ITER}.{i}" for i in range(8)}
+        # One vocabulary for both paths: no batch-only channel spans.
+        assert {n for n in names if n.startswith("batch.")} <= {STAGE_BATCH}
 
     def test_metrics_counters_nonzero_for_both_paths(self, compass):
         compass.measure_heading(200.0, 50.0e-6)
