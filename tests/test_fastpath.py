@@ -142,8 +142,8 @@ class TestClosedFormEdges:
         )
 
 
-class TestCompassRouting:
-    """Routing happens once, at the compass entry point."""
+class TestFrontEndRouting:
+    """The front-end chain is routed once, at the compass entry point."""
 
     @staticmethod
     def _count_waveforms(monkeypatch):
@@ -153,8 +153,8 @@ class TestCompassRouting:
         for name in ("simulate", "simulate_batch"):
             original = getattr(FluxgateSensor, name)
 
-            def spy(self, *args, _original=original, **kwargs):
-                calls.append(name)
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(FluxgateSensor, name, spy)
@@ -200,7 +200,6 @@ class TestCompassRouting:
         compass = IntegratedCompass()
         compass.measure_components(30.0, -20.0)
         assert compass.front_end.fastpath_stats.attempted == 0
-
 
     @pytest.mark.parametrize("path", ["scalar", "batch"])
     def test_solver_runs_inside_the_fastpath_span(self, monkeypatch, path):
