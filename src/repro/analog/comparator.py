@@ -371,12 +371,12 @@ class PickupAmplifier:
                 raise ConfigurationError(
                     "amplify_batch needs one noise draw index per row"
                 )
-            values = values + np.stack(
-                [
-                    self.noise_realization(values.shape[1], sample_rate, index)
-                    for index in draw_indices
-                ]
-            )
+            noisy = np.empty_like(values, dtype=float)
+            for row, index in enumerate(draw_indices):
+                noisy[row] = values[row] + self.noise_realization(
+                    values.shape[1], sample_rate, index
+                )
+            values = noisy
         filtered = self._lowpass(values, sample_rate)
         if filtered is values:
             return filtered * self.gain

@@ -125,21 +125,27 @@ class NoiseGenerator:
         Implemented as white noise through a single-pole leaky integrator
         whose pole sits at the flicker corner — a standard cheap
         approximation good to a few dB over the two decades we care about
-        (8 kHz excitation down to ~10 Hz measurement rates).
+        (8 kHz excitation down to ~10 Hz measurement rates).  The
+        recurrence ``y[i] = alpha·y[i-1] + (1-alpha)·drive[i]`` runs as one
+        ``lfilter`` call, bit-identical to evaluating it sample by sample,
+        and its state carries across calls.
         """
         fc = self.budget.flicker_corner_hz
         if fc <= 0.0 or self.budget.white_density == 0.0:
             return np.zeros(n)
+        # Imported here: scipy.signal is slow to load and a noiseless
+        # compass never gets this far.
+        from scipy.signal import lfilter
+
         alpha = math.exp(-2.0 * math.pi * fc / self.sample_rate_hz)
         drive_sigma = self.budget.white_density * math.sqrt(self.sample_rate_hz / 2.0)
         drive = self._rng.normal(0.0, drive_sigma, n)
-        out = np.empty(n)
-        state = self._flicker_state
         gain = 1.0 - alpha
-        for i in range(n):
-            state = alpha * state + gain * drive[i]
-            out[i] = state
-        self._flicker_state = state
+        out, _ = lfilter(
+            [gain], [1.0, -alpha], drive, zi=[alpha * self._flicker_state]
+        )
+        if n > 0:
+            self._flicker_state = float(out[-1])
         # Normalise so the flicker PSD equals the white PSD at fc.
         return out / max(gain, 1e-12) * gain * math.sqrt(2.0)
 

@@ -76,8 +76,10 @@ class TestSmokeCampaign:
         assert set(result.summary()["faults"]) == set(REGISTRY.names())
 
     def test_both_paths_ran(self, result):
+        # Scalar and batch measurements, the boundary scan, and the
+        # scenario and array probes each emit their own cells.
         paths = {cell.path for cell in result.cells}
-        assert paths == {"scalar", "batch", "scan"}
+        assert paths == {"scalar", "batch", "scan", "scenario", "array"}
 
     def test_detections_and_degradations_exist(self, result):
         summary = result.summary()["outcomes"]

@@ -198,6 +198,10 @@ def test_fastpath_compass_never_imports_scipy_signal():
         part for part in (src, env.get("PYTHONPATH")) if part
     )
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
