@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..physics.noise import NoiseBudget, NoiseGenerator, NOISELESS
+from ..simulation.scratch import ScratchPool
 from ..simulation.signals import Trace
 
 
@@ -84,6 +85,10 @@ class Comparator:
     #: while a long-lived service fed arbitrary chunk sizes stays bounded.
     SCRATCH_CAPACITY = 2
 
+    #: Scratch of freed comparators, reused by new ones (a 4-element
+    #: array's detector pairs fill it).
+    SPARE_SCRATCH = ScratchPool(capacity=8)
+
     def __init__(self, params: ComparatorParameters):
         self.params = params
         self._code_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -91,6 +96,7 @@ class Comparator:
             Tuple[int, int],
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         ] = {}
+        self.SPARE_SCRATCH.track(self, self._batch_scratch)
 
     def _batch_buffers(
         self, shape: Tuple[int, int]
@@ -105,6 +111,8 @@ class Comparator:
         and a one-row call (a scalar measurement) keeps nothing.
         """
         buffers = self._batch_scratch.pop(shape, None)
+        if buffers is None and shape[0] > 1:
+            buffers = self.SPARE_SCRATCH.take(shape)
         if buffers is None:
             buffers = (
                 np.empty(shape, dtype=bool),
@@ -288,6 +296,9 @@ class PickupAmplifier:
         self.bandwidth_hz = bandwidth_hz
         self._seed = seed
         self._noise_draws = 0
+        #: ``(alpha, lfilter_zi(b, a))`` of the last band limit applied;
+        #: recomputed only when the sample rate moves ``alpha``.
+        self._zi_memo: Optional[Tuple[float, np.ndarray]] = None
 
     # -- noise stream ---------------------------------------------------------
 
@@ -332,11 +343,16 @@ class PickupAmplifier:
 
         alpha = math.exp(-2.0 * math.pi * self.bandwidth_hz / sample_rate)
         b, a = [1.0 - alpha], [1.0, -alpha]
+        # lfilter_zi(b, a) is not exactly alpha in floats, so memoise the
+        # value rather than replace it.
+        if self._zi_memo is None or self._zi_memo[0] != alpha:
+            self._zi_memo = (alpha, lfilter_zi(b, a))
+        zi_unit = self._zi_memo[1]
         if values.ndim == 1:
-            zi = lfilter_zi(b, a) * values[0]
+            zi = zi_unit * values[0]
             out, _ = lfilter(b, a, values, zi=zi)
         else:
-            zi = lfilter_zi(b, a) * values[:, :1]
+            zi = zi_unit * values[:, :1]
             out, _ = lfilter(b, a, values, axis=-1, zi=zi)
         return out
 

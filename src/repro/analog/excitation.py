@@ -4,22 +4,37 @@ Composes the triangle oscillator and the two V-I converters into the block
 of Figure 1 that feeds the sensors: one oscillator shared by both channels
 ("only one oscillator is needed" thanks to multiplexing, §2), a converter
 per sensor, and the DC-offset correction loop that measures the average of
-the excitation current.
+the excitation current — plus :class:`ExcitationTraceCache`, which
+builds each distinct excitation trace once for every stepped measurement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..observe import M_CACHE_EVENTS, MetricsRegistry
 from ..simulation.engine import TimeGrid
-from ..simulation.signals import Trace
+from ..simulation.signals import TimeGradient, Trace
 from ..units import EXCITATION_CURRENT_PP
 from .vi_converter import VIConverter, VIConverterParameters
 from .waveform import OscillatorParameters, TriangularWaveformGenerator
+
+
+def overridden(obj, *method_names: str) -> bool:
+    """True when any of ``method_names`` is shadowed on the *instance*.
+
+    Methods live on the class; the fault injectors in
+    :mod:`repro.faults.model` arm themselves by planting a wrapper in the
+    instance ``__dict__``.  An armed fault therefore shows up here — and
+    must run on every call, so neither the closed-form fast path nor the
+    excitation-trace cache may stand in for the method it wraps.
+    """
+    d = vars(obj)
+    return any(name in d for name in method_names)
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,17 @@ class ExcitationSource:
     def enabled(self) -> bool:
         return self._enabled
 
+    @property
+    def fault_armed(self) -> bool:
+        """True when a wrapper shadows a method the current is built from:
+        :meth:`current`, the oscillator's ``generate`` or a converter's
+        ``drive``."""
+        return (
+            overridden(self, "current")
+            or overridden(self.oscillator, "generate")
+            or any(overridden(c, "drive") for c in self.converters.values())
+        )
+
     def select_channel(self, channel: str) -> None:
         """Enable exactly one converter — the multiplexing of §2.
 
@@ -152,3 +178,115 @@ class ExcitationSource:
     def measured_offset(self, grid: TimeGrid, channel: str, load_resistance: float) -> float:
         """Average of the excitation current — the §3.1 correction signal [A]."""
         return self.current(grid, channel, load_resistance).mean()
+
+
+@dataclass(frozen=True)
+class ExcitationTrace:
+    """One excitation-current trace plus its finite-difference operator."""
+
+    current: Trace
+    gradient: TimeGradient
+
+
+class ExcitationTraceCache:
+    """Bounded LRU cache of excitation traces for the stepped engine.
+
+    :meth:`ExcitationSource.current` is a pure function of the oscillator
+    parameters, the channel converter's parameters, the soft-start
+    setting, the grid geometry and the load resistance — not of the
+    measurand — so exactly those values form the key.  The channel name
+    is not part of it: both converters are built from one parameter set
+    (one oscillator multiplexed through identical converters, §2), so
+    the x and y channels share an entry, and so do equally configured
+    compasses.
+
+    Each entry holds the current (its ``t``/``v`` arrays read-only, since
+    every caller shares them) and a :class:`TimeGradient` on its time
+    axis.  A lookup computes the trace without storing it when the source
+    or the channel's converter is powered down or a fault wrapper is
+    armed on the source (:attr:`ExcitationSource.fault_armed`): those
+    traces are not functions of the key.
+    """
+
+    #: At most this many traces are retained (least recently used goes
+    #: first).  x and y share an entry, so a compass needs one per grid
+    #: and load; a few cover a scenario's temperature steps while a
+    #: long-lived process stays bounded.
+    CAPACITY = 4
+
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple, ExcitationTrace] = {}
+        self.hits = 0
+        self.misses = 0
+
+    @staticmethod
+    def key(
+        source: ExcitationSource,
+        grid: TimeGrid,
+        channel: str,
+        load_resistance: float,
+    ) -> Tuple:
+        return (
+            source.oscillator.params,
+            source.converters[channel].params,
+            source.settings.soft_start_periods,
+            grid.n_periods,
+            grid.samples_per_period,
+            grid.frequency_hz,
+            grid.t_start,
+            load_resistance,
+        )
+
+    def entry(
+        self,
+        source: ExcitationSource,
+        grid: TimeGrid,
+        channel: str,
+        load_resistance: float,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> ExcitationTrace:
+        """The excitation trace/gradient, computing it on a miss.
+
+        ``metrics`` (the caller's registry, if any) counts the lookup in
+        ``excitation_cache_total`` by event: hit, miss or bypass.
+        """
+        converter = source.converters.get(channel)
+        if (
+            converter is None
+            or not (source.enabled and converter.enabled)
+            or source.fault_armed
+        ):
+            event = "bypass"
+            current = source.current(grid, channel, load_resistance)
+            trace = ExcitationTrace(current, TimeGradient(current.t))
+        else:
+            key = self.key(source, grid, channel, load_resistance)
+            trace = self._entries.pop(key, None)
+            if trace is None:
+                self.misses += 1
+                event = "miss"
+                current = source.current(grid, channel, load_resistance)
+                current.t.flags.writeable = False
+                current.v.flags.writeable = False
+                trace = ExcitationTrace(current, TimeGradient(current.t))
+            else:
+                self.hits += 1
+                event = "hit"
+            # (Re-)insert so dict order tracks recency: oldest first.
+            while len(self._entries) >= self.CAPACITY:
+                self._entries.pop(next(iter(self._entries)))
+            self._entries[key] = trace
+        if metrics is not None:
+            metrics.counter(
+                M_CACHE_EVENTS,
+                "excitation-trace cache lookups, by outcome",
+                ("event",),
+            ).inc(event=event)
+        return trace
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+#: The cache every compass uses unless it is handed another one.
+DEFAULT_TRACE_CACHE = ExcitationTraceCache()

@@ -47,6 +47,7 @@ import numpy as np
 
 from ..physics.magnetics import TanhCore
 from ..simulation.engine import TimeGrid
+from .excitation import overridden
 from .pulse_detector import DetectorOutput, LogicEdge
 
 #: Refuse when the comparator level is above this fraction of the pulse
@@ -85,19 +86,6 @@ class FastPathStats:
         return sum(self.fallbacks.values())
 
 
-def _overridden(obj, *method_names: str) -> bool:
-    """True when any of ``method_names`` is shadowed on the *instance*.
-
-    Methods live on the class; the fault injectors in
-    :mod:`repro.faults.model` arm themselves by planting a wrapper in the
-    instance ``__dict__``.  An armed analog-layer fault therefore shows
-    up here — and must force the stepped engine, which is what the fault
-    actually wraps.
-    """
-    d = vars(obj)
-    return any(name in d for name in method_names)
-
-
 def ineligibility_reason(front_end, sensor) -> Optional[str]:
     """Device-level reasons the closed form cannot be used (or ``None``).
 
@@ -117,18 +105,16 @@ def ineligibility_reason(front_end, sensor) -> Optional[str]:
             return "nonlinear-converter"
     detector = front_end.detector
     if (
-        _overridden(sensor, "simulate", "simulate_batch")
-        or _overridden(front_end.amplifier, "amplify", "amplify_batch")
-        or _overridden(detector, "detect", "detect_batch")
-        or _overridden(
+        overridden(sensor, "simulate", "simulate_batch")
+        or overridden(front_end.amplifier, "amplify", "amplify_batch")
+        or overridden(detector, "detect", "detect_batch")
+        or overridden(
             detector.comparator_positive, "falling_edges", "falling_edges_batch"
         )
-        or _overridden(
+        or overridden(
             detector.comparator_negative, "falling_edges", "falling_edges_batch"
         )
-        or _overridden(excitation, "current")
-        or _overridden(excitation.oscillator, "generate")
-        or any(_overridden(c, "drive") for c in excitation.converters.values())
+        or excitation.fault_armed
     ):
         return "armed-fault"
     return None

@@ -45,7 +45,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..batch import BatchCompass, BatchScene, ExcitationTraceCache
+from ..analog.excitation import DEFAULT_TRACE_CACHE
+from ..batch import BatchCompass, BatchScene
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.health import HealthConfig
 from ..core.heading import HeadingMeasurement
@@ -174,12 +175,11 @@ class ArrayCompass:
         self.config = ArrayConfig() if config is None else config
         geometry = self.config.geometry
         self.observer = build_observer(self.config.observe)
-        #: One excitation-trace cache shared by every element's batch
-        #: engine — the shared excitation scheduling in code: identical
-        #: front-ends key identically, so element 0 pays for each trace
-        #: and elements 1..N-1 reuse it.
-        self.cache = ExcitationTraceCache()
-        self.cache.metrics = self.observer.metrics
+        #: The excitation-trace cache every element's batch engine reads
+        #: — the shared excitation scheduling in code: it is keyed by
+        #: front-end configuration, so element 0 pays for each trace and
+        #: elements 1..N-1 (and any equal compass) reuse it.
+        self.cache = DEFAULT_TRACE_CACHE
         root = np.random.SeedSequence(self.config.seed)
         noise_seeds = root.spawn(geometry.n_elements)
         self.elements: List[IntegratedCompass] = []

@@ -8,13 +8,20 @@ and every per-sample transform vectorizes over a ``(N, n_samples)``
 matrix — so :class:`BatchCompass` drives the engine with many rows and
 adds what only multi-row calls need:
 
-* :class:`ExcitationTraceCache` — the excitation trace is computed once
-  per ``(grid, channel, series_resistance)`` key (with its precomputed
-  finite-difference gradient coefficients) and reused across calls,
 * row *chunks*, so every intermediate matrix stays cache-resident (a
   full 72 × 36864 float64 matrix is ~21 MB per temporary — memory-bound
   and slower than chunks of 12),
 * the scene, sweep and Monte-Carlo APIs.
+
+Scalar and batch rows alike take their excitation trace (with its
+precomputed finite-difference gradient) from an
+:class:`~repro.analog.excitation.ExcitationTraceCache`, re-exported
+here.  It is keyed by the values the trace is built from — oscillator
+and converter parameters, soft start, grid geometry and load — not by
+channel, so x and y share one entry; it keeps the
+:attr:`~repro.analog.excitation.ExcitationTraceCache.CAPACITY` most
+recently used traces and computes without storing when the source or
+converter is powered down or a fault wrapper is armed on the source.
 
 Results are bit-identical to the scalar loop — counts, headings, duty
 cycles and noise draws (asserted by ``tests/test_batch_sweep.py`` and
@@ -25,88 +32,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analog.excitation import ExcitationSource
+from ..analog.excitation import DEFAULT_TRACE_CACHE, ExcitationTraceCache
 from ..core.accuracy import ErrorStats
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.heading import HeadingMeasurement, headings_evenly_spaced
 from ..errors import ConfigurationError
-from ..observe import M_BATCH_ROWS, M_CACHE_EVENTS, MetricsRegistry
-from ..simulation.engine import TimeGrid
-from ..simulation.signals import TimeGradient, Trace
+from ..observe import M_BATCH_ROWS
 from .scene import BatchScene
-
-
-@dataclass
-class _CacheEntry:
-    """One cached excitation trace plus its derived gradient operator."""
-
-    current: Trace
-    gradient: TimeGradient
-
-
-class ExcitationTraceCache:
-    """Cache of excitation-current traces per ``(grid, channel, load)`` key.
-
-    The excitation waveform depends only on the grid geometry, the selected
-    channel and the sensor's series resistance — not on the measurand — so
-    within a sweep it is recomputed identically for every heading.  The
-    cache belongs to one :class:`BatchCompass` (whose front-end settings are
-    fixed), which keeps the keying honest: a differently-configured source
-    gets its own cache.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[Tuple, _CacheEntry] = {}
-        #: Optional metrics registry (set by the owning BatchCompass);
-        #: hit/miss counts are always kept — they are two int adds.
-        self.metrics: Optional[MetricsRegistry] = None
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(grid: TimeGrid, channel: str, load_resistance: float) -> Tuple:
-        return (
-            grid.n_periods,
-            grid.samples_per_period,
-            grid.frequency_hz,
-            grid.t_start,
-            channel,
-            load_resistance,
-        )
-
-    def entry(
-        self,
-        source: ExcitationSource,
-        grid: TimeGrid,
-        channel: str,
-        load_resistance: float,
-    ) -> _CacheEntry:
-        """The cached excitation trace/gradient, computing it on a miss."""
-        key = self.key(grid, channel, load_resistance)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            event = "miss"
-            current = source.current(grid, channel, load_resistance)
-            entry = _CacheEntry(current=current, gradient=TimeGradient(current.t))
-            self._entries[key] = entry
-        else:
-            self.hits += 1
-            event = "hit"
-        if self.metrics is not None:
-            self.metrics.counter(
-                M_CACHE_EVENTS,
-                "excitation-trace cache lookups, by outcome",
-                ("event",),
-            ).inc(event=event)
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -138,12 +74,11 @@ class BatchCompass:
         the measured sweet spot — both much larger and chunk-of-1 are
         slower.
     cache:
-        Optional shared :class:`ExcitationTraceCache`.  Identically
-        configured devices produce identical excitation traces, so an
-        array of elements (or a pool of replicas) can hand every member
-        the same cache and pay for each trace once — that sharing *is*
-        the array's shared excitation scheduling.  ``None`` builds a
-        private cache, the pre-array behaviour.
+        Optional :class:`ExcitationTraceCache`; ``None`` uses the
+        process-wide default every compass shares.  Because the cache
+        is keyed by configuration values, equally configured devices
+        (array elements, service replicas) reuse one another's traces
+        through it.
     """
 
     def __init__(
@@ -164,8 +99,7 @@ class BatchCompass:
             raise ConfigurationError("chunk_size must be >= 1")
         self.compass = compass
         self.chunk_size = chunk_size
-        self.cache = cache if cache is not None else ExcitationTraceCache()
-        self.cache.metrics = compass.observer.metrics
+        self.cache = DEFAULT_TRACE_CACHE if cache is None else cache
 
     # -- core batch measurement ------------------------------------------------
 

@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analog import fastpath
+from ..analog.excitation import DEFAULT_TRACE_CACHE, ExcitationTraceCache
 from ..analog.frontend import AnalogFrontEnd, FrontEndConfig
 from ..analog.mux import MeasurementSchedule
 from ..analog.pulse_detector import DetectorOutput
@@ -195,7 +196,7 @@ class IntegratedCompass:
         h_x: np.ndarray,
         h_y: np.ndarray,
         path: str,
-        cache=None,
+        cache: ExcitationTraceCache = DEFAULT_TRACE_CACHE,
         chunk_size: int = 1,
     ) -> List[HeadingMeasurement]:
         """The measurement engine: ``N`` axis-field rows → ``N`` records.
@@ -206,11 +207,12 @@ class IntegratedCompass:
         ``path="scalar"`` roots the spans at ``measure``, draws noise as
         each amplifier runs (a channel that fails first draws nothing)
         and keeps the single-axis degrade.  ``path="batch"``
-        (:class:`repro.batch.BatchCompass`, with its excitation-trace
-        ``cache``) roots them at ``batch.sweep`` with a ``measure`` child
-        per row and reserves the scalar loop's ``x0, y0, x1, y1, …``
-        noise draws up front; it never degrades to one axis, because its
-        failing channel is shared by every row.
+        (:class:`repro.batch.BatchCompass`) roots them at ``batch.sweep``
+        with a ``measure`` child per row and reserves the scalar loop's
+        ``x0, y0, x1, y1, …`` noise draws up front; it never degrades to
+        one axis, because its failing channel is shared by every row.
+        Both paths take their excitation traces from ``cache`` (the
+        process-wide default unless a caller hands in its own).
         """
         scalar = path == "scalar"
         schedule = self.config.schedule
@@ -282,7 +284,7 @@ class IntegratedCompass:
         h: np.ndarray,
         grid: TimeGrid,
         draws: Optional[int],
-        cache,
+        cache: ExcitationTraceCache,
         chunk_size: int,
         path: str,
     ) -> List[DetectorOutput]:
@@ -325,12 +327,10 @@ class IntegratedCompass:
 
             load = sensor.params.series_resistance
             with observer.span(STAGE_EXCITATION, channel=channel) as span:
-                if cache is None:
-                    current = front_end.excitation.current(grid, channel, load)
-                    gradient = None
-                else:
-                    entry = cache.entry(front_end.excitation, grid, channel, load)
-                    current, gradient = entry.current, entry.gradient
+                trace = cache.entry(
+                    front_end.excitation, grid, channel, load, observer.metrics
+                )
+                current = trace.current
                 span.set(
                     samples=len(current),
                     frequency_hz=front_end.excitation.oscillator.params.frequency_hz,
@@ -348,7 +348,7 @@ class IntegratedCompass:
                             for x in chunk
                         ])
                     else:
-                        pickup = sensor.simulate_batch(current, chunk, gradient)
+                        pickup = sensor.simulate_batch(current, chunk, trace.gradient)
                     indices = None
                     if noisy:
                         indices = (

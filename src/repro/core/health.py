@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -223,7 +224,11 @@ class HealthSupervisor:
 
     def __init__(self, compass: "IntegratedCompass", config: HealthConfig):
         self.config = config
-        self._compass = compass
+        # A weak reference: a strong one would make every compass a
+        # reference cycle, so its multi-megabyte scratch buffers would
+        # wait for the cyclic garbage collector instead of being freed
+        # with the compass.
+        self._compass = weakref.proxy(compass)
         # Golden ROM signature, captured at build time like a BIST
         # reference: a later bit-flip in the live ROM cannot also flip
         # the reference.

@@ -38,6 +38,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..physics.magnetics import MagnetisationModel, make_core
+from ..simulation.scratch import ScratchPool
 from ..simulation.signals import TimeGradient, Trace
 from .parameters import FluxgateParameters
 
@@ -86,6 +87,10 @@ class FluxgateSensor:
     #: entries cover steady state while arbitrary chunk sizes stay bounded.
     SCRATCH_CAPACITY = 2
 
+    #: Scratch of freed sensors, reused by new ones (a 4-element array's
+    #: x and y sensors fill it).
+    SPARE_SCRATCH = ScratchPool(capacity=8)
+
     def __init__(self, params: FluxgateParameters, core_model: str = "tanh"):
         self.params = params
         self.core: MagnetisationModel = make_core(core_model, params.core)
@@ -93,6 +98,7 @@ class FluxgateSensor:
         self._batch_scratch: Dict[
             Tuple[int, int], Tuple[np.ndarray, np.ndarray]
         ] = {}
+        self.SPARE_SCRATCH.track(self, self._batch_scratch)
 
     # -- elementary transforms -------------------------------------------------
 
@@ -160,7 +166,9 @@ class FluxgateSensor:
 
         The returned matrix lives in a sensor-owned scratch buffer that
         the *next* ``simulate_batch`` call with the same shape overwrites
-        — consume (or copy) it before batching again.
+        — consume (or copy) it before batching again.  Once the sensor
+        is freed the buffer passes to another sensor
+        (:attr:`SPARE_SCRATCH`), so do not keep it beyond the sensor.
 
         Parameters
         ----------
@@ -183,6 +191,8 @@ class FluxgateSensor:
             raise ConfigurationError("h_external must be a 1-D array of fields")
         shape = (h.size, current.t.size)
         scratch = self._batch_scratch.pop(shape, None)
+        if scratch is None and h.size > 1:
+            scratch = self.SPARE_SCRATCH.take(shape)
         if scratch is None:
             scratch = (np.empty(shape), np.empty(shape))
         # A one-row call (a scalar measurement) keeps nothing; otherwise

@@ -17,7 +17,7 @@ quantiser is the 4.194304 MHz counter clock, modelled separately in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -229,19 +229,10 @@ class TimeGradient:
             self._a = -dx2 / (dx1 * (dx1 + dx2))
             self._b = (dx2 - dx1) / (dx1 * dx2)
             self._c = dx1 / (dx2 * (dx1 + dx2))
-        self._tmp: Dict[Tuple[int, int], np.ndarray] = {}
-
-    def _interior_tmp(self, shape: Tuple[int, int]) -> np.ndarray:
-        """Persistent scratch for the interior-stencil products.
-
-        Fresh multi-megabyte temporaries cost kernel page faults on every
-        call; the scratch never escapes this class, so reuse is safe.
-        """
-        tmp = self._tmp.get(shape)
-        if tmp is None:
-            tmp = np.empty((shape[0], shape[1] - 2))
-            self._tmp[shape] = tmp
-        return tmp
+        #: One row of interior-stencil scratch, reused by every apply:
+        #: fresh temporaries cost page faults on every call, and a row
+        #: (not a per-shape matrix) keeps a long-lived operator small.
+        self._row_tmp: Optional[np.ndarray] = None
 
     def apply(
         self, values: np.ndarray, out: Optional[np.ndarray] = None
@@ -269,12 +260,16 @@ class TimeGradient:
             out[:, 0] = (V[:, 1] - V[:, 0]) / dx[0]
             out[:, -1] = (V[:, -1] - V[:, -2]) / dx[-1]
         else:
-            tmp = self._interior_tmp(V.shape)
-            np.multiply(self._a, V[:, :-2], out=out[:, 1:-1])
-            np.multiply(self._b, V[:, 1:-1], out=tmp)
-            out[:, 1:-1] += tmp
-            np.multiply(self._c, V[:, 2:], out=tmp)
-            out[:, 1:-1] += tmp
+            if self._row_tmp is None:
+                self._row_tmp = np.empty(V.shape[1] - 2)
+            tmp = self._row_tmp
+            for v, o in zip(V, out):
+                interior = o[1:-1]
+                np.multiply(self._a, v[:-2], out=interior)
+                np.multiply(self._b, v[1:-1], out=tmp)
+                interior += tmp
+                np.multiply(self._c, v[2:], out=tmp)
+                interior += tmp
             out[:, 0] = (V[:, 1] - V[:, 0]) / dx[0]
             out[:, -1] = (V[:, -1] - V[:, -2]) / dx[-1]
         return out[0] if squeeze else out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analog.frontend import FrontEndConfig
-from repro.batch import BatchCompass, monte_carlo
+from repro.batch import BatchCompass, ExcitationTraceCache, monte_carlo
 from repro.core.accuracy import monte_carlo_accuracy
 from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.core.heading import headings_evenly_spaced
@@ -104,13 +104,19 @@ class TestBitIdentity:
 
 class TestExcitationCache:
     def test_cache_fills_once_and_is_reused(self):
-        batch = BatchCompass()
-        batch.sweep_headings(headings_evenly_spaced(3, 0.5))
-        assert len(batch.cache) == 2  # one entry per channel
-        entry_x = next(iter(batch.cache._entries.values()))
-        batch.sweep_headings(headings_evenly_spaced(3, 90.5))
-        assert len(batch.cache) == 2
-        assert next(iter(batch.cache._entries.values())) is entry_x
+        cache = ExcitationTraceCache()
+        BatchCompass(cache=cache).sweep_headings(headings_evenly_spaced(3, 0.5))
+        # Both converters share one parameter set: x and y share one trace.
+        assert len(cache) == 1
+        assert (cache.misses, cache.hits) == (1, 1)
+        (entry,) = cache._entries.values()
+        # A second compass on an equal config reuses it, by identity.
+        BatchCompass(CompassConfig(), cache=cache).sweep_headings(
+            headings_evenly_spaced(3, 90.5)
+        )
+        assert len(cache) == 1
+        assert next(iter(cache._entries.values())) is entry
+        assert (cache.misses, cache.hits) == (1, 3)
 
 
 class TestBatchApi:

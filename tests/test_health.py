@@ -10,6 +10,8 @@ The supervisor's contract has two halves:
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -57,6 +59,19 @@ class TestTransparency:
         assert (m.x_count, m.y_count) == (x, y)
         assert m.field_estimate_a_per_m == field
         assert m.health is None
+
+    def test_dropped_compass_is_freed_without_the_cycle_collector(self):
+        # The supervisor must not keep its compass (and the compass's
+        # scratch buffers) alive in a reference cycle.
+        compass = IntegratedCompass()
+        compass.measure_heading(45.0)
+        alive = weakref.ref(compass)
+        gc.disable()
+        try:
+            del compass
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_clean_reports_share_the_healthy_constant(self):
         # Healthy measurements all carry the same HealthReport instance,
