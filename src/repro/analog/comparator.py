@@ -101,12 +101,12 @@ class Comparator:
     def _batch_buffers(
         self, shape: Tuple[int, int]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Persistent per-shape scratch for :meth:`falling_edges_batch`.
+        """Persistent per-shape scratch for :meth:`_state_matrix`.
 
-        ``(forced_high, forced_low, encoded, parity, fall)`` —
+        ``(forced_high, forced_low, encoded, parity, change)`` —
         reallocating these multi-megabyte temporaries per chunk costs
-        kernel page faults; none of them escape the method, so reuse is
-        safe.  The cache is LRU-bounded at :attr:`SCRATCH_CAPACITY`
+        kernel page faults; none of them escape the comparator, so reuse
+        is safe.  The cache is LRU-bounded at :attr:`SCRATCH_CAPACITY`
         shapes so varying chunk sizes cannot grow memory without bound,
         and a one-row call (a scalar measurement) keeps nothing.
         """
@@ -119,7 +119,7 @@ class Comparator:
                 np.empty(shape, dtype=bool),
                 np.empty(shape, dtype=np.int32),
                 np.empty(shape, dtype=np.int8),
-                np.empty((shape[0], shape[1] - 1), dtype=bool),
+                np.empty((shape[0], max(shape[1] - 1, 0)), dtype=bool),
             )
         # (Re-)insert so dict order tracks recency: oldest first.
         if shape[0] > 1:
@@ -127,59 +127,6 @@ class Comparator:
                 self._batch_scratch.pop(next(iter(self._batch_scratch)))
             self._batch_scratch[shape] = buffers
         return buffers
-
-    def _states(self, v: np.ndarray) -> np.ndarray:
-        """Vectorised Schmitt-trigger state per sample (0/1)."""
-        p = self.params
-        # +1 where the output is forced high, 0 forced low, hold elsewhere.
-        forced = np.full(v.shape, -1, dtype=np.int8)
-        forced[v > p.trip_level] = 1
-        forced[v < p.release_level] = 0
-        decided = np.nonzero(forced >= 0)[0]
-        states = np.zeros(v.shape, dtype=np.int8)
-        if decided.size == 0:
-            return states  # never leaves the hold band: stays low
-        # Forward-fill the last forced value; before the first forcing
-        # point the comparator holds its reset state (low).
-        fill_index = np.searchsorted(decided, np.arange(v.size), side="right") - 1
-        valid = fill_index >= 0
-        states[valid] = forced[decided[fill_index[valid]]]
-        return states
-
-    def compare(self, signal: Trace) -> Trace:
-        """Produce the logic output trace (0.0 / 1.0) for an input trace."""
-        out = self._states(signal.v).astype(float)
-        if self.params.delay > 0.0:
-            return Trace(signal.t + self.params.delay, out)
-        return Trace(signal.t, out)
-
-    def _edge_times(self, signal: Trace, direction: int) -> np.ndarray:
-        """Output transition times with sub-sample interpolation."""
-        p = self.params
-        states = self._states(signal.v)
-        change = np.diff(states)
-        idx = np.nonzero(change == direction)[0]
-        if idx.size == 0:
-            return np.empty(0)
-        level = p.trip_level if direction == 1 else p.release_level
-        v0 = signal.v[idx]
-        v1 = signal.v[idx + 1]
-        t0 = signal.t[idx]
-        t1 = signal.t[idx + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(v1 != v0, (level - v0) / (v1 - v0), 0.0)
-        frac = np.clip(frac, 0.0, 1.0)
-        return t0 + frac * (t1 - t0) + p.delay
-
-    def rising_edges(self, signal: Trace) -> np.ndarray:
-        """Times at which the output trips high [s]."""
-        return self._edge_times(signal, +1)
-
-    def falling_edges(self, signal: Trace) -> np.ndarray:
-        """Times at which the output releases low [s]."""
-        return self._edge_times(signal, -1)
-
-    # -- batched path (repro.batch) -------------------------------------------
 
     def _codes(self, shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         """Per-column event codes for the parity-accumulate state machine,
@@ -190,8 +137,7 @@ class Comparator:
             # Odd codes mark a "forced high" sample, even codes "forced
             # low"; later columns always carry larger codes, so a running
             # maximum yields the most recent forcing event and its parity
-            # is the Schmitt-trigger state — one accumulate replaces the
-            # scalar searchsorted forward-fill.  int32 comfortably holds
+            # is the Schmitt-trigger state.  int32 comfortably holds
             # 2n+3 and halves the matrix memory traffic.
             set_codes = (2 * np.arange(n, dtype=np.int64) + 3).astype(np.int32)
             reset_codes = set_codes - np.int32(1)
@@ -200,26 +146,27 @@ class Comparator:
                 self._code_cache[n] = cached
         return cached
 
-    def falling_edges_batch(
-        self, values: np.ndarray, times: np.ndarray, negate: bool = False
-    ) -> List[np.ndarray]:
-        """Batched :meth:`falling_edges` over an ``(N, n_samples)`` matrix.
+    def _state_matrix(
+        self, values: np.ndarray, times: np.ndarray, negate: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Schmitt-trigger state (0/1, int8) of every sample of every row.
 
-        Each row is an independent waveform sharing the ``times`` axis;
-        the result is one edge-time array per row, bit-identical to the
-        scalar path.  ``negate=True`` evaluates the comparator on ``-v``
-        without materialising the negated matrix (the pulse-position
-        detector's negative comparator watches the inverted pickup).
+        Returns ``(parity, change)``: the state matrix and an uninitialised
+        ``(N, n_samples − 1)`` bool buffer for the caller's edge compare.
+        Both live in comparator scratch.  Before its first forcing sample
+        a row holds the reset state (low).
         """
         p = self.params
         V = values
         if V.ndim != 2 or V.shape[1] != times.size:
             raise ConfigurationError(
-                "falling_edges_batch needs an (N, n_samples) matrix on the "
+                "the comparator needs an (N, n_samples) matrix on the "
                 "shared time axis"
             )
         set_codes, reset_codes = self._codes(V.shape)
-        forced_high, forced_low, encoded, parity, fall = self._batch_buffers(V.shape)
+        forced_high, forced_low, encoded, parity, change = self._batch_buffers(
+            V.shape
+        )
         if negate:
             np.less(V, -p.trip_level, out=forced_high)
             np.greater(V, -p.release_level, out=forced_low)
@@ -234,11 +181,24 @@ class Comparator:
         # The parity (state) is 0/1, so narrowing to int8 is exact and
         # quarters the memory traffic of the edge-detection compare.
         np.bitwise_and(encoded, 1, out=parity)
-        # A falling edge is a 1 → 0 state transition between columns.
-        np.greater(parity[:, :-1], parity[:, 1:], out=fall)
+        return parity, change
+
+    def _edges_batch(
+        self, values: np.ndarray, times: np.ndarray, negate: bool, rising: bool
+    ) -> List[np.ndarray]:
+        """Output transition times per row, with sub-sample interpolation."""
+        p = self.params
+        V = values
+        parity, change = self._state_matrix(V, times, negate)
+        if rising:
+            np.less(parity[:, :-1], parity[:, 1:], out=change)
+            level = p.trip_level
+        else:
+            np.greater(parity[:, :-1], parity[:, 1:], out=change)
+            level = p.release_level
         # flatnonzero on the contiguous view is a single pass — an order
         # of magnitude faster than 2-D nonzero for these sparse edges.
-        rows, cols = divmod(np.flatnonzero(fall.ravel()), fall.shape[1])
+        rows, cols = divmod(np.flatnonzero(change.ravel()), change.shape[1])
         v0 = V[rows, cols]
         v1 = V[rows, cols + 1]
         if negate:
@@ -246,13 +206,43 @@ class Comparator:
             v1 = -v1
         t0 = times[cols]
         t1 = times[cols + 1]
-        level = p.release_level
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(v1 != v0, (level - v0) / (v1 - v0), 0.0)
         frac = np.clip(frac, 0.0, 1.0)
         edge_times = t0 + frac * (t1 - t0) + p.delay
         splits = np.searchsorted(rows, np.arange(1, V.shape[0]))
         return np.split(edge_times, splits)
+
+    def falling_edges_batch(
+        self, values: np.ndarray, times: np.ndarray, negate: bool = False
+    ) -> List[np.ndarray]:
+        """Release times [s] of each row of an ``(N, n_samples)`` matrix.
+
+        Each row is an independent waveform sharing the ``times`` axis;
+        the result is one edge-time array per row.  ``negate=True``
+        evaluates the comparator on ``-v`` without materialising the
+        negated matrix (the pulse-position detector's negative comparator
+        watches the inverted pickup).
+        """
+        return self._edges_batch(values, times, negate, rising=False)
+
+    # -- one-row views --------------------------------------------------------
+
+    def compare(self, signal: Trace) -> Trace:
+        """Produce the logic output trace (0.0 / 1.0) for an input trace."""
+        parity, _ = self._state_matrix(signal.v[None, :], signal.t, False)
+        out = parity[0].astype(float)
+        if self.params.delay > 0.0:
+            return Trace(signal.t + self.params.delay, out)
+        return Trace(signal.t, out)
+
+    def rising_edges(self, signal: Trace) -> np.ndarray:
+        """Times at which the output trips high [s]."""
+        return self._edges_batch(signal.v[None, :], signal.t, False, rising=True)[0]
+
+    def falling_edges(self, signal: Trace) -> np.ndarray:
+        """Times at which the output releases low [s]."""
+        return self.falling_edges_batch(signal.v[None, :], signal.t)[0]
 
 
 class PickupAmplifier:
@@ -336,7 +326,7 @@ class PickupAmplifier:
     # -- signal path ----------------------------------------------------------
 
     def _lowpass(self, values: np.ndarray, sample_rate: float) -> np.ndarray:
-        """Single-pole band limit; accepts 1-D or (N, n_samples) input."""
+        """Single-pole band limit along each row of an (N, n_samples) matrix."""
         if self.bandwidth_hz is None or self.bandwidth_hz >= sample_rate / 2.0:
             return values
         from scipy.signal import lfilter, lfilter_zi
@@ -347,24 +337,21 @@ class PickupAmplifier:
         # value rather than replace it.
         if self._zi_memo is None or self._zi_memo[0] != alpha:
             self._zi_memo = (alpha, lfilter_zi(b, a))
-        zi_unit = self._zi_memo[1]
-        if values.ndim == 1:
-            zi = zi_unit * values[0]
-            out, _ = lfilter(b, a, values, zi=zi)
-        else:
-            zi = zi_unit * values[:, :1]
-            out, _ = lfilter(b, a, values, axis=-1, zi=zi)
+        zi = self._zi_memo[1] * values[:, :1]
+        out, _ = lfilter(b, a, values, axis=-1, zi=zi)
         return out
 
     def amplify(self, signal: Trace) -> Trace:
-        """Band-limit, amplify and add input-referred noise."""
-        if self.budget.is_noiseless:
-            filtered = self._lowpass(signal.v, signal.sample_rate)
-            return Trace(signal.t, filtered * self.gain)
-        draw = self.consume_noise_draws(1)
-        noise = self.noise_realization(len(signal), signal.sample_rate, draw)
-        filtered = self._lowpass(signal.v + noise, signal.sample_rate)
-        return Trace(signal.t, filtered * self.gain)
+        """Band-limit, amplify and add input-referred noise.
+
+        A one-row :meth:`amplify_batch` that draws the next realization
+        of the noise stream.
+        """
+        draws = None
+        if not self.budget.is_noiseless:
+            draws = [self.consume_noise_draws(1)]
+        amplified = self.amplify_batch(signal.v[None, :], signal.sample_rate, draws)
+        return Trace(signal.t, amplified[0])
 
     def amplify_batch(
         self,
@@ -375,10 +362,10 @@ class PickupAmplifier:
         """Amplify an ``(N, n_samples)`` matrix of pickup waveforms.
 
         ``draw_indices`` assigns one noise-stream index per row so a batch
-        can replicate exactly the draws a scalar call sequence would have
-        made (it does **not** advance the stream — the caller accounts for
-        the block with :meth:`consume_noise_draws`).  Ignored for a
-        noiseless budget.
+        can replicate exactly the draws a sequence of :meth:`amplify` calls
+        would have made (it does **not** advance the stream — the caller
+        accounts for the block with :meth:`consume_noise_draws`).  Ignored
+        for a noiseless budget.
         """
         if values.ndim != 2:
             raise ConfigurationError("amplify_batch needs an (N, n_samples) matrix")

@@ -104,16 +104,14 @@ def ineligibility_reason(front_end, sensor) -> Optional[str]:
         if not cp.linearised and cp.cubic_distortion != 0.0:
             return "nonlinear-converter"
     detector = front_end.detector
+    # Each scalar method is a one-row view of its batch kernel, so the
+    # kernel is the one name per block a fault can wrap.
     if (
-        overridden(sensor, "simulate", "simulate_batch")
-        or overridden(front_end.amplifier, "amplify", "amplify_batch")
-        or overridden(detector, "detect", "detect_batch")
-        or overridden(
-            detector.comparator_positive, "falling_edges", "falling_edges_batch"
-        )
-        or overridden(
-            detector.comparator_negative, "falling_edges", "falling_edges_batch"
-        )
+        overridden(sensor, "simulate_batch")
+        or overridden(front_end.amplifier, "amplify_batch")
+        or overridden(detector, "detect_batch")
+        or overridden(detector.comparator_positive, "falling_edges_batch")
+        or overridden(detector.comparator_negative, "falling_edges_batch")
         or excitation.fault_armed
     ):
         return "armed-fault"

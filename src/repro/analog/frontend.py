@@ -112,6 +112,9 @@ class AnalogFrontEnd:
         The stepped reference chain, keeping every intermediate waveform
         (the compass measures through its own row engine, which
         reproduces this chain bit for bit or solves it in closed form).
+        Its waveforms come from the full-waveform probe
+        :meth:`FluxgateSensor.simulate`, which sensor faults leave
+        unfaulted; amplifier and comparator faults do reach it.
 
         Parameters
         ----------

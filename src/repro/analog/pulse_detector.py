@@ -168,6 +168,8 @@ class PulsePositionDetector:
     def detect(self, amplified_pickup: Trace) -> DetectorOutput:
         """Run the detector over one amplified pickup trace.
 
+        A one-row :meth:`detect_batch`.
+
         Raises
         ------
         ConfigurationError
@@ -175,11 +177,10 @@ class PulsePositionDetector:
             saturated, threshold too high, or gain too low) — the
             condition under which the measured Kaw95 sensor fails.
         """
-        inverted = amplified_pickup.scaled(-1.0)
-        set_times = self.comparator_positive.falling_edges(amplified_pickup)
-        reset_times = self.comparator_negative.falling_edges(inverted)
-        window = (float(amplified_pickup.t[0]), float(amplified_pickup.t[-1]))
-        return self._assemble(set_times, reset_times, window)
+        (output,) = self.detect_batch(
+            amplified_pickup.v[None, :], amplified_pickup.t
+        )
+        return output
 
     def _assemble(
         self,
@@ -219,10 +220,9 @@ class PulsePositionDetector:
     ) -> List[DetectorOutput]:
         """Run the detector over ``(N, n_samples)`` amplified waveforms.
 
-        All rows share the ``times`` axis; the outputs are bit-identical
-        to running :meth:`detect` on each row separately.  The negative
-        comparator is evaluated on the negated thresholds instead of a
-        materialised ``-amplified`` matrix.
+        All rows share the ``times`` axis.  The negative comparator is
+        evaluated on the negated thresholds instead of a materialised
+        ``-amplified`` matrix.
         """
         sets = self.comparator_positive.falling_edges_batch(amplified, times)
         resets = self.comparator_negative.falling_edges_batch(

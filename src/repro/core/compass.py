@@ -340,15 +340,7 @@ class IntegratedCompass:
             for start in range(0, rows, chunk_size):
                 chunk = h[start : start + chunk_size]
                 with observer.span(STAGE_PICKUP, channel=channel, rows=int(chunk.size)):
-                    if sensor.core.is_hysteretic:
-                        # A hysteretic core integrates sample by sample,
-                        # so its rows cannot share one vectorised pass.
-                        pickup = np.stack([
-                            sensor.simulate(current, float(x)).pickup_voltage.v
-                            for x in chunk
-                        ])
-                    else:
-                        pickup = sensor.simulate_batch(current, chunk, trace.gradient)
+                    pickup = sensor.simulate_batch(current, chunk, trace.gradient)
                     indices = None
                     if noisy:
                         indices = (

@@ -123,8 +123,9 @@ class DigitalBackEnd:
                     abs(-y_result.count), abs(x_result.count),
                     record_steps=record_steps,
                 )
-                heading = self.cordic.heading_degrees(
-                    x_result.count, y_result.count
+                # heading_degrees, without running the datapath again.
+                heading = self.cordic.fold_quadrant(
+                    cordic_result.angle_deg, -y_result.count, x_result.count
                 )
                 cordic_span.set(
                     iterations=cordic_result.cycles,

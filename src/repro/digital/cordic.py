@@ -172,14 +172,20 @@ class CordicArctan:
         cheap combinational logic wrapped around the Figure 8 core.
         """
         core = self.arctan_first_quadrant(abs(y), abs(x)).angle_deg
+        return self.fold_quadrant(core, y, x)
+
+    @staticmethod
+    def fold_quadrant(core_deg: float, y: int, x: int) -> float:
+        """Map the first-quadrant angle of ``(|y|, |x|)`` onto ``atan2(y, x)``
+        in [0, 360) degrees."""
         if x >= 0 and y >= 0:
-            angle = core
+            angle = core_deg
         elif x < 0 <= y:
-            angle = 180.0 - core
+            angle = 180.0 - core_deg
         elif x < 0 and y < 0:
-            angle = 180.0 + core
+            angle = 180.0 + core_deg
         else:
-            angle = 360.0 - core
+            angle = 360.0 - core_deg
         return angle % 360.0
 
     def heading_degrees(self, x_count: int, y_count: int) -> float:

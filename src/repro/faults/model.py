@@ -40,7 +40,6 @@ import numpy as np
 from ..core.compass import IntegratedCompass
 from ..digital.fixed_point import wrap_signed
 from ..errors import ConfigurationError
-from ..simulation.signals import Trace
 
 #: Outcome-class tokens a spec may expect (``"|"``-joined alternatives).
 OUTCOME_TOKENS = ("detected", "degraded", "benign")
@@ -220,25 +219,20 @@ def _patched(obj: object, attribute: str, value: object) -> Iterator[None]:
 
 
 def _scale_sensor_pickup(sensor: object, scale: float) -> ContextManager[None]:
-    """Scale one sensor's pickup voltage in both scalar and batch paths."""
-    original_simulate = sensor.simulate
-    original_batch = sensor.simulate_batch
+    """Scale one sensor's pickup voltage on the measurement path.
 
-    def simulate(current, h_external=0.0):
-        waves = original_simulate(current, h_external)
-        return dataclasses.replace(
-            waves, pickup_voltage=waves.pickup_voltage.scaled(scale)
-        )
+    Only ``simulate_batch`` is wrapped: every measurement (hysteretic
+    cores included) goes through it, and ``simulate`` stays the unfaulted
+    waveform probe — wrapping both would scale a hysteretic row twice.
+    """
+    original_batch = sensor.simulate_batch
 
     def simulate_batch(current, h_external, gradient=None):
         pickup = original_batch(current, h_external, gradient)
         pickup *= scale
         return pickup
 
-    stack = contextlib.ExitStack()
-    stack.enter_context(_patched(sensor, "simulate", simulate))
-    stack.enter_context(_patched(sensor, "simulate_batch", simulate_batch))
-    return stack
+    return _patched(sensor, "simulate_batch", simulate_batch)
 
 
 # -- sensor-layer faults -------------------------------------------------------
@@ -326,19 +320,13 @@ def _inject_amplifier_offset(
     """Static input-referred offset [V] at the pickup amplifier."""
     amplifier = compass.front_end.amplifier
     offset_out = severity * amplifier.gain
-    original = amplifier.amplify
     original_batch = amplifier.amplify_batch
-
-    def amplify(signal: Trace) -> Trace:
-        out = original(signal)
-        return Trace(out.t, out.v + offset_out)
 
     def amplify_batch(values, sample_rate, draw_indices=None):
         return original_batch(values, sample_rate, draw_indices) + offset_out
 
-    with _patched(amplifier, "amplify", amplify):
-        with _patched(amplifier, "amplify_batch", amplify_batch):
-            yield
+    with _patched(amplifier, "amplify_batch", amplify_batch):
+        yield
 
 
 @contextlib.contextmanager
@@ -348,15 +336,11 @@ def _inject_stuck_comparator(
     """The positive comparator never releases: its edge stream is empty."""
     comparator = compass.front_end.detector.comparator_positive
 
-    def falling_edges(signal):
-        return np.empty(0)
-
     def falling_edges_batch(values, times, negate=False):
         return [np.empty(0) for _ in range(values.shape[0])]
 
-    with _patched(comparator, "falling_edges", falling_edges):
-        with _patched(comparator, "falling_edges_batch", falling_edges_batch):
-            yield
+    with _patched(comparator, "falling_edges_batch", falling_edges_batch):
+        yield
 
 
 # -- digital-layer faults ------------------------------------------------------

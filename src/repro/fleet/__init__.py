@@ -52,7 +52,6 @@ from .fleet import (
 from .hashing import HashRing, stable_hash
 from .kernel import (
     AsyncQueue,
-    AsyncioScheduler,
     Kernel,
     KernelFuture,
     Scheduler,
@@ -71,7 +70,6 @@ from .soak import (
 
 __all__ = [
     "AsyncQueue",
-    "AsyncioScheduler",
     "BoundedShardQueue",
     "BrownoutConfig",
     "BrownoutController",

@@ -99,7 +99,7 @@ class QueueItem:
     field_magnitude_t: float
     deadline: float
     enqueued_at: float
-    future: Any  # KernelFuture | asyncio.Future
+    future: Any  # the scheduler's future (a KernelFuture on the kernel)
     phase: Optional[int] = None
 
 

@@ -17,9 +17,8 @@ coroutines under **virtual time**.
   from its seed.
 * The awaitable surface is deliberately tiny — :meth:`Kernel.sleep`,
   :class:`KernelFuture` and :meth:`Kernel.spawn` — and is abstracted as
-  the :class:`Scheduler` interface, so fleet code is written once and
-  can also run on a real ``asyncio`` loop (wall-clock deployment) via
-  :class:`AsyncioScheduler`.
+  the :class:`Scheduler` interface, so fleet code is written against
+  that surface rather than against the kernel.
 
 The kernel refuses to guess: a deadlock (no ready task, no timer, main
 not finished) raises instead of hanging, and a task failure nobody
@@ -230,7 +229,7 @@ class Kernel(Scheduler):
 
 
 class AsyncQueue:
-    """FIFO queue for kernel (or asyncio) coroutines.
+    """FIFO queue for kernel coroutines.
 
     ``put_nowait`` hands the item straight to a waiting getter when one
     exists, otherwise appends to the backlog; :meth:`get` suspends until
@@ -263,40 +262,6 @@ class AsyncQueue:
         return await getter
 
 
-class AsyncioScheduler(Scheduler):
-    """Run the same fleet coroutines on a real ``asyncio`` loop.
-
-    Wall-clock deployment shim: time comes from the running loop,
-    sleeps really sleep, and futures/tasks are native asyncio objects
-    (which satisfy the same ``done/set_result/result`` surface the
-    fleet uses).  Determinism is *not* promised here — that is what the
-    :class:`Kernel` is for.
-    """
-
-    def now(self) -> float:
-        import asyncio
-
-        return asyncio.get_event_loop().time()
-
-    def sleep(self, duration_s: float):
-        import asyncio
-
-        return asyncio.sleep(max(0.0, duration_s))
-
-    def create_future(self):
-        import asyncio
-
-        return asyncio.get_event_loop().create_future()
-
-    def spawn(self, coro: Coroutine, name: str = "task"):
-        import asyncio
-
-        task = asyncio.ensure_future(coro)
-        # Mirror the kernel Task surface: joining happens via `.future`.
-        task.future = task  # type: ignore[attr-defined]
-        return task
-
-
 def run(coro: Coroutine, clock: Optional[SimulatedClock] = None) -> Any:
     """One-shot convenience: build a kernel and drive ``coro`` on it."""
     return Kernel(clock).run(coro)
@@ -306,7 +271,6 @@ SchedulerFactory = Callable[[], Scheduler]
 
 __all__ = [
     "AsyncQueue",
-    "AsyncioScheduler",
     "Kernel",
     "KernelFuture",
     "Scheduler",

@@ -160,15 +160,16 @@ class FluxgateSensor:
         ``simulate(current, h_external[i]).pickup_voltage.v``; the other
         :class:`SensorWaveforms` members (excitation voltage, di/dt) are
         not computed — the measurement chain only consumes the pickup.
-        Only stateless (anhysteretic) cores support batching: a hysteretic
-        core integrates sample-by-sample and rows would contaminate each
-        other.
+        A hysteretic core integrates sample by sample, so its rows run
+        one :meth:`simulate` call at a time (from a reset core each) into
+        a fresh matrix.
 
-        The returned matrix lives in a sensor-owned scratch buffer that
-        the *next* ``simulate_batch`` call with the same shape overwrites
-        — consume (or copy) it before batching again.  Once the sensor
-        is freed the buffer passes to another sensor
-        (:attr:`SPARE_SCRATCH`), so do not keep it beyond the sensor.
+        For an anhysteretic core the returned matrix lives in a
+        sensor-owned scratch buffer that the *next* ``simulate_batch``
+        call with the same shape overwrites — consume (or copy) it before
+        batching again.  Once the sensor is freed the buffer passes to
+        another sensor (:attr:`SPARE_SCRATCH`), so do not keep it beyond
+        the sensor.
 
         Parameters
         ----------
@@ -180,15 +181,14 @@ class FluxgateSensor:
             Optional precomputed :class:`TimeGradient` for ``current.t``
             (built on the fly when omitted).
         """
-        if self.core.is_hysteretic:
-            raise ConfigurationError(
-                f"core model {self.core_model_name!r} is hysteretic "
-                "(stateful); simulate_batch supports anhysteretic cores only"
-            )
         p = self.params
         h = np.asarray(h_external, dtype=float)
         if h.ndim != 1:
             raise ConfigurationError("h_external must be a 1-D array of fields")
+        if self.core.is_hysteretic:
+            return np.stack([
+                self.simulate(current, float(x)).pickup_voltage.v for x in h
+            ])
         shape = (h.size, current.t.size)
         scratch = self._batch_scratch.pop(shape, None)
         if scratch is None and h.size > 1:

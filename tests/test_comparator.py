@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analog.comparator import Comparator, ComparatorParameters, PickupAmplifier
 from repro.errors import ConfigurationError
@@ -194,3 +195,74 @@ class TestBatchCaches:
         comp = Comparator(ComparatorParameters(threshold=0.1))
         self._edges(comp, 500, rows=1)
         assert comp._batch_scratch == {} and comp._code_cache == {}
+
+
+def latch_oracle(values, times, params, negate=False):
+    """Per-sample Schmitt trigger in plain Python: ``(states, rising,
+    falling)``, the edges interpolated to the trip / release level."""
+    x = [-float(v) for v in values] if negate else [float(v) for v in values]
+    state, states = 0, []
+    for value in x:
+        if value > params.trip_level:
+            state = 1
+        elif value < params.release_level:
+            state = 0
+        states.append(state)
+    rising, falling = [], []
+    for i in range(len(x) - 1):
+        if states[i] == states[i + 1]:
+            continue
+        level = params.trip_level if states[i + 1] else params.release_level
+        v0, v1 = x[i], x[i + 1]
+        frac = (level - v0) / (v1 - v0) if v1 != v0 else 0.0
+        frac = min(max(frac, 0.0), 1.0)
+        t0, t1 = float(times[i]), float(times[i + 1])
+        edge = t0 + frac * (t1 - t0) + params.delay
+        (rising if states[i + 1] else falling).append(edge)
+    return states, rising, falling
+
+
+@st.composite
+def comparator_cases(draw):
+    n_samples = draw(st.integers(min_value=1, max_value=40))
+    n_rows = draw(st.integers(min_value=1, max_value=4))
+    level = st.floats(min_value=-1.0, max_value=1.0)
+    rows = [
+        draw(st.lists(level, min_size=n_samples, max_size=n_samples))
+        for _ in range(n_rows)
+    ]
+    steps = draw(
+        st.lists(
+            st.floats(min_value=1e-9, max_value=1e-6),
+            min_size=n_samples, max_size=n_samples,
+        )
+    )
+    params = ComparatorParameters(
+        threshold=draw(st.floats(min_value=-0.5, max_value=0.5)),
+        hysteresis=draw(st.floats(min_value=0.0, max_value=0.5)),
+        offset=draw(st.floats(min_value=-0.2, max_value=0.2)),
+        delay=draw(st.floats(min_value=0.0, max_value=1e-6)),
+    )
+    return np.array(rows), np.cumsum(steps), params, draw(st.booleans())
+
+
+class TestLatchOracle:
+    """The batch kernel against a per-sample latch written independently."""
+
+    @given(comparator_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_per_sample_latch(self, case):
+        values, times, params, negate = case
+        comp = Comparator(params)
+        batch = comp.falling_edges_batch(values, times, negate=negate)
+        assert len(batch) == values.shape[0]
+        for row, edges in zip(values, batch):
+            assert edges.tolist() == latch_oracle(row, times, params, negate)[2]
+        trace = Trace(times, values[0])
+        states, rising, falling = latch_oracle(values[0], times, params)
+        assert comp.falling_edges(trace).tolist() == falling
+        assert comp.rising_edges(trace).tolist() == rising
+        out = comp.compare(trace)
+        assert out.v.tolist() == [float(s) for s in states]
+        shifted = times + params.delay if params.delay > 0.0 else times
+        assert np.array_equal(out.t, shifted)

@@ -213,8 +213,6 @@ class TestLowpassMemo:
     def direct(amplifier, values, sample_rate):
         alpha = math.exp(-2.0 * math.pi * amplifier.bandwidth_hz / sample_rate)
         b, a = [1.0 - alpha], [1.0, -alpha]
-        if values.ndim == 1:
-            return lfilter(b, a, values, zi=lfilter_zi(b, a) * values[0])[0]
         return lfilter(
             b, a, values, axis=-1, zi=lfilter_zi(b, a) * values[:, :1]
         )[0]
@@ -223,7 +221,7 @@ class TestLowpassMemo:
         amplifier = PickupAmplifier()
         rng = np.random.default_rng(11)
         for sample_rate in (32.768e6, 8.0e6, 32.768e6, 11.3e6):
-            for shape in ((256,), (3, 256)):
+            for shape in ((1, 256), (3, 256)):
                 values = rng.standard_normal(shape)
                 assert np.array_equal(
                     amplifier._lowpass(values, sample_rate),

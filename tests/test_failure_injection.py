@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analog import fastpath
 from repro.analog.frontend import AnalogFrontEnd, FrontEndConfig
 from repro.analog.mux import MeasurementSchedule
 from repro.analog.pulse_detector import DetectorParameters
@@ -24,6 +25,7 @@ from repro.faults import FaultCampaign, Outcome, REGISTRY, registered_faults
 from repro.sensors.fluxgate import FluxgateSensor
 from repro.sensors.parameters import IDEAL_TARGET, MICROMACHINED_KAW95
 from repro.simulation.engine import TimeGrid
+from repro.simulation.signals import Trace
 
 
 class TestSensorFailures:
@@ -199,3 +201,82 @@ class TestRegisteredFaultPopulation:
         assert layers == {
             "sensor", "analog", "digital", "scan", "environment", "array",
         }
+
+
+def _scalar_chain(compass):
+    """One x-channel measurement row: the faulted pickup from the sensor
+    kernel, then the amplifier's scalar view."""
+    front_end = compass.front_end
+    sensor = compass.sensors.sensor_x
+    front_end.excitation.select_channel("x")
+    current = front_end.excitation.current(
+        TimeGrid(4), "x", sensor.params.series_resistance
+    )
+    pickup = Trace(current.t, sensor.simulate_batch(current, np.array([20.0]))[0])
+    return pickup, front_end.amplifier.amplify(pickup)
+
+
+class TestWrapperFaultsReachScalarViews:
+    """Each wrapper fault patches one batch kernel per block; the scalar
+    methods are one-row views of those kernels, so they see it too."""
+
+    @staticmethod
+    def _no_pulses(compass, clean, severity):
+        _, amplified = _scalar_chain(compass)
+        with pytest.raises(ConfigurationError, match="no pulses"):
+            compass.front_end.detector.detect(amplified)
+
+    @staticmethod
+    def _offset(compass, clean, severity):
+        pickup, amplified = _scalar_chain(compass)
+        clean_amplified = clean.front_end.amplifier.amplify(pickup)
+        offset_out = severity * compass.front_end.amplifier.gain
+        assert np.array_equal(amplified.v, clean_amplified.v + offset_out)
+
+    @staticmethod
+    def _stuck(compass, clean, severity):
+        _, amplified = _scalar_chain(compass)
+        positive = compass.front_end.detector.comparator_positive
+        assert clean.front_end.detector.comparator_positive.falling_edges(
+            amplified
+        ).size > 0
+        assert positive.falling_edges(amplified).size == 0
+
+    @pytest.mark.parametrize(
+        "name,severity,probe",
+        [
+            ("sensor.shorted_pickup_coil", 1.0, "_no_pulses"),
+            ("sensor.axis_gain_mismatch", 0.9, "_no_pulses"),
+            ("analog.amplifier_offset", 2e-3, "_offset"),
+            ("analog.stuck_comparator", 1.0, "_stuck"),
+        ],
+    )
+    def test_fault_is_armed_and_visible(self, name, severity, probe):
+        compass, clean = IntegratedCompass(), IntegratedCompass()
+        sensor = compass.sensors.sensor_x
+        assert fastpath.ineligibility_reason(compass.front_end, sensor) is None
+        with REGISTRY.inject(name, compass, severity):
+            assert (
+                fastpath.ineligibility_reason(compass.front_end, sensor)
+                == "armed-fault"
+            )
+            getattr(self, probe)(compass, clean, severity)
+        assert fastpath.ineligibility_reason(compass.front_end, sensor) is None
+
+    def test_hysteretic_pickup_is_scaled_exactly_once(self):
+        config = dataclasses.replace(CompassConfig(), core_model="jiles-atherton")
+        compass = IntegratedCompass(config)
+        sensor = compass.sensors.sensor_x
+        current = compass.front_end.excitation.current(
+            TimeGrid(2), "x", sensor.params.series_resistance
+        )
+        fields = np.array([-15.0, 20.0])
+        with REGISTRY.inject("sensor.shorted_pickup_coil", compass, 0.3):
+            faulted = sensor.simulate_batch(current, fields)
+            probe = sensor.simulate(current, 20.0).pickup_voltage.v
+        clean = np.stack(
+            [sensor.simulate(current, h).pickup_voltage.v for h in fields]
+        )
+        assert np.array_equal(faulted, clean * (1.0 - 0.3))
+        # ``simulate`` stays the unfaulted full-waveform probe.
+        assert np.array_equal(probe, clean[1])

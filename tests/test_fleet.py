@@ -622,25 +622,3 @@ class TestHeadingFleet:
             FleetConfig(deadline_s=0.0)
         with pytest.raises(ConfigurationError):
             FleetConfig(guard_every=-1)
-
-
-class TestAsyncioScheduler:
-    def test_fleet_runs_on_a_real_event_loop(self):
-        import asyncio
-
-        from repro.fleet import AsyncioScheduler
-
-        async def main():
-            fleet = HeadingFleet(_small_config(), AsyncioScheduler())
-            fleet.start()
-            try:
-                first = await fleet.submit("device-1", 45.0)
-                second = await fleet.submit("device-1", 45.0)
-            finally:
-                await fleet.stop()
-            return first, second
-
-        first, second = asyncio.run(main())
-        assert first.source == "measured"
-        assert second.source == "cache"
-        assert second.heading_deg == first.heading_deg

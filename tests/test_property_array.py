@@ -19,7 +19,7 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.array import ArrayCompass, ArrayConfig, ArrayGeometry, NearFieldSource
 from repro.errors import ConfigurationError
@@ -126,6 +126,7 @@ class TestFusionWeightInvariants:
         assert fused.flags == ()
 
     @given(heading_values, st.floats(min_value=0.2, max_value=3.0))
+    @example(heading=201.6953125, scale=0.201171875)
     @settings(max_examples=15, deadline=None)
     def test_near_field_residual_grows_with_source(self, heading, scale):
         clean = _LINEAR3.measure_world(heading, field_ut=50.0)
@@ -136,6 +137,11 @@ class TestFusionWeightInvariants:
         disturbed = _LINEAR3.measure_world(
             heading, field_ut=50.0, source=source
         )
+        # A source too weak to move any element's heading leaves the
+        # element vectors parallel; both residuals are then hypot
+        # rounding noise (~4.5e-17) and their order means nothing.  The
+        # pinned example is such a draw.
+        assume(len({e.heading_deg for e in disturbed.elements}) > 1)
         assert (
             disturbed.residual_max_fraction
             >= clean.residual_max_fraction
