@@ -1,6 +1,6 @@
 # Convenience targets for the compass reproduction.
 
-.PHONY: install test test-slow test-all lint bench bench-tables examples datasheet floorplan faults serve-sim soak fleet factory scenario array replay fastpath all
+.PHONY: install test test-slow test-all lint bench bench-tables examples datasheet floorplan faults serve-sim soak fleet factory scenario array replay fastpath reports all
 
 install:
 	pip install -e . || python setup.py develop
@@ -110,6 +110,26 @@ fastpath:
 		--json fastpath-divergence.json
 	PYTHONPATH=src python -m repro sweep --points 24 --fastpath
 	PYTHONPATH=src pytest benchmarks/bench_fastpath.py --benchmark-only -s
+
+# Every campaign, soak and lot report into OUT (default reports/), with
+# the two wall-clock keys nulled so the files are a pure function of the
+# code.  Behaviour gate for refactors: run it in two checkouts, then
+# `diff -r` the two OUT directories.
+OUT ?= reports
+NULL_KEY = python -c 'import json, sys; path, key = sys.argv[1:]; \
+	report = json.load(open(path)); report[key] = None; \
+	json.dump(report, open(path, "w"), indent=2)'
+
+reports:
+	mkdir -p $(OUT)
+	PYTHONPATH=src python -m repro faults --json $(OUT)/faults.json
+	PYTHONPATH=src python -m repro scenario --campaign \
+		--json $(OUT)/scenario-campaign.json
+	PYTHONPATH=src python -m repro soak --requests 100 --json $(OUT)/soak.json
+	PYTHONPATH=src python -m repro fleet-soak --json $(OUT)/fleet-soak.json
+	PYTHONPATH=src python -m repro factory --json $(OUT)/factory.json
+	$(NULL_KEY) $(OUT)/soak.json elapsed_s
+	$(NULL_KEY) $(OUT)/fleet-soak.json elapsed_wall_s
 
 datasheet:
 	python -m repro datasheet

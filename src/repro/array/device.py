@@ -62,7 +62,7 @@ from ..observe import (
 from ..sensors.pair import OrthogonalSensorPair
 from ..service.replica import replica_config
 from ..service.voting import VoteResult, vote_headings
-from ..units import microtesla_to_a_per_m, wrap_degrees
+from ..units import heading_error_deg, microtesla_to_a_per_m, wrap_degrees
 from .geometry import ArrayGeometry, NearFieldSource
 
 #: Fused-measurement flag: gradiometer residual above the near-field
@@ -160,12 +160,13 @@ class ArrayMeasurement:
         """True when the fused heading carries any trust-reducing flag."""
         return bool(self.flags)
 
-    def error_against(self, true_heading_deg: float) -> float:
-        from ..units import angular_difference_deg
+    @property
+    def authoritative(self) -> bool:
+        """True when the fused heading is served as trusted (unflagged)."""
+        return not self.degraded
 
-        return abs(
-            angular_difference_deg(self.heading_deg, true_heading_deg)
-        )
+    def error_against(self, true_heading_deg: float) -> float:
+        return heading_error_deg(self.heading_deg, true_heading_deg)
 
 
 class ArrayCompass:
@@ -191,8 +192,7 @@ class ArrayCompass:
                     int(noise_seeds[index].generate_state(1)[0]),
                 )
             )
-            element.observer = self.observer
-            element.back_end.observer = self.observer
+            element.attach_observer(self.observer)
             self.elements.append(element)
             self._batches.append(BatchCompass(element, cache=self.cache))
         #: Injection seam for ``array.element_rotated``: *actual* extra

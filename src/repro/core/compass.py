@@ -36,6 +36,7 @@ from ..observe import (
     M_MEASUREMENTS,
     MetricsRegistry,
     Observability,
+    Observer,
     build_observer,
 )
 from ..observe.trace import (
@@ -138,10 +139,8 @@ class IntegratedCompass:
                 self.front_end.excitation.oscillator.params.frequency_hz
             ),
         )
-        # Observability resolves once here; the back-end shares the
-        # compass's observer so one measurement is one span tree.
-        self.observer = build_observer(config.observe)
-        self.back_end.observer = self.observer
+        # Observability resolves once here.
+        self.attach_observer(build_observer(config.observe))
         if self.observer.recorder is not None:
             self.observer.recorder.bind(config)
         # The supervisor snapshots its golden references (CORDIC ROM) at
@@ -158,6 +157,16 @@ class IntegratedCompass:
                 f"saturated by ±{amplitude * 1e3:.1f} mA excitation; "
                 "the compass cannot operate (cf. §2.1.1 of the paper)"
             )
+
+    def attach_observer(self, observer: Observer) -> None:
+        """Report this compass's spans and metrics into ``observer``.
+
+        The back end shares the compass's observer, so one measurement
+        is one span tree; a service, array, scenario or recorder merges
+        the compass into its own trace through this one seam.
+        """
+        self.observer = observer
+        self.back_end.observer = observer
 
     # -- measurement ----------------------------------------------------------
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..units import MU_0, angular_difference_deg, wrap_degrees
+from ..units import MU_0, heading_error_deg, wrap_degrees
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .health import HealthReport
@@ -78,6 +78,11 @@ class HeadingMeasurement:
         return self.health is not None and self.health.degraded
 
     @property
+    def authoritative(self) -> bool:
+        """True when the heading is served as trusted (not degraded)."""
+        return not self.degraded
+
+    @property
     def field_estimate_tesla(self) -> float:
         """The magnitude estimate as a free-space flux density [T]."""
         return self.field_estimate_a_per_m * MU_0
@@ -89,7 +94,7 @@ class HeadingMeasurement:
 
     def error_against(self, true_heading_deg: float) -> float:
         """Absolute heading error against a reference [degrees]."""
-        return abs(angular_difference_deg(self.heading_deg, true_heading_deg))
+        return heading_error_deg(self.heading_deg, true_heading_deg)
 
 
 def headings_evenly_spaced(n: int, start_deg: float = 0.0) -> Tuple[float, ...]:

@@ -21,7 +21,8 @@ that only use information the silicon already has:
   signature BIST;
 * **field plausibility** — |B| must fall inside the worldwide 25…65 µT
   band of §1 (with margin for latitude); far outside means a magnet, a
-  shield, or a broken channel.
+  shield, or a broken channel.  Just above the band the heading is
+  already past its 1° rating, so that is flagged too.
 
 On a hard violation the supervisor raises
 :class:`~repro.errors.FaultError` (strict mode) or falls back to the
@@ -56,6 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..digital.backend import BackEndResult
     from .compass import IntegratedCompass
     from .heading import HeadingMeasurement
+
+#: Relative headroom above ``max_field_t`` before a field estimate leaves
+#: the range the 1° rating covers.  Above it the pulse pair runs short of
+#: excitation headroom: a 20 % excitation-turn loss reads a 60 µT field
+#: as ≥70 µT with the heading >1° off.  The clean estimate at 65 µT
+#: spreads by ~0.4 % rms under the 1997 CMOS noise budget, so 5 % never
+#: flags an in-band reading.
+RATED_FIELD_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,11 @@ class HealthConfig:
     @property
     def soft_max_t(self) -> float:
         return self.max_field_t * (1.0 + self.band_margin)
+
+    @property
+    def rated_max_t(self) -> float:
+        """Top of the field range the 1° rating covers [T]."""
+        return self.max_field_t * (1.0 + RATED_FIELD_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -426,6 +440,12 @@ class HealthSupervisor:
                 f"field-out-of-band: {field_t * 1e6:.1f} µT above "
                 f"{cfg.soft_max_t * 1e6:.1f} µT (magnetised object or gain "
                 "drift)"
+            )
+        elif field_t > cfg.rated_max_t:
+            flags.append(
+                f"field-above-rating: {field_t * 1e6:.1f} µT above the "
+                f"{cfg.rated_max_t * 1e6:.1f} µT the 1° rating covers "
+                "(magnetised object or excitation drive loss)"
             )
         self._count_check("field-band", "flag" if flags else "ok")
 

@@ -26,7 +26,11 @@ from typing import Tuple
 
 from ..errors import ConfigurationError
 from ..physics.earth_field import FieldVector
-from ..units import tesla_to_a_per_m
+from ..units import (
+    angular_difference_deg,
+    heading_from_components_deg,
+    tesla_to_a_per_m,
+)
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,7 @@ def tilted_axis_fields(
 
 def apparent_heading_deg(field: FieldVector, attitude: Attitude) -> float:
     """The heading an ideal (noise-free) 2-axis compass would indicate."""
-    h_x, h_y = tilted_axis_fields(field, attitude)
-    heading = math.degrees(math.atan2(-h_y, h_x)) % 360.0
-    return 0.0 if heading >= 360.0 else heading
+    return heading_from_components_deg(*tilted_axis_fields(field, attitude))
 
 
 def tilt_error_deg(field: FieldVector, attitude: Attitude) -> float:
@@ -113,7 +115,7 @@ def tilt_error_deg(field: FieldVector, attitude: Attitude) -> float:
     level = apparent_heading_deg(
         field, Attitude(attitude.heading_deg, 0.0, 0.0)
     )
-    return (apparent - level + 180.0) % 360.0 - 180.0
+    return angular_difference_deg(apparent, level)
 
 
 def small_angle_error_deg(

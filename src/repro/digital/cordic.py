@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import ConfigurationError, ProtocolError
-from ..units import CORDIC_ITERATIONS
+from ..units import CORDIC_ITERATIONS, heading_error_deg
 from .atan_rom import ANGLE_FRAC_BITS, build_rom, max_representable_angle_deg
 from .fixed_point import from_fixed, require_fits, truncating_shift_right
 
@@ -225,8 +225,7 @@ class CordicArctan:
                 continue
             got = self.arctan_degrees(y, x)
             ref = math.degrees(math.atan2(y, x)) % 360.0
-            err = abs((got - ref + 180.0) % 360.0 - 180.0)
-            worst = max(worst, err)
+            worst = max(worst, heading_error_deg(got, ref))
             angle += step_deg
         return worst
 

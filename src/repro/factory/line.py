@@ -17,10 +17,10 @@
   change the escape set.
 * **The field-audit oracle** — a defective unit that passes the whole
   program gets a dense off-grid heading sweep classified against the
-  *product* tolerance through the same
-  :func:`~repro.faults.campaign.classify_heading` verdict function the
-  fault campaign uses.  Only an unflagged out-of-spec heading makes an
-  ``"escape"``; in-spec, flagged, and fails-loud are ``"pass-latent"``.
+  *product* tolerance through the same trust rule
+  (:func:`~repro.trust.served_outcome`) the fault campaign uses.  Only
+  an unflagged out-of-spec heading makes an ``"escape"``; in-spec,
+  flagged, and fails-loud are ``"pass-latent"``.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..faults.campaign import Outcome, classify_heading
 from ..faults.model import REGISTRY, FaultRegistry
 from ..core.heading import headings_evenly_spaced
 from ..observe import M_FACTORY_STAGE, M_FACTORY_UNITS
 from ..observe.metrics import MetricsRegistry
+from ..trust import Outcome, served_outcome
+from ..units import heading_error_deg
 from .config import LotConfig
 from .defects import Defect, Signature, mint_units, signature
 from .report import LotReport, OracleResult, StageReport, UnitRecord
@@ -83,24 +84,14 @@ def run_field_oracle(
     silent = 0
     flagged = 0
     for truth, m in zip(headings, measurements):
-        health = m.health
-        degraded = health is not None and (
-            health.status != "ok" or bool(health.flags)
-        )
-        outcome, error, _ = classify_heading(
-            m.heading_deg,
-            truth,
-            degraded,
-            flags=() if health is None else tuple(health.flags),
-            status="ok" if health is None else health.status,
-            tolerance_deg=config.product_tolerance_deg,
+        error = heading_error_deg(m.heading_deg, truth)
+        outcome = served_outcome(
+            error, m.authoritative, config.product_tolerance_deg
         )
         if outcome is Outcome.DEGRADED:
             flagged += 1
             continue
-        if error is not None and (
-            worst_unflagged is None or error > worst_unflagged
-        ):
+        if worst_unflagged is None or error > worst_unflagged:
             worst_unflagged = error
         if outcome is Outcome.SILENT_WRONG:
             silent += 1

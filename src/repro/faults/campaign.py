@@ -29,7 +29,6 @@ fielded instrument that fails mid-service rather than at power-on.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,49 +45,38 @@ from ..observe import (
     MetricsRegistry,
 )
 from ..soc.mcm import build_compass_mcm
-from ..units import TARGET_ACCURACY_DEG
+from ..trust import Outcome, served_outcome
+from ..units import TARGET_ACCURACY_DEG, heading_error_deg
 from .model import REGISTRY, FaultRegistry, FaultSpec
 
 #: Default heading grid: one per quadrant plus both wrap neighbourhoods.
 DEFAULT_HEADINGS = (0.5, 45.0, 123.0, 222.25, 300.0, 359.5)
 
 
-class Outcome(enum.Enum):
-    """Classification of one campaign cell."""
-
-    DETECTED = "detected"
-    DEGRADED = "degraded"
-    BENIGN = "benign"
-    SILENT_WRONG = "silent-wrong"
-
-
-def heading_error_deg(measured: float, truth: float) -> float:
-    """Absolute circular heading error [degrees]."""
-    return abs((measured - truth + 180.0) % 360.0 - 180.0)
-
-
 def classify_heading(
     heading_deg: float,
     truth_deg: float,
-    degraded: bool,
+    authoritative: bool,
     flags: Sequence[str] = (),
     status: str = "ok",
     tolerance_deg: float = TARGET_ACCURACY_DEG,
 ) -> Tuple[Outcome, Optional[float], str]:
     """Classify one served heading against its truth.
 
-    The campaign's verdict function, factored out of the sweep loop so
+    The outcome is :func:`repro.trust.served_outcome`'s; this adds the
+    cell's error and detail string.  Factored out of the sweep loop so
     a *replayed* measurement (a :mod:`repro.replay` record carries the
     served heading and health verdict) classifies through exactly the
     same code path as the live campaign cell it reproduces.
     """
     error = heading_error_deg(heading_deg, truth_deg)
-    if degraded:
+    outcome = served_outcome(error, authoritative, tolerance_deg)
+    if outcome is Outcome.DEGRADED:
         detail = ",".join(flags) or status
-        return Outcome.DEGRADED, error, f"flagged: {detail}"
-    if error <= tolerance_deg:
-        return Outcome.BENIGN, error, f"error {error:.3f} deg within spec"
-    return Outcome.SILENT_WRONG, error, f"UNFLAGGED error {error:.3f} deg"
+        return outcome, error, f"flagged: {detail}"
+    if outcome is Outcome.BENIGN:
+        return outcome, error, f"error {error:.3f} deg within spec"
+    return outcome, error, f"UNFLAGGED error {error:.3f} deg"
 
 
 def classify_replay_record(
@@ -101,11 +89,10 @@ def classify_replay_record(
     ``status``/``flags``).
     """
     health = record.health
-    degraded = health is not None and health.status == "degraded"
     return classify_heading(
         record.heading_deg,
         truth_deg,
-        degraded,
+        health is None or health.status != "degraded",
         flags=() if health is None else tuple(health.flags),
         status="ok" if health is None else health.status,
         tolerance_deg=tolerance_deg,
@@ -255,7 +242,7 @@ class FaultCampaign:
         return classify_heading(
             measurement.heading_deg,
             truth,
-            measurement.degraded,
+            measurement.authoritative,
             flags=() if measurement.health is None else measurement.health.flags,
             status="ok" if measurement.health is None
             else measurement.health.status,
@@ -370,7 +357,7 @@ class FaultCampaign:
                     outcome, error, detail = classify_heading(
                         fused.heading_deg,
                         truth,
-                        fused.degraded,
+                        fused.authoritative,
                         flags=fused.flags,
                         tolerance_deg=self.tolerance_deg,
                     )

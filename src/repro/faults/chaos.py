@@ -34,14 +34,9 @@ import numpy as np
 
 from ..errors import ConfigurationError, ReproError, ServiceError
 from ..observe import M_BREAKER_TRANSITIONS, Observability
-from ..service import (
-    BreakerState,
-    HeadingService,
-    ServiceConfig,
-    ServiceVerdict,
-)
-from ..units import TARGET_ACCURACY_DEG
-from .campaign import heading_error_deg
+from ..service import BreakerState, HeadingService, ServiceConfig
+from ..trust import Outcome, in_spec, served_outcome
+from ..units import TARGET_ACCURACY_DEG, heading_error_deg
 from .model import REGISTRY, FaultRegistry
 
 
@@ -168,7 +163,7 @@ class SoakReport:
         return (
             self.silent_wrong == 0
             and self.availability >= availability_floor
-            and self.worst_error_deg <= tolerance_deg
+            and in_spec(self.worst_error_deg, tolerance_deg)
         )
 
     def to_dict(self) -> Dict:
@@ -388,11 +383,11 @@ class ChaosSoak:
         report.latencies_s.append(response.elapsed_s)
         error = heading_error_deg(response.heading_deg, truth)
         report.worst_error_deg = max(report.worst_error_deg, error)
-        if error > cfg.tolerance_deg:
-            if response.verdict is ServiceVerdict.AUTHORITATIVE:
-                report.silent_wrong += 1
-            else:
-                report.flagged_wrong += 1
+        outcome = served_outcome(error, response.authoritative, cfg.tolerance_deg)
+        if outcome is Outcome.SILENT_WRONG:
+            report.silent_wrong += 1
+        elif not in_spec(error, cfg.tolerance_deg):
+            report.flagged_wrong += 1
 
     # -- the soak --------------------------------------------------------------
 

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, OverloadError, ReproError
-from ..faults.campaign import heading_error_deg
-from ..service.service import ServiceVerdict
+from ..trust import Outcome, in_spec, served_outcome
+from ..units import heading_error_deg
 from .fleet import HeadingFleet
 
 
@@ -174,11 +174,13 @@ class OpenLoopGenerator:
         )
         error_deg = heading_error_deg(response.heading_deg, true_heading_deg)
         record.worst_error_deg = max(record.worst_error_deg, error_deg)
-        if error_deg > self.tolerance_deg:
-            if response.verdict == ServiceVerdict.AUTHORITATIVE.value:
-                record.silent_wrong += 1
-            else:
-                record.flagged_wrong += 1
+        outcome = served_outcome(
+            error_deg, response.authoritative, self.tolerance_deg
+        )
+        if outcome is Outcome.SILENT_WRONG:
+            record.silent_wrong += 1
+        elif not in_spec(error_deg, self.tolerance_deg):
+            record.flagged_wrong += 1
 
     async def run(self) -> List[PhaseRecord]:
         """Fire the whole schedule; returns one record per phase.

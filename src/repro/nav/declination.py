@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..physics.earth_field import DipoleEarthField
-from ..units import wrap_degrees
+from ..units import heading_error_deg, wrap_degrees
 
 
 def magnetic_to_geographic(magnetic_heading_deg: float, declination_deg: float) -> float:
@@ -140,6 +140,5 @@ class DeclinationTable:
             lon = float(rng.uniform(-180.0, 180.0))
             exact = self.model.field_at(lat, lon).declination_deg
             approx = self.lookup(lat, lon)
-            error = abs((approx - exact + 180.0) % 360.0 - 180.0)
-            worst = max(worst, error)
+            worst = max(worst, heading_error_deg(approx, exact))
         return worst

@@ -48,6 +48,7 @@ from ..analog.pulse_detector import DetectorOutput, LogicEdge
 from ..digital.cordic import CordicStep
 from ..digital.counter import CountResult
 from ..errors import ReplayError
+from ..units import heading_from_components_deg
 
 #: File-format identity; bump ``FORMAT_VERSION`` on any breaking change.
 MAGIC = "repro-rplog"
@@ -529,11 +530,9 @@ def true_heading_from_components(h_x: float, h_y: float) -> float:
     input pair is ``atan2(−h_y, h_x)`` — lets the conformance runner
     re-derive sweep truths from a log without a side channel.
     """
-    import math
-
     if h_x == 0.0 and h_y == 0.0:
         raise ReplayError("cannot derive a heading from a zero field record")
-    return math.degrees(math.atan2(-h_y, h_x)) % 360.0
+    return heading_from_components_deg(h_x, h_y)
 
 
 __all__ = [

@@ -228,9 +228,7 @@ def attach_recorder(compass, recorder: LogRecorder) -> LogRecorder:
 
     recorder.bind(compass.config)
     if compass.observer is DISABLED:
-        observer = Observer(recorder=recorder)
-        compass.observer = observer
-        compass.back_end.observer = observer
+        compass.attach_observer(Observer(recorder=recorder))
     else:
         compass.observer.recorder = recorder
     return recorder

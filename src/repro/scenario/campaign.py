@@ -31,9 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.compass import CompassConfig
 from ..errors import ConfigurationError, ReproError
-from ..faults.campaign import CampaignCell, CampaignResult, Outcome
+from ..faults.campaign import CampaignCell, CampaignResult
 from ..faults.model import REGISTRY, FaultRegistry, FaultSpec
 from ..observe import M_CAMPAIGN_CELLS, MetricsRegistry
+from ..trust import Outcome, served_outcome
 from ..units import TARGET_ACCURACY_DEG
 from .dsl import SCENARIOS, Scenario
 from .runner import ScenarioResult, ScenarioRunner
@@ -52,7 +53,8 @@ def classify_scenario(
     """
     silent = [
         s for s in result.steps
-        if abs(s.error_deg) > tolerance_deg and not s.degraded
+        if served_outcome(abs(s.error_deg), s.authoritative, tolerance_deg)
+        is Outcome.SILENT_WRONG
     ]
     if silent:
         worst = max(abs(s.error_deg) for s in silent)

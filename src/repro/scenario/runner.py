@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from .. import trust
 from ..batch import BatchCompass, BatchScene
 from ..core.calibration import align_to_reference, fit_ellipse_calibration
 from ..core.compass import CompassConfig, IntegratedCompass
@@ -119,13 +120,19 @@ class StepResult:
         return bool(self.flags)
 
     @property
+    def authoritative(self) -> bool:
+        return not self.degraded
+
+    @property
     def in_spec(self) -> bool:
-        return abs(self.error_deg) <= TARGET_ACCURACY_DEG
+        return trust.in_spec(abs(self.error_deg), TARGET_ACCURACY_DEG)
 
     @property
     def silent_wrong(self) -> bool:
         """The one forbidden outcome: out of spec *and* unflagged."""
-        return not self.in_spec and not self.degraded
+        return trust.served_outcome(
+            abs(self.error_deg), self.authoritative, TARGET_ACCURACY_DEG
+        ) is trust.Outcome.SILENT_WRONG
 
     def to_dict(self) -> Dict:
         record = {
@@ -309,8 +316,7 @@ class ScenarioRunner:
         observer = compass.observer
         if observer is DISABLED:
             observer = Observer()
-            compass.observer = observer
-            compass.back_end.observer = observer
+            compass.attach_observer(observer)
         observer.recorder = self._recorder
 
     # -- environment geometry --------------------------------------------------

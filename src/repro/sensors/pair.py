@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import ConfigurationError
-from ..units import tesla_to_a_per_m
+from ..units import heading_from_components_deg, tesla_to_a_per_m
 from .fluxgate import FluxgateSensor
 from .parameters import FluxgateParameters
 
@@ -123,7 +123,4 @@ class OrthogonalSensorPair:
         "The angle to the magnetic north is calculated by taking the
         arctangent of the division of the two measurants" (§2).
         """
-        heading = math.degrees(math.atan2(-h_y, h_x)) % 360.0
-        # Float modulo of a tiny negative angle can round up to exactly
-        # 360.0; fold that boundary case back to 0.
-        return 0.0 if heading >= 360.0 else heading
+        return heading_from_components_deg(h_x, h_y)

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.heading import HeadingMeasurement
-from ..observe import Observer
 from .breaker import CircuitBreaker
 
 #: Dispatch overhead per attempt, as a fraction of the measurement time:
@@ -59,17 +58,6 @@ class CompassReplica:
         #: Grey-failure hook: >1 slows every reply by that factor.
         self.latency_scale = 1.0
         self._batch = None
-
-    def attach_observer(self, observer: Observer) -> None:
-        """Report this replica's spans/metrics into the service observer.
-
-        The compass resolved its own (disabled) observer at build time;
-        re-pointing the compass and its back-end at the service's
-        observer merges every replica into one span tree and one metrics
-        registry, which is where fleet-level questions get answered.
-        """
-        self.compass.observer = observer
-        self.compass.back_end.observer = observer
 
     def draw_latency(self) -> float:
         """Modelled duration of the *next* attempt [s].

@@ -213,7 +213,8 @@ class HeadingService:
                 np.random.default_rng(latency_streams[index]),
                 noise_seed=int(noise_seeds[index].generate_state(1)[0]),
             )
-            replica.attach_observer(self.observer)
+            # One span tree and one metrics registry for every replica.
+            replica.compass.attach_observer(self.observer)
             self.replicas.append(replica)
 
     # -- observability ---------------------------------------------------------

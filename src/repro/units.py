@@ -158,3 +158,16 @@ def angular_difference_deg(a_deg: float, b_deg: float) -> float:
     metric used for all accuracy experiments.
     """
     return wrap_degrees_signed(a_deg - b_deg)
+
+
+def heading_error_deg(measured_deg: float, truth_deg: float) -> float:
+    """Absolute circular heading error ``|measured - truth|`` [degrees]."""
+    return abs(angular_difference_deg(measured_deg, truth_deg))
+
+
+def heading_from_components_deg(h_x: float, h_y: float) -> float:
+    """Ideal heading ``atan2(-h_y, h_x)`` of two axis fields, in ``[0, 360)``."""
+    heading = math.degrees(math.atan2(-h_y, h_x)) % 360.0
+    # Float modulo of a tiny negative angle can round up to exactly
+    # 360.0; fold that boundary case back to 0.
+    return 0.0 if heading >= 360.0 else heading

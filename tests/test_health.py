@@ -273,6 +273,28 @@ class TestFieldBand:
     def test_in_band_field_unflagged(self):
         assert IntegratedCompass().measure_heading(45.0, 60e-6).health.ok
 
+    def test_top_of_band_unflagged(self):
+        assert IntegratedCompass().measure_heading(45.0, 65e-6).health.ok
+
+    def test_above_rated_range_flags(self):
+        # Above 65 µT (+5 %) the 1° rating ends: the heading is served,
+        # but flagged, well below the 97.5 µT out-of-band limit.
+        m = IntegratedCompass().measure_heading(45.0, 70e-6)
+        assert m.degraded
+        assert any("field-above-rating" in flag for flag in m.health.flags)
+
+    def test_drive_loss_at_top_of_band_is_flagged_not_silent(self):
+        # A 20 % excitation-turn loss reads a 64 µT field as ~73 µT and
+        # bends the heading 1.09° off: before the rated-range limit the
+        # field band let this through unflagged.
+        compass = IntegratedCompass(CompassConfig(health=HealthConfig(degrade=True)))
+        compass.measure_heading(0.5, 64.17e-6)
+        with REGISTRY.inject("sensor.saturation_loss", compass, 0.2):
+            m = compass.measure_heading(98.87, 64.17e-6)
+        assert abs(m.heading_deg - 98.87) > 1.0
+        assert m.degraded
+        assert any("field-above-rating" in flag for flag in m.health.flags)
+
 
 class TestReportAndConfig:
     def test_reports_are_frozen(self):
