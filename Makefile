@@ -1,6 +1,6 @@
 # Convenience targets for the compass reproduction.
 
-.PHONY: install test test-slow test-all lint bench bench-tables examples datasheet floorplan faults serve-sim soak fleet factory scenario array replay fastpath reports all
+.PHONY: install test test-slow test-all lint bench bench-tables examples datasheet floorplan faults serve-sim soak fleet factory scenario array replay fastpath reports reports-diff all
 
 install:
 	pip install -e . || python setup.py develop
@@ -130,6 +130,27 @@ reports:
 	PYTHONPATH=src python -m repro factory --json $(OUT)/factory.json
 	$(NULL_KEY) $(OUT)/soak.json elapsed_s
 	$(NULL_KEY) $(OUT)/fleet-soak.json elapsed_wall_s
+
+# The same gate in one step: check BASE (any git ref) out into a
+# temporary worktree, write its reports to reports-diff/base and the
+# working tree's to reports-diff/head, then diff the two into
+# reports-diff/reports.diff (exit 1 on any difference).  This Makefile
+# drives both, so a BASE older than the `reports` target still works.
+BASE ?= HEAD
+
+reports-diff:
+	rm -rf reports-diff
+	mkdir -p reports-diff
+	tree=$$(mktemp -d) && \
+	git worktree add --detach $$tree/base $(BASE) && \
+	$(MAKE) -C $$tree/base -f $(CURDIR)/Makefile reports \
+		OUT=$(CURDIR)/reports-diff/base; \
+	status=$$?; \
+	git worktree remove --force $$tree/base; rm -rf $$tree; \
+	exit $$status
+	$(MAKE) reports OUT=reports-diff/head
+	diff -r reports-diff/base reports-diff/head > reports-diff/reports.diff; \
+	status=$$?; cat reports-diff/reports.diff; exit $$status
 
 datasheet:
 	python -m repro datasheet

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..batch import BatchCompass
 from ..btest.interconnect import SubstrateHarness
@@ -249,6 +249,36 @@ class FaultCampaign:
             tolerance_deg=self.tolerance_deg,
         )
 
+    def _run_headings(
+        self,
+        spec: FaultSpec,
+        severity: float,
+        path: str,
+        target,
+        classify: Callable[..., Tuple[Outcome, Optional[float], str]],
+    ) -> List[CampaignCell]:
+        """Warm ``target`` (a compass or an array) up clean, inject the
+        fault, and classify one cell per heading; a typed raise is a
+        loud detection."""
+        # Arm the last-known-good fallback with one clean measurement.
+        target.measure_heading(self.headings_deg[0], self.field_magnitude_t)
+        cells = []
+        with self.registry.inject(spec.name, target, severity):
+            for truth in self.headings_deg:
+                try:
+                    served = target.measure_heading(
+                        truth, self.field_magnitude_t
+                    )
+                except ReproError as exc:
+                    outcome = Outcome.DETECTED
+                    error, detail = None, f"{type(exc).__name__}: {exc}"
+                else:
+                    outcome, error, detail = classify(served, truth)
+                cells.append(
+                    self._cell(spec, severity, truth, path, outcome, error, detail)
+                )
+        return cells
+
     def _run_scalar(self, spec: FaultSpec, severity: float) -> List[CampaignCell]:
         compass = self._fresh_compass()
         if self.record_logs:
@@ -257,24 +287,9 @@ class FaultCampaign:
             self.scalar_logs[(spec.name, severity)] = attach_recorder(
                 compass, LogRecorder()
             )
-        # Arm the last-known-good fallback with one clean measurement.
-        compass.measure_heading(self.headings_deg[0], self.field_magnitude_t)
-        cells = []
-        with self.registry.inject(spec.name, compass, severity):
-            for truth in self.headings_deg:
-                try:
-                    measurement = compass.measure_heading(
-                        truth, self.field_magnitude_t
-                    )
-                except ReproError as exc:
-                    outcome = Outcome.DETECTED
-                    error, detail = None, f"{type(exc).__name__}: {exc}"
-                else:
-                    outcome, error, detail = self._classify(measurement, truth)
-                cells.append(
-                    self._cell(spec, severity, truth, "scalar", outcome, error, detail)
-                )
-        return cells
+        return self._run_headings(
+            spec, severity, "scalar", compass, self._classify
+        )
 
     def _run_batch(self, spec: FaultSpec, severity: float) -> List[CampaignCell]:
         compass = self._fresh_compass()
@@ -309,22 +324,17 @@ class FaultCampaign:
     ) -> List[CampaignCell]:
         """Environment faults: inject into a ScenarioRunner and fly the
         factory environment screen (temperature ramp + tilt table)."""
-        from ..scenario.campaign import classify_scenario
+        from ..scenario.campaign import fly_faulted
         from ..scenario.dsl import ENV_SCREEN
         from ..scenario.runner import ScenarioRunner
 
-        runner = ScenarioRunner(ENV_SCREEN)
-        try:
-            with self.registry.inject(spec.name, runner, severity):
-                scenario_result = runner.run()
-        except ReproError as exc:
-            outcome = Outcome.DETECTED
-            error: Optional[float] = None
-            detail = f"{type(exc).__name__}: {exc}"
-        else:
-            outcome, error, detail = classify_scenario(
-                scenario_result, self.tolerance_deg
-            )
+        outcome, error, detail = fly_faulted(
+            ScenarioRunner(ENV_SCREEN),
+            self.registry,
+            spec.name,
+            severity,
+            self.tolerance_deg,
+        )
         return [
             self._cell(spec, severity, None, "scenario", outcome, error, detail)
         ]
@@ -341,33 +351,19 @@ class FaultCampaign:
         from ..array import ArrayCompass, ArrayConfig, ArrayGeometry
 
         array = ArrayCompass(ArrayConfig(geometry=ArrayGeometry.square()))
-        # Clean warm-up, as on every measurement path.
-        array.measure_heading(self.headings_deg[0], self.field_magnitude_t)
-        cells = []
-        with self.registry.inject(spec.name, array, severity):
-            for truth in self.headings_deg:
-                try:
-                    fused = array.measure_heading(
-                        truth, self.field_magnitude_t
-                    )
-                except ReproError as exc:
-                    outcome = Outcome.DETECTED
-                    error, detail = None, f"{type(exc).__name__}: {exc}"
-                else:
-                    outcome, error, detail = classify_heading(
-                        fused.heading_deg,
-                        truth,
-                        fused.authoritative,
-                        flags=fused.flags,
-                        tolerance_deg=self.tolerance_deg,
-                    )
-                    detail += (
-                        f" ({fused.n_used}/{array.n_elements} elements)"
-                    )
-                cells.append(
-                    self._cell(spec, severity, truth, "array", outcome, error, detail)
-                )
-        return cells
+
+        def classify(fused, truth: float):
+            outcome, error, detail = classify_heading(
+                fused.heading_deg,
+                truth,
+                fused.authoritative,
+                flags=fused.flags,
+                tolerance_deg=self.tolerance_deg,
+            )
+            detail += f" ({fused.n_used}/{array.n_elements} elements)"
+            return outcome, error, detail
+
+        return self._run_headings(spec, severity, "array", array, classify)
 
     def _run_scan(self, spec: FaultSpec, severity: float) -> List[CampaignCell]:
         harness = SubstrateHarness(build_compass_mcm())

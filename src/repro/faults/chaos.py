@@ -20,6 +20,9 @@ Everything (request headings, fields, fault choice, arm/disarm timing)
 derives from one seed through spawned SeedSequence streams, and the
 service runs on a :class:`~repro.service.clock.SimulatedClock`, so a
 soak is bit-reproducible — a failing seed is a bug report.
+
+The storm itself is a :class:`ReplicaStorm`, one per service; the fleet
+soak (:mod:`repro.fleet.soak`) drives one per shard.
 """
 
 from __future__ import annotations
@@ -28,16 +31,26 @@ import contextlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, ReproError, ServiceError
+from ..errors import ConfigurationError, ReproError
 from ..observe import M_BREAKER_TRANSITIONS, Observability
 from ..service import BreakerState, HeadingService, ServiceConfig
 from ..trust import Outcome, in_spec, served_outcome
 from ..units import TARGET_ACCURACY_DEG, heading_error_deg
 from .model import REGISTRY, FaultRegistry
+
+#: Per-step chance of arming one new fault, budget permitting.
+ARM_PROBABILITY = 0.25
+#: Per-step chance, per armed fault and per spiked replica, of releasing it.
+RELEASE_PROBABILITY = 0.15
+#: Per-step chance of latency-spiking one healthy replica, budget permitting.
+SPIKE_PROBABILITY = 0.05
+#: Latency multiplier of a spiked (grey-failing) replica — sized to blow
+#: the attempt timeout so the retry/timeout path gets exercised.
+SPIKE_SCALE = 20.0
 
 
 @dataclass(frozen=True)
@@ -58,20 +71,6 @@ class SoakConfig:
         Registered fault names to draw from; defaults to every
         measurement-probe fault in the registry (scan faults target a
         boundary-scan harness, not a live compass).
-    arm_probability:
-        Per-request chance of arming one new fault, capacity permitting.
-    disarm_probability:
-        Per-request chance, per armed fault, of disarming it.
-    latency_spike_probability:
-        Per-request chance of turning a healthy replica into a slow
-        (grey-failing) one, capacity permitting.
-    latency_spike_scale:
-        Latency multiplier of a spiked replica — sized to blow the
-        attempt timeout so the retry/timeout path gets exercised.
-    max_chaotic_replicas:
-        Cap on simultaneously compromised replicas (faults + latency
-        spikes together); ``None`` means the strict minority
-        ``(replicas − 1) // 2`` that voting is guaranteed to survive.
     tolerance_deg:
         The paper's 1° accuracy spec — the silent-wrong threshold.
     availability_floor:
@@ -84,11 +83,6 @@ class SoakConfig:
         observe=Observability.on(tracing=False)
     )
     faults: Optional[Sequence[str]] = None
-    arm_probability: float = 0.25
-    disarm_probability: float = 0.15
-    latency_spike_probability: float = 0.05
-    latency_spike_scale: float = 20.0
-    max_chaotic_replicas: Optional[int] = None
     tolerance_deg: float = TARGET_ACCURACY_DEG
     availability_floor: float = 0.99
 
@@ -100,9 +94,8 @@ class SoakConfig:
 
     @property
     def chaos_budget(self) -> int:
-        """Replicas the soak may compromise at once (strict minority)."""
-        if self.max_chaotic_replicas is not None:
-            return self.max_chaotic_replicas
+        """Replicas the soak may compromise at once: the strict minority
+        ``(replicas − 1) // 2`` that voting is guaranteed to survive."""
         return (self.service.replicas - 1) // 2
 
 
@@ -221,13 +214,126 @@ class SoakReport:
         return "\n".join(lines)
 
 
-class _ArmedFault:
-    """Bookkeeping for one live injection."""
+class StormAction(NamedTuple):
+    """One storm action on one replica, for a soak's event log."""
 
-    def __init__(self, name: str, severity: float, guard) -> None:
-        self.name = name
-        self.severity = severity
-        self.guard = guard
+    action: str  # "arm" | "disarm" | "spike" | "unspike"
+    replica: int
+    fault: str
+    severity: float
+
+
+class ReplicaStorm:
+    """Seeded faults and latency spikes on one service's replicas.
+
+    The storm never compromises more than the strict minority
+    ``(replicas − 1) // 2`` of the pool.  A replica counts against that
+    budget while a fault is armed on it, while it is latency-spiked, and
+    while its breaker has not re-closed: arming a fresh fault while
+    another replica is mid-recovery would put a majority out of service,
+    outside the regime the budget promises to survive.
+
+    The RNG draws of each operation are part of the contract — a soak
+    replays bit-identically from its seed only while they hold:
+    :meth:`release` draws once per armed then once per spiked replica;
+    :meth:`arm` draws only when it has faults and budget room, then the
+    replica, the fault and the severity; :meth:`spike` draws only when
+    it has budget room, then the replica.
+    """
+
+    def __init__(
+        self,
+        service: HeadingService,
+        fault_names: Sequence[str],
+        registry: FaultRegistry = REGISTRY,
+    ):
+        self.service = service
+        self.fault_names = fault_names
+        self.registry = registry
+        self.budget = (len(service.replicas) - 1) // 2
+        #: replica → (fault, severity, guard) of each live injection.
+        self._armed: Dict[int, Tuple[str, float, contextlib.ExitStack]] = {}
+        self._spiked: List[int] = []
+
+    def compromised(self) -> set:
+        """Replicas counted against the budget: armed, latency-spiked,
+        or still recovering (breaker not yet closed)."""
+        recovering = {
+            replica.index
+            for replica in self.service.replicas
+            if replica.breaker.state is not BreakerState.CLOSED
+        }
+        return set(self._armed) | set(self._spiked) | recovering
+
+    def _candidates(self) -> List[int]:
+        """Uncompromised replicas; none while the budget is spent."""
+        compromised = self.compromised()
+        if len(compromised) >= self.budget:
+            return []
+        return [
+            index
+            for index in range(len(self.service.replicas))
+            if index not in compromised
+        ]
+
+    def release(self, rng: np.random.Generator) -> List[StormAction]:
+        """Disarm each armed fault, then unspike each spiked replica,
+        each with :data:`RELEASE_PROBABILITY`."""
+        actions = []
+        for replica in list(self._armed):
+            if rng.random() < RELEASE_PROBABILITY:
+                fault, severity, guard = self._armed.pop(replica)
+                guard.close()
+                actions.append(StormAction("disarm", replica, fault, severity))
+        for replica in list(self._spiked):
+            if rng.random() < RELEASE_PROBABILITY:
+                self._spiked.remove(replica)
+                self.service.replicas[replica].latency_scale = 1.0
+                actions.append(StormAction("unspike", replica, "latency", 0.0))
+        return actions
+
+    def arm(self, rng: np.random.Generator) -> Optional[StormAction]:
+        """With :data:`ARM_PROBABILITY`, arm one drawn fault at one drawn
+        severity on one healthy replica."""
+        candidates = self._candidates()
+        if (
+            not candidates
+            or not self.fault_names
+            or rng.random() >= ARM_PROBABILITY
+        ):
+            return None
+        replica = int(rng.choice(candidates))
+        fault = self.fault_names[int(rng.integers(len(self.fault_names)))]
+        severities = self.registry.get(fault).severities
+        severity = float(severities[int(rng.integers(len(severities)))])
+        guard = contextlib.ExitStack()
+        guard.enter_context(
+            self.registry.inject(
+                fault, self.service.replicas[replica].compass, severity
+            )
+        )
+        self._armed[replica] = (fault, severity, guard)
+        return StormAction("arm", replica, fault, severity)
+
+    def spike(self, rng: np.random.Generator) -> Optional[StormAction]:
+        """With :data:`SPIKE_PROBABILITY`, slow one healthy replica down
+        by :data:`SPIKE_SCALE`."""
+        candidates = self._candidates()
+        if not candidates or rng.random() >= SPIKE_PROBABILITY:
+            return None
+        replica = int(rng.choice(candidates))
+        self.service.replicas[replica].latency_scale = SPIKE_SCALE
+        self._spiked.append(replica)
+        return StormAction("spike", replica, "latency", SPIKE_SCALE)
+
+    def revert(self) -> None:
+        """Undo every live injection and spike; draws nothing."""
+        for replica in self._spiked:
+            self.service.replicas[replica].latency_scale = 1.0
+        for _, _, guard in reversed(list(self._armed.values())):
+            guard.close()
+        self._armed.clear()
+        self._spiked.clear()
 
 
 class ChaosSoak:
@@ -240,131 +346,7 @@ class ChaosSoak:
     ):
         self.config = config
         self.registry = registry
-        names = (
-            list(config.faults)
-            if config.faults is not None
-            else [
-                spec.name
-                for spec in registry.specs()
-                if spec.probe == "measurement"
-            ]
-        )
-        for name in names:
-            if registry.get(name).probe != "measurement":
-                raise ConfigurationError(
-                    f"soak can only arm measurement-probe faults, not "
-                    f"{name!r}"
-                )
-        self.fault_names = names
-
-    # -- chaos schedule --------------------------------------------------------
-
-    @staticmethod
-    def _chaotic_replicas(
-        service: HeadingService,
-        armed: Dict[int, "_ArmedFault"],
-        spiked: Dict[int, float],
-    ) -> set:
-        """Replicas counted against the minority budget: currently armed,
-        latency-spiked, or still recovering (breaker not yet closed)."""
-        recovering = {
-            replica.index
-            for replica in service.replicas
-            if replica.breaker.state is not BreakerState.CLOSED
-        }
-        return set(armed) | set(spiked) | recovering
-
-    def _step_chaos(
-        self,
-        request_index: int,
-        rng: np.random.Generator,
-        service: HeadingService,
-        armed: Dict[int, _ArmedFault],
-        spiked: Dict[int, float],
-        report: SoakReport,
-        stack: contextlib.ExitStack,
-    ) -> None:
-        cfg = self.config
-        # Disarm first so capacity frees up within the same step.
-        for replica_index in list(armed):
-            if rng.random() < cfg.disarm_probability:
-                entry = armed.pop(replica_index)
-                entry.guard.close()
-                report.events.append(
-                    SoakEvent(
-                        request_index,
-                        "disarm",
-                        replica_index,
-                        entry.name,
-                        entry.severity,
-                    )
-                )
-        for replica_index in list(spiked):
-            if rng.random() < cfg.disarm_probability:
-                spiked.pop(replica_index)
-                service.replicas[replica_index].latency_scale = 1.0
-                report.events.append(
-                    SoakEvent(
-                        request_index, "unspike", replica_index, "latency", 0.0
-                    )
-                )
-
-        # A replica stays "compromised" until its breaker re-closes: arming
-        # a fresh fault while another replica is mid-recovery would put a
-        # majority out of service, which is outside the regime the minority
-        # budget promises to survive.
-        chaotic = self._chaotic_replicas(service, armed, spiked)
-        if (
-            len(chaotic) < cfg.chaos_budget
-            and rng.random() < cfg.arm_probability
-            and self.fault_names
-        ):
-            candidates = [
-                i
-                for i in range(cfg.service.replicas)
-                if i not in chaotic
-            ]
-            replica_index = int(rng.choice(candidates))
-            name = self.fault_names[int(rng.integers(len(self.fault_names)))]
-            spec = self.registry.get(name)
-            severity = float(
-                spec.severities[int(rng.integers(len(spec.severities)))]
-            )
-            guard = stack.enter_context(contextlib.ExitStack())
-            guard.enter_context(
-                self.registry.inject(
-                    name, service.replicas[replica_index].compass, severity
-                )
-            )
-            armed[replica_index] = _ArmedFault(name, severity, guard)
-            report.faults_armed[name] = report.faults_armed.get(name, 0) + 1
-            report.events.append(
-                SoakEvent(request_index, "arm", replica_index, name, severity)
-            )
-
-        chaotic = self._chaotic_replicas(service, armed, spiked)
-        if (
-            len(chaotic) < cfg.chaos_budget
-            and rng.random() < cfg.latency_spike_probability
-        ):
-            candidates = [
-                i for i in range(cfg.service.replicas) if i not in chaotic
-            ]
-            if candidates:
-                replica_index = int(rng.choice(candidates))
-                service.replicas[replica_index].latency_scale = (
-                    cfg.latency_spike_scale
-                )
-                spiked[replica_index] = cfg.latency_spike_scale
-                report.events.append(
-                    SoakEvent(
-                        request_index,
-                        "spike",
-                        replica_index,
-                        "latency",
-                        cfg.latency_spike_scale,
-                    )
-                )
+        self.fault_names = registry.select("measurement", config.faults)
 
     # -- scoring ---------------------------------------------------------------
 
@@ -391,6 +373,18 @@ class ChaosSoak:
 
     # -- the soak --------------------------------------------------------------
 
+    @staticmethod
+    def _log(
+        report: SoakReport, request: int, action: Optional[StormAction]
+    ) -> None:
+        if action is None:
+            return
+        report.events.append(SoakEvent(request, *action))
+        if action.action == "arm":
+            report.faults_armed[action.fault] = (
+                report.faults_armed.get(action.fault, 0) + 1
+            )
+
     def run(self) -> SoakReport:
         """Drive the request stream under chaos; returns the report.
 
@@ -399,33 +393,28 @@ class ChaosSoak:
         """
         cfg = self.config
         service = HeadingService(cfg.service)
+        storm = ReplicaStorm(service, self.fault_names, self.registry)
         root = np.random.SeedSequence(cfg.seed)
         chaos_stream, request_stream = root.spawn(2)
         chaos_rng = np.random.default_rng(chaos_stream)
         request_rng = np.random.default_rng(request_stream)
 
         report = SoakReport(seed=cfg.seed)
-        armed: Dict[int, _ArmedFault] = {}
-        spiked: Dict[int, float] = {}
         sim_start = service.clock.now()
         wall_start = time.perf_counter()
-        with contextlib.ExitStack() as stack:
+        try:
             for index in range(cfg.requests):
-                self._step_chaos(
-                    index, chaos_rng, service, armed, spiked, report, stack
-                )
+                # Release first so capacity frees up within the same step.
+                for action in storm.release(chaos_rng):
+                    self._log(report, index, action)
+                self._log(report, index, storm.arm(chaos_rng))
+                self._log(report, index, storm.spike(chaos_rng))
                 truth = float(request_rng.uniform(0.0, 360.0))
                 field_t = float(request_rng.uniform(25.0e-6, 65.0e-6))
                 report.requests += 1
                 try:
                     response = service.measure_heading(truth, field_t)
-                except ServiceError as error:
-                    report.failed_loud += 1
-                    key = type(error).__name__
-                    report.failure_types[key] = (
-                        report.failure_types.get(key, 0) + 1
-                    )
-                except ReproError as error:  # pragma: no cover - defensive
+                except ReproError as error:
                     report.failed_loud += 1
                     key = type(error).__name__
                     report.failure_types[key] = (
@@ -433,8 +422,8 @@ class ChaosSoak:
                     )
                 else:
                     self._score_response(response, truth, report)
-            for replica_index in list(spiked):
-                service.replicas[replica_index].latency_scale = 1.0
+        finally:
+            storm.revert()
         report.elapsed_s = time.perf_counter() - wall_start
         report.sim_elapsed_s = service.clock.now() - sim_start
         metrics = service.observer.metrics
@@ -447,4 +436,11 @@ class ChaosSoak:
         return report
 
 
-__all__ = ["ChaosSoak", "SoakConfig", "SoakEvent", "SoakReport"]
+__all__ = [
+    "ChaosSoak",
+    "ReplicaStorm",
+    "SoakConfig",
+    "SoakEvent",
+    "SoakReport",
+    "StormAction",
+]

@@ -33,7 +33,16 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, ContextManager, Dict, Iterator, List, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -173,6 +182,20 @@ class FaultRegistry:
 
     def specs(self) -> List[FaultSpec]:
         return [self._specs[name] for name in self.names()]
+
+    def select(
+        self, probe: str, names: Optional[Sequence[str]] = None
+    ) -> List[str]:
+        """Fault names of one probe kind: every registered one by
+        default, else ``names`` once each is checked to be of that kind."""
+        if names is None:
+            return [spec.name for spec in self.specs() if spec.probe == probe]
+        for name in names:
+            if self.get(name).probe != probe:
+                raise ConfigurationError(
+                    f"fault {name!r} is not a {probe}-probe fault"
+                )
+        return list(names)
 
     def inject(
         self, name: str, target: object, severity: float

@@ -4,9 +4,10 @@ This is the subsystem's acceptance harness.  It drives the open-loop
 generator through a load schedule expressed as multiples of the fleet's
 *rated* RPS — warm-up, rated, overload (past saturation), recovery —
 while a chaos coroutine arms and disarms registered measurement faults
-and latency spikes on the shard services (strict per-shard minority
-budget, bounded number of simultaneously-stormed shards, mirroring
-:class:`repro.faults.chaos.ChaosSoak`).  Everything runs on one
+and latency spikes on the shard services — one
+:class:`repro.faults.chaos.ReplicaStorm` per shard, the same storm the
+service's chaos soak drives, plus a cap on simultaneously-stormed
+shards.  Everything runs on one
 deterministic virtual-time kernel, so the full storm replays
 bit-identically from its seed.
 
@@ -29,7 +30,6 @@ The report gates four promises:
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -38,8 +38,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, SLOViolationError
+from ..faults.chaos import ReplicaStorm, StormAction
 from ..faults.model import REGISTRY, FaultRegistry
-from ..service.breaker import BreakerState
 from .config import FleetConfig
 from .fleet import HeadingFleet
 from .kernel import Kernel
@@ -52,7 +52,7 @@ OVERLOAD_MULTIPLIER = 2.0
 
 @dataclass(frozen=True)
 class FleetSoakConfig:
-    """Storm schedule, chaos probabilities and gates of one fleet soak.
+    """Storm schedule, chaos cadence and gates of one fleet soak.
 
     Attributes
     ----------
@@ -68,11 +68,8 @@ class FleetSoakConfig:
         Root seed; the load stream and the chaos stream are independent
         spawns of it.
     chaos:
-        Master switch for the fault storm.
-    arm_probability, disarm_probability, latency_spike_probability,
-    latency_spike_scale:
-        Per-chaos-step probabilities, as in
-        :class:`repro.faults.chaos.SoakConfig`.
+        Master switch for the fault storm; its rates are the
+        :mod:`repro.faults.chaos` constants.
     chaos_interval_s:
         Virtual-time period of the chaos stepper.
     max_chaotic_shards:
@@ -93,10 +90,6 @@ class FleetSoakConfig:
     )
     seed: int = 0
     chaos: bool = True
-    arm_probability: float = 0.25
-    disarm_probability: float = 0.15
-    latency_spike_probability: float = 0.05
-    latency_spike_scale: float = 20.0
     chaos_interval_s: float = 0.05
     max_chaotic_shards: int = 2
     faults: Optional[Sequence[str]] = None
@@ -258,13 +251,6 @@ class FleetSoakReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _ArmedFault:
-    name: str
-    severity: float
-    guard: contextlib.ExitStack
-
-
 class FleetSoak:
     """Runs the storm against a fresh fleet and scores the gates."""
 
@@ -275,156 +261,50 @@ class FleetSoak:
     ):
         self.config = config
         self.registry = registry
-        names = (
-            list(config.faults)
-            if config.faults is not None
-            else [
-                spec.name
-                for spec in registry.specs()
-                if spec.probe == "measurement"
-            ]
-        )
-        for name in names:
-            if registry.get(name).probe != "measurement":
-                raise ConfigurationError(
-                    f"fleet soak can only arm measurement-probe faults, "
-                    f"not {name!r}"
-                )
-        self.fault_names = names
+        self.fault_names = registry.select("measurement", config.faults)
 
     # -- chaos schedule --------------------------------------------------------
 
-    @staticmethod
-    def _chaotic_replicas(
-        shard, armed: Dict[int, _ArmedFault], spiked: Dict[int, float]
-    ) -> set:
-        recovering = {
-            replica.index
-            for replica in shard.service.replicas
-            if replica.breaker.state is not BreakerState.CLOSED
-        }
-        return set(armed) | set(spiked) | recovering
-
     def _step_chaos(
         self,
-        fleet: HeadingFleet,
+        storms: List[ReplicaStorm],
         rng: np.random.Generator,
-        armed: List[Dict[int, _ArmedFault]],
-        spiked: List[Dict[int, float]],
         report: FleetSoakReport,
-        stack: contextlib.ExitStack,
         now: float,
     ) -> None:
-        cfg = self.config
-        budget = (fleet.config.service.replicas - 1) // 2
-        # Disarm / unspike first so capacity frees up within this step.
-        for shard in fleet.shards:
-            for replica_index in list(armed[shard.index]):
-                if rng.random() < cfg.disarm_probability:
-                    entry = armed[shard.index].pop(replica_index)
-                    entry.guard.close()
-                    report.events.append(
-                        FleetSoakEvent(
-                            now, "disarm", shard.index, replica_index,
-                            entry.name, entry.severity,
-                        )
-                    )
-            for replica_index in list(spiked[shard.index]):
-                if rng.random() < cfg.disarm_probability:
-                    spiked[shard.index].pop(replica_index)
-                    shard.service.replicas[replica_index].latency_scale = 1.0
-                    report.events.append(
-                        FleetSoakEvent(
-                            now, "unspike", shard.index, replica_index,
-                            "latency", 0.0,
-                        )
-                    )
+        """One chaos step: release on every shard, then arm and spike
+        shard by shard while at most ``max_chaotic_shards`` are stormy."""
 
-        def stormy_shards() -> set:
-            return {
-                shard.index
-                for shard in fleet.shards
-                if self._chaotic_replicas(
-                    shard, armed[shard.index], spiked[shard.index]
+        def log(shard: int, action: Optional[StormAction]) -> None:
+            if action is None:
+                return
+            report.events.append(
+                FleetSoakEvent(
+                    now, action.action, shard, action.replica, action.fault,
+                    action.severity,
                 )
-            }
+            )
+            if action.action == "arm":
+                report.faults_armed[action.fault] = (
+                    report.faults_armed.get(action.fault, 0) + 1
+                )
 
-        for shard in fleet.shards:
-            chaotic = self._chaotic_replicas(
-                shard, armed[shard.index], spiked[shard.index]
+        def shard_open(shard: int) -> bool:
+            stormy = {i for i, storm in enumerate(storms) if storm.compromised()}
+            return (
+                shard in stormy
+                or len(stormy) < self.config.max_chaotic_shards
             )
-            shard_open = shard.index in stormy_shards() or (
-                len(stormy_shards()) < cfg.max_chaotic_shards
-            )
-            if (
-                shard_open
-                and len(chaotic) < budget
-                and self.fault_names
-                and rng.random() < cfg.arm_probability
-            ):
-                candidates = [
-                    i
-                    for i in range(fleet.config.service.replicas)
-                    if i not in chaotic
-                ]
-                replica_index = int(rng.choice(candidates))
-                name = self.fault_names[
-                    int(rng.integers(len(self.fault_names)))
-                ]
-                spec = self.registry.get(name)
-                severity = float(
-                    spec.severities[int(rng.integers(len(spec.severities)))]
-                )
-                guard = stack.enter_context(contextlib.ExitStack())
-                guard.enter_context(
-                    self.registry.inject(
-                        name,
-                        shard.service.replicas[replica_index].compass,
-                        severity,
-                    )
-                )
-                armed[shard.index][replica_index] = _ArmedFault(
-                    name, severity, guard
-                )
-                report.faults_armed[name] = (
-                    report.faults_armed.get(name, 0) + 1
-                )
-                report.events.append(
-                    FleetSoakEvent(
-                        now, "arm", shard.index, replica_index, name,
-                        severity,
-                    )
-                )
-            chaotic = self._chaotic_replicas(
-                shard, armed[shard.index], spiked[shard.index]
-            )
-            shard_open = shard.index in stormy_shards() or (
-                len(stormy_shards()) < cfg.max_chaotic_shards
-            )
-            if (
-                shard_open
-                and len(chaotic) < budget
-                and rng.random() < cfg.latency_spike_probability
-            ):
-                candidates = [
-                    i
-                    for i in range(fleet.config.service.replicas)
-                    if i not in chaotic
-                ]
-                if candidates:
-                    replica_index = int(rng.choice(candidates))
-                    shard.service.replicas[replica_index].latency_scale = (
-                        cfg.latency_spike_scale
-                    )
-                    spiked[shard.index][replica_index] = (
-                        cfg.latency_spike_scale
-                    )
-                    report.events.append(
-                        FleetSoakEvent(
-                            now, "spike", shard.index, replica_index,
-                            "latency", cfg.latency_spike_scale,
-                        )
-                    )
+
+        # Release everywhere first so capacity frees up within this step.
+        for shard, storm in enumerate(storms):
+            for action in storm.release(rng):
+                log(shard, action)
+        for shard, storm in enumerate(storms):
+            if shard_open(shard):
+                log(shard, storm.arm(rng))
+            if shard_open(shard):
+                log(shard, storm.spike(rng))
 
     # -- scoring ---------------------------------------------------------------
 
@@ -492,21 +372,16 @@ class FleetSoak:
             availability_floor=cfg.fleet.slo.availability_floor,
             tolerance_deg=cfg.fleet.slo.tolerance_deg,
         )
-        armed: List[Dict[int, _ArmedFault]] = [
-            {} for _ in range(cfg.fleet.shards)
-        ]
-        spiked: List[Dict[int, float]] = [
-            {} for _ in range(cfg.fleet.shards)
+        storms = [
+            ReplicaStorm(shard.service, self.fault_names, self.registry)
+            for shard in fleet.shards
         ]
         storm_end = kernel.now() + sum(d for _, d in cfg.phases)
 
         async def chaos() -> None:
             while kernel.now() < storm_end:
                 await kernel.sleep(cfg.chaos_interval_s)
-                self._step_chaos(
-                    fleet, chaos_rng, armed, spiked, report, stack,
-                    kernel.now(),
-                )
+                self._step_chaos(storms, chaos_rng, report, kernel.now())
 
         async def main() -> List[PhaseRecord]:
             fleet.start()
@@ -521,17 +396,12 @@ class FleetSoak:
 
         wall_start = time.perf_counter()
         sim_start = kernel.now()
-        with contextlib.ExitStack() as stack:
+        try:
             records = kernel.run(main())
+        finally:
             # Revert any still-armed injections before scoring.
-            for shard_armed in armed:
-                for entry in shard_armed.values():
-                    entry.guard.close()
-                shard_armed.clear()
-            for shard in fleet.shards:
-                for replica_index in list(spiked[shard.index]):
-                    shard.service.replicas[replica_index].latency_scale = 1.0
-                spiked[shard.index].clear()
+            for storm in storms:
+                storm.revert()
         report.elapsed_wall_s = time.perf_counter() - wall_start
         report.elapsed_sim_s = kernel.now() - sim_start
         report.phases = [

@@ -79,6 +79,23 @@ def classify_scenario(
     )
 
 
+def fly_faulted(
+    runner: ScenarioRunner,
+    registry: FaultRegistry,
+    fault: str,
+    severity: float,
+    tolerance_deg: float = TARGET_ACCURACY_DEG,
+) -> Tuple[Outcome, Optional[float], str]:
+    """Fly ``runner`` with ``fault`` injected and classify the run; a
+    typed :class:`~repro.errors.ReproError` is a loud detection."""
+    try:
+        with registry.inject(fault, runner, severity):
+            run = runner.run()
+    except ReproError as exc:
+        return Outcome.DETECTED, None, f"{type(exc).__name__}: {exc}"
+    return classify_scenario(run, tolerance_deg)
+
+
 @dataclass
 class ScenarioCampaignResult(CampaignResult):
     """A scenario campaign's cells plus its clean-baseline verdicts."""
@@ -141,19 +158,7 @@ class ScenarioCampaign:
             raise ConfigurationError("scenario campaign needs scenarios")
         self.scenarios = list(scenarios)
         self.registry = registry
-        if faults is None:
-            faults = [
-                spec.name
-                for spec in registry.specs()
-                if spec.probe == "scenario"
-            ]
-        else:
-            for name in faults:
-                if registry.get(name).probe != "scenario":
-                    raise ConfigurationError(
-                        f"fault {name!r} is not a scenario-probe fault"
-                    )
-        self.fault_names = list(faults)
+        self.fault_names = registry.select("scenario", faults)
         self.tolerance_deg = tolerance_deg
         self.base_config = base_config
         self.metrics = metrics
@@ -221,18 +226,13 @@ class ScenarioCampaign:
         result: ScenarioCampaignResult,
         clean_outcome: Outcome,
     ) -> None:
-        runner = self._runner(scenario)
-        try:
-            with self.registry.inject(spec.name, runner, severity):
-                run = runner.run()
-        except ReproError as exc:
-            outcome = Outcome.DETECTED
-            error: Optional[float] = None
-            detail = f"{type(exc).__name__}: {exc}"
-        else:
-            outcome, error, detail = classify_scenario(
-                run, self.tolerance_deg
-            )
+        outcome, error, detail = fly_faulted(
+            self._runner(scenario),
+            self.registry,
+            spec.name,
+            severity,
+            self.tolerance_deg,
+        )
         allowed = spec.allowed_outcomes(severity)
         conforms = outcome.value in allowed
         # A severity pinned "benign" promises the fault is *invisible*,

@@ -202,6 +202,17 @@ class TestRegisteredFaultPopulation:
             "sensor", "analog", "digital", "scan", "environment", "array",
         }
 
+    def test_select_defaults_to_every_fault_of_the_probe_kind(self):
+        for probe in ("measurement", "scan", "scenario", "array"):
+            assert REGISTRY.select(probe) == [
+                spec.name for spec in registered_faults()
+                if spec.probe == probe
+            ]
+
+    def test_select_keeps_named_faults_of_the_probe_kind(self):
+        names = REGISTRY.select("measurement")[:2][::-1]
+        assert REGISTRY.select("measurement", names) == names
+
 
 def _scalar_chain(compass):
     """One x-channel measurement row: the faulted pickup from the sensor

@@ -74,6 +74,17 @@ class TestSmallStorm:
         assert stats["served"] > 0
         assert stats["shards"][0]["served"] > 0
 
+    def test_no_fault_leaks_after_the_storm(self, small_report):
+        # Every storm action is a reversible monkey-hook on one shard
+        # replica; the storm must unwind all of them, so a fresh service
+        # right after measures clean.
+        from repro.service import HeadingService, ServiceVerdict
+
+        assert small_report.faults_armed  # the storm did arm something
+        response = HeadingService().measure_heading(123.0)
+        assert response.verdict is ServiceVerdict.AUTHORITATIVE
+        assert response.heading_deg == 123.40234375
+
     def test_no_chaos_storm_stays_clean(self):
         config = FleetSoakConfig(
             fleet=FleetConfig(shards=1, seed=0),
