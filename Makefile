@@ -114,11 +114,13 @@ fastpath:
 # Every campaign, soak and lot report into OUT (default reports/), with
 # the two wall-clock keys nulled so the files are a pure function of the
 # code.  Behaviour gate for refactors: run it in two checkouts, then
-# `diff -r` the two OUT directories.
+# `diff -r` the two OUT directories.  NULL_KEY rewrites in the format of
+# src/repro/report.py, spelled out here because reports-diff runs this
+# Makefile against a BASE that may predate that module.
 OUT ?= reports
 NULL_KEY = python -c 'import json, sys; path, key = sys.argv[1:]; \
 	report = json.load(open(path)); report[key] = None; \
-	json.dump(report, open(path, "w"), indent=2)'
+	open(path, "w").write(json.dumps(report, indent=2, sort_keys=True) + "\n")'
 
 reports:
 	mkdir -p $(OUT)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from conftest import emit
 from repro.faults import ChaosSoak, SoakConfig
+from repro.report import write_report
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
@@ -34,7 +35,7 @@ def test_svc1_chaos_soak_record(benchmark):
     config, report, elapsed = benchmark.pedantic(
         run_soak, rounds=1, iterations=1
     )
-    report.write_json(str(RESULT_PATH))
+    write_report(str(RESULT_PATH), report.to_dict())
 
     lines = report.summary().split("\n")
     lines.append(

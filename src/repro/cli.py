@@ -82,6 +82,7 @@ from .errors import (
     SLOViolationError,
 )
 from .faults.campaign import DEFAULT_HEADINGS as DEFAULT_CAMPAIGN_HEADINGS
+from .report import report_json, write_report
 from .soc.mcm import build_compass_mcm
 from .soc.netlist import CompassNetlist
 from .soc.sea_of_gates import PAIRS_PER_QUARTER
@@ -118,6 +119,46 @@ def exit_code_for(error: ReproError) -> int:
         if klass in EXIT_CODES:
             return EXIT_CODES[klass]
     return 1
+
+
+def _write_json(path: str, payload) -> None:
+    write_report(path, payload)
+    print(f"wrote {path}")
+
+
+def _verdict(ok: bool) -> int:
+    """Print a gate verb's ``RESULT:`` line and return its exit status."""
+    print("RESULT:", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def _report_cells(result) -> bool:
+    """Print a campaign's outcome tally and its contract-breaking cells.
+
+    Silent-wrong and nonconforming cells go to stderr, with ``heading=``
+    only for cells that have one; returns true when there are none.
+    """
+    summary = result.summary()
+    print(
+        f"{summary['cells']} cells: "
+        + ", ".join(f"{k}={v}" for k, v in summary["outcomes"].items())
+    )
+
+    def where(cell) -> str:
+        heading = (
+            "" if cell.heading_deg is None else f" heading={cell.heading_deg}"
+        )
+        return f"{cell.fault} sev={cell.severity}{heading} path={cell.path}"
+
+    for cell in result.silent_wrong():
+        print(f"SILENT-WRONG: {where(cell)} ({cell.detail})", file=sys.stderr)
+    for cell in result.nonconforming():
+        print(
+            f"NONCONFORMING: {where(cell)} -> {cell.outcome.value} "
+            f"({cell.detail})",
+            file=sys.stderr,
+        )
+    return not summary["silent_wrong"] and not summary["nonconforming"]
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -204,9 +245,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     for net, verdict in sorted(verdicts.items()):
         print(f"  {net:<12} {verdict}")
-    passed = all(v == "good" for v in verdicts.values())
-    print("RESULT:", "PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    return _verdict(all(v == "good" for v in verdicts.values()))
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -218,25 +257,14 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         faults=args.fault or None,
     )
     result = campaign.run()
-    summary = result.summary()
-    for name in summary["faults"]:
+    for name in result.summary()["faults"]:
         cells = [c for c in result.cells if c.fault == name]
         outcomes = sorted({c.outcome.value for c in cells})
         print(f"  {name:<32} {len(cells):3d} cells  {', '.join(outcomes)}")
-    print(
-        f"{summary['cells']} cells: "
-        + ", ".join(f"{k}={v}" for k, v in summary["outcomes"].items())
-    )
+    ok = _report_cells(result)
     if args.json:
-        result.write_json(args.json)
-        print(f"wrote {args.json}")
-    for cell in result.silent_wrong():
-        print(
-            f"SILENT-WRONG: {cell.fault} sev={cell.severity} "
-            f"heading={cell.heading_deg} path={cell.path} ({cell.detail})",
-            file=sys.stderr,
-        )
-    return 0 if not result.silent_wrong() and not result.nonconforming() else 1
+        _write_json(args.json, result.to_dict())
+    return _verdict(ok)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -373,11 +401,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     report = ChaosSoak(config).run()
     print(report.summary())
     if args.json:
-        report.write_json(args.json)
-        print(f"wrote {args.json}")
-    ok = report.invariants_ok(config.availability_floor, config.tolerance_deg)
-    print("RESULT:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+        _write_json(args.json, report.to_dict())
+    return _verdict(
+        report.invariants_ok(config.availability_floor, config.tolerance_deg)
+    )
 
 
 def _cmd_fleet_sim(args: argparse.Namespace) -> int:
@@ -453,8 +480,6 @@ def _cmd_fleet_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_soak(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .fleet import FleetConfig, FleetSoak, FleetSoakConfig
     from .observe import Observability
 
@@ -480,22 +505,14 @@ def _cmd_fleet_soak(args: argparse.Namespace) -> int:
     report = FleetSoak(config).run()
     print(report.summary())
     if args.json:
-        report.write_json(args.json)
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_dict())
     if args.metrics and report.metrics_snapshot is not None:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            _json.dump(report.metrics_snapshot, handle, indent=2,
-                       sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.metrics}")
+        _write_json(args.metrics, report.metrics_snapshot)
     report.raise_for_slo()  # SLOViolationError -> exit 17
-    print("RESULT: PASS")
-    return 0
+    return _verdict(True)
 
 
 def _cmd_factory(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .factory import (
         DefectDistribution,
         FactoryLine,
@@ -532,16 +549,11 @@ def _cmd_factory(args: argparse.Namespace) -> int:
     print(report.summary())
     print(f"wall clock: {report.wall_s:.2f} s for {report.size} units")
     if args.json:
-        report.write_json(args.json, include_units=not args.no_units)
-        print(f"wrote {args.json}")
+        _write_json(args.json, report.to_dict(include_units=not args.no_units))
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            _json.dump(metrics.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.metrics}")
+        _write_json(args.metrics, metrics.snapshot())
     report.raise_for_escapes()  # EscapeError -> exit 18
-    print("RESULT: PASS")
-    return 0
+    return _verdict(True)
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -570,42 +582,19 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             ),
         )
         result = campaign.run()
-        summary = result.summary()
-        for name in summary["scenarios"]:
+        for name in result.summary()["scenarios"]:
             clean = result.clean_runs[name]
             print(f"  {name:<18} clean: max |error| "
                   f"{clean['max_abs_error_deg']:6.3f} deg, "
                   f"{clean['degraded_steps']}/{clean['steps']} "
                   "steps degraded")
-        print(
-            f"{summary['cells']} cells: "
-            + ", ".join(f"{k}={v}" for k, v in summary["outcomes"].items())
-        )
+        ok = _report_cells(result)
         if args.json:
-            result.write_json(args.json)
-            print(f"wrote {args.json}")
-        for cell in result.silent_wrong():
-            print(
-                f"SILENT-WRONG: {cell.fault} sev={cell.severity} "
-                f"path={cell.path} ({cell.detail})",
-                file=sys.stderr,
-            )
-        for cell in result.nonconforming():
-            print(
-                f"NONCONFORMING: {cell.fault} sev={cell.severity} "
-                f"path={cell.path} -> {cell.outcome.value} ({cell.detail})",
-                file=sys.stderr,
-            )
+            _write_json(args.json, result.to_dict())
         for name in result.clean_failures:
             print(f"CLEAN-FAILURE: {name} broke its no-fault contract",
                   file=sys.stderr)
-        ok = (
-            not result.silent_wrong()
-            and not result.nonconforming()
-            and not result.clean_failures
-        )
-        print("RESULT:", "PASS" if ok else "FAIL")
-        return 0 if ok else 1
+        return _verdict(ok and not result.clean_failures)
 
     if args.file:
         with open(args.file, encoding="utf-8") as handle:
@@ -633,12 +622,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.record:
         print(f"recorded replay log -> {args.record}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    print("RESULT:", "PASS" if result.honest else "FAIL")
-    return 0 if result.honest else 1
+        _write_json(args.json, result.to_dict())
+    return _verdict(result.honest)
 
 
 def _geometry_for(args: argparse.Namespace):
@@ -657,8 +642,6 @@ def _geometry_for(args: argparse.Namespace):
 
 
 def _cmd_array(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .array import ArrayCompass, ArrayConfig, NearFieldSource
 
     geometry = _geometry_for(args)
@@ -677,11 +660,14 @@ def _cmd_array(args: argparse.Namespace) -> int:
     # A strict gradiometer trip raises ArrayFusionError -> exit 20.
     fused = array.measure_world(args.heading, args.field, source=source)
 
+    # With ``--json -`` stdout carries the JSON report alone.
+    out = sys.stderr if args.json == "-" else sys.stdout
     print(f"geometry     : {array.n_elements} elements, "
-          f"aperture {geometry.aperture_m:.3f} m")
+          f"aperture {geometry.aperture_m:.3f} m", file=out)
     if source is not None:
         print(f"ambush       : {source.magnitude_ut:.2f} uT at "
-              f"{source.distance_m:.2f} m, bearing {source.bearing_deg:.0f}")
+              f"{source.distance_m:.2f} m, bearing {source.bearing_deg:.0f}",
+              file=out)
     for report in fused.elements:
         heading = (f"{report.heading_deg:8.3f}"
                    if report.heading_deg is not None else "       -")
@@ -690,15 +676,16 @@ def _cmd_array(args: argparse.Namespace) -> int:
         detail = f"  {report.detail}" if report.detail else ""
         print(f"  element {report.index}  {report.status:<8} "
               f"heading {heading}  weight {report.weight:.3f}  "
-              f"residual {residual}{detail}")
+              f"residual {residual}{detail}", file=out)
     flags = ",".join(fused.flags) if fused.flags else "-"
     print(f"fused        : {fused.heading_deg:.3f} deg "
-          f"({fused.n_used}/{array.n_elements} elements)")
-    print(f"error        : {fused.error_against(args.heading):.3f} deg")
-    print(f"field        : {fused.field_a_per_m:.3f} A/m")
+          f"({fused.n_used}/{array.n_elements} elements)", file=out)
+    print(f"error        : {fused.error_against(args.heading):.3f} deg",
+          file=out)
+    print(f"field        : {fused.field_a_per_m:.3f} A/m", file=out)
     print(f"residual max : {fused.residual_max_fraction:.5f} "
-          f"(threshold {array.config.gradient_threshold})")
-    print(f"flags        : {flags}")
+          f"(threshold {array.config.gradient_threshold})", file=out)
+    print(f"flags        : {flags}", file=out)
     if args.json:
         payload = {
             "true_heading_deg": args.heading,
@@ -726,13 +713,10 @@ def _cmd_array(args: argparse.Namespace) -> int:
                 for r in fused.elements
             ],
         }
-        text = _json.dumps(payload, indent=2, sort_keys=True) + "\n"
         if args.json == "-":
-            sys.stdout.write(text)
+            sys.stdout.write(report_json(payload))
         else:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {args.json}")
+            _write_json(args.json, payload)
     return 0
 
 
@@ -783,13 +767,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             reader, tolerance_deg=args.tolerance
         )
         print(f"back-end replay: {verified} records bit-exact")
-    print("RESULT: PASS")
-    return 0
+    return _verdict(True)
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    import json as _json
-
     from .replay import read_log, require_conformance, run_conformance
 
     reader = read_log(args.log)
@@ -808,20 +789,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         for divergence in result.divergences:
             print(f"    {divergence.describe()}", file=sys.stderr)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(
-                {
-                    "log": args.log,
-                    "n_records": len(reader),
-                    "paths": list(args.paths),
-                    "tolerance_deg": args.tolerance,
-                    "results": [result.to_dict() for result in results],
-                },
-                handle,
-                indent=2,
-            )
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, {
+            "log": args.log,
+            "n_records": len(reader),
+            "paths": list(args.paths),
+            "tolerance_deg": args.tolerance,
+            "results": [result.to_dict() for result in results],
+        })
     if args.strict and any(not result.clean for result in results):
         raise DivergenceError(
             "strict conformance: divergences found (see report above)"

@@ -26,12 +26,12 @@ bit-identical across runs, machines, and scalar/batch paths.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import EscapeError
+from ..report import report_json
 from .config import LotConfig
 from .defects import Defect
 
@@ -221,13 +221,7 @@ class LotReport:
         return record
 
     def to_json(self, include_units: bool = True) -> str:
-        return json.dumps(
-            self.to_dict(include_units), indent=2, sort_keys=True
-        ) + "\n"
-
-    def write_json(self, path: str, include_units: bool = True) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json(include_units))
+        return report_json(self.to_dict(include_units))
 
     def summary(self) -> str:
         counts = self.counts()

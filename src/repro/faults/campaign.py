@@ -29,7 +29,6 @@ fielded instrument that fails mid-service rather than at power-on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -147,18 +146,11 @@ class CampaignResult:
             "faults": sorted({cell.fault for cell in self.cells}),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "summary": self.summary(),
-                "cells": [cell.to_dict() for cell in self.cells],
-            },
-            indent=2,
-        )
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
+    def to_dict(self) -> Dict:
+        return {
+            "summary": self.summary(),
+            "cells": [cell.to_dict() for cell in self.cells],
+        }
 
 
 class FaultCampaign:

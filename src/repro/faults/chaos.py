@@ -28,7 +28,6 @@ soak (:mod:`repro.fleet.soak`) drives one per shard.
 from __future__ import annotations
 
 import contextlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -182,13 +181,6 @@ class SoakReport:
             "elapsed_s": round(self.elapsed_s, 2),
             "sim_elapsed_s": round(self.sim_elapsed_s, 4),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
 
     def summary(self) -> str:
         lines = [

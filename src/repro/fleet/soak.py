@@ -30,7 +30,6 @@ The report gates four promises:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -223,11 +222,6 @@ class FleetSoakReport:
             "violations": self.violations(),
             "invariants_ok": self.invariants_ok(),
         }
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     def summary(self) -> str:
         lines = [

@@ -10,7 +10,6 @@ exactly such a table in ROM).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -29,15 +28,6 @@ def magnetic_to_geographic(magnetic_heading_deg: float, declination_deg: float) 
 def geographic_to_magnetic(true_heading_deg: float, declination_deg: float) -> float:
     """The compass heading to steer for a desired true heading."""
     return wrap_degrees(true_heading_deg - declination_deg)
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One declination-table entry."""
-
-    lat_deg: float
-    lon_deg: float
-    declination_deg: float
 
 
 class DeclinationTable:

@@ -291,24 +291,6 @@ class HeadingService:
 
     # -- the bulk scene path ---------------------------------------------------
 
-    def scene_for(
-        self,
-        headings_deg,
-        field_magnitude_t: float = 50.0e-6,
-    ):
-        """A :class:`~repro.batch.BatchScene` for this service's pool.
-
-        Rendered through replica 0's sensor pair; every replica shares
-        the same compass configuration (only the noise seed differs),
-        so the heading → axis-field conversion is bit-identical across
-        the pool.
-        """
-        from ..batch import BatchScene
-
-        return BatchScene.from_headings(
-            self.replicas[0].compass.sensors, headings_deg, field_magnitude_t
-        )
-
     def measure_scene(self, scene) -> List[ServiceResponse]:
         """Serve one frozen scene through every replica's batch engine.
 

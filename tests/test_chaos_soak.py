@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import REGISTRY, ChaosSoak, SoakConfig
+from repro.report import write_report
 from repro.service import ServiceConfig
 
 
@@ -71,7 +72,7 @@ class TestSmokeSoak:
     def test_report_json_round_trips(self, tmp_path):
         report = ChaosSoak(SoakConfig(requests=10, seed=2)).run()
         path = tmp_path / "soak.json"
-        report.write_json(str(path))
+        write_report(str(path), report.to_dict())
         record = json.loads(path.read_text())
         assert record["requests"] == 10
         assert record["silent_wrong"] == 0

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -20,6 +21,14 @@ from repro.errors import (
     ServiceError,
     SLOViolationError,
 )
+from repro.report import report_json
+
+ALL_COMMANDS = {
+    "measure", "sweep", "power", "area", "scan", "faults", "trace",
+    "metrics", "serve-sim", "soak", "fleet-sim", "fleet-soak", "factory",
+    "scenario", "array", "record", "replay", "diff", "datasheet",
+    "floorplan", "watch",
+}
 
 
 class TestParser:
@@ -29,21 +38,20 @@ class TestParser:
 
     def test_all_commands_registered(self):
         parser = build_parser()
-        for command in (
-            "measure", "sweep", "power", "area", "scan", "watch", "faults",
-            "trace", "metrics", "serve-sim", "soak", "fleet-sim",
-            "fleet-soak",
-        ):
-            args = parser.parse_args([command])
-            assert args.command == command
+        [verbs] = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(verbs.choices) == ALL_COMMANDS
         # Commands with required arguments.
-        for argv in (
-            ["record", "--out", "x.rplog"],
-            ["replay", "x.rplog"],
-            ["diff", "x.rplog"],
-        ):
-            args = parser.parse_args(argv)
-            assert args.command == argv[0]
+        required = {
+            "record": ["--out", "x.rplog"],
+            "replay": ["x.rplog"],
+            "diff": ["x.rplog"],
+        }
+        for command in sorted(ALL_COMMANDS):
+            args = parser.parse_args([command] + required.get(command, []))
+            assert args.command == command
 
 
 class TestMeasure:
@@ -221,7 +229,10 @@ class TestFaultsCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "silent-wrong=0" in out
-        record = json.loads(path.read_text())
+        assert "RESULT: PASS" in out
+        text = path.read_text()
+        assert text == report_json(json.loads(text))
+        record = json.loads(text)
         assert record["summary"]["silent_wrong"] == 0
 
     def test_single_fault_selection(self, capsys):
@@ -237,6 +248,32 @@ class TestFaultsCommand:
     def test_unknown_fault_exits_with_configuration_code(self, capsys):
         assert main(["faults", "--fault", "bogus.fault"]) == 3
         assert "ConfigurationError" in capsys.readouterr().err
+
+    def test_nonconforming_cell_is_named_and_fails(self, capsys, monkeypatch):
+        from repro.faults import (
+            CampaignCell,
+            CampaignResult,
+            FaultCampaign,
+            Outcome,
+        )
+
+        cell = CampaignCell(
+            fault="digital.cordic_rom_bitflip", severity=1.0,
+            heading_deg=45.0, path="scalar", outcome=Outcome.BENIGN,
+            error_deg=0.01, detail="expected detected", conforms=False,
+        )
+        monkeypatch.setattr(
+            FaultCampaign, "run", lambda self: CampaignResult(cells=[cell])
+        )
+        assert main(["faults", "--headings", "45"]) == 1
+        captured = capsys.readouterr()
+        [line] = [
+            line for line in captured.err.splitlines()
+            if line.startswith("NONCONFORMING:")
+        ]
+        assert "digital.cordic_rom_bitflip" in line
+        assert "heading=45.0" in line
+        assert "RESULT: FAIL" in captured.out
 
 
 class TestScenarioCommand:
@@ -261,7 +298,9 @@ class TestScenarioCommand:
         out = capsys.readouterr().out
         assert "RESULT: PASS" in out
         assert "0 silent-wrong" in out
-        record = json.loads(path.read_text())
+        text = path.read_text()
+        assert text == report_json(json.loads(text))
+        record = json.loads(text)
         assert record["scenario"] == "env-screen"
         assert record["honest"] is True
 
@@ -307,6 +346,19 @@ class TestScenarioCommand:
         assert "RESULT: PASS" in out
 
 
+class TestArrayCommand:
+    def test_json_to_stdout_is_json_only(self, capsys):
+        assert main(["array", "--elements", "1", "--json", "-"]) == 0
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert record["fused"]["n_used"] == 1
+        assert "fused        :" in captured.err
+
+    def test_strict_ambush_exits_20(self, capsys):
+        assert main(["array", "--ambush", "5", "--strict"]) == 20
+        assert "ArrayFusionError" in capsys.readouterr().err
+
+
 class TestServeSimCommand:
     def test_clean_pool_serves_authoritative(self, capsys):
         assert main(["serve-sim", "--requests", "3"]) == 0
@@ -347,7 +399,9 @@ class TestSoakCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "RESULT: PASS" in out
-        record = json.loads(path.read_text())
+        text = path.read_text()
+        assert text == report_json(json.loads(text))
+        record = json.loads(text)
         assert record["silent_wrong"] == 0
         assert record["requests"] == 20
 
@@ -387,7 +441,9 @@ class TestFleetCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "RESULT: PASS" in out
-        record = json.loads(report_path.read_text())
+        text = report_path.read_text()
+        assert text == report_json(json.loads(text))
+        record = json.loads(text)
         assert record["invariants_ok"] is True
         assert [p["label"] for p in record["phases"]] == ["x1", "x4"]
         assert all(p["silent_wrong"] == 0 for p in record["phases"])
@@ -421,7 +477,9 @@ class TestReplayCommands:
             "--json", str(report),
         ]) == 0
         assert "RESULT: PASS" in capsys.readouterr().out
-        record = json.loads(report.read_text())
+        text = report.read_text()
+        assert text == report_json(json.loads(text))
+        record = json.loads(text)
         assert record["n_records"] == 4
         assert all(not r["divergences"] for r in record["results"])
 

@@ -28,6 +28,7 @@ from repro.observe import M_FACTORY_STAGE, M_FACTORY_UNITS
 from repro.observe.metrics import MetricsRegistry
 from repro.replay import ReplayPlayer, reader_from_records
 from repro.replay.format import true_heading_from_components
+from repro.report import report_json
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "factory_lot.json"
 
@@ -388,7 +389,9 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "RESULT: PASS" in out
-        record = json.loads(json_path.read_text(encoding="utf-8"))
+        text = json_path.read_text(encoding="utf-8")
+        assert text == report_json(json.loads(text))
+        record = json.loads(text)
         assert record["size"] == 12
         assert record["escape_rate"] == 0.0
         assert len(record["units"]) == 12

@@ -15,6 +15,7 @@ from repro.faults import (
     REGISTRY,
 )
 from repro.faults.campaign import heading_error_deg
+from repro.report import write_report
 
 
 class TestHeadingError:
@@ -88,7 +89,7 @@ class TestSmokeCampaign:
 
     def test_json_roundtrip(self, result, tmp_path):
         path = tmp_path / "campaign.json"
-        result.write_json(str(path))
+        write_report(str(path), result.to_dict())
         record = json.loads(path.read_text())
         assert record["summary"]["silent_wrong"] == 0
         assert record["summary"]["cells"] == len(result.cells)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import Outcome, REGISTRY, registered_faults
+from repro.report import write_report
 from repro.scenario import (
     ENV_SCREEN,
     ScenarioCampaign,
@@ -187,7 +188,7 @@ class TestFullCorpusCampaign:
 
     def test_json_serialises(self, result, tmp_path):
         path = tmp_path / "campaign.json"
-        result.write_json(str(path))
+        write_report(str(path), result.to_dict())
         import json
 
         record = json.loads(path.read_text())
