@@ -100,15 +100,19 @@ replay:
 		--paths recorded scalar batch instrumented \
 		--json replay-divergence.json
 
-# Certify the closed-form analog fast path: record a seeded sweep,
-# diff it through the scalar, batch and fastpath paths (exit 15 on
-# silent-wrong), then regenerate BENCH_fastpath.json with the >=20x gate.
+# Certify the closed-form analog fast path, the default engine: the
+# exact conformance suites (default compass == the stepped pin, counts,
+# heading, field and health, on the golden vectors and Hypothesis
+# draws), a recorded sweep diffed through the recorded, scalar and batch
+# paths (a recording is stepped; exit 15 on silent-wrong), the sweep
+# with its fastpath line, then BENCH_fastpath.json with the >=20x gate.
 fastpath:
+	PYTHONPATH=src pytest tests/test_fastpath.py tests/test_property_fastpath.py -q
 	PYTHONPATH=src python -m repro record --out fastpath-sweep.rplog --points 24
 	PYTHONPATH=src python -m repro diff fastpath-sweep.rplog \
-		--paths recorded scalar batch fastpath \
+		--paths recorded scalar batch \
 		--json fastpath-divergence.json
-	PYTHONPATH=src python -m repro sweep --points 24 --fastpath
+	PYTHONPATH=src python -m repro sweep --points 24
 	PYTHONPATH=src pytest benchmarks/bench_fastpath.py --benchmark-only -s
 
 # Every campaign, soak and lot report into OUT (default reports/), with

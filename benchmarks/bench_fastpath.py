@@ -29,10 +29,14 @@ def fast_config():
     return CompassConfig(front_end=FrontEndConfig(fastpath=True))
 
 
+def stepped_config():
+    return CompassConfig(front_end=FrontEndConfig(fastpath=False))
+
+
 def run_comparison():
     headings = headings_evenly_spaced(N_HEADINGS, 0.5)
 
-    stepped_compass = IntegratedCompass()
+    stepped_compass = IntegratedCompass(stepped_config())
     t0 = time.perf_counter()
     stepped = [
         stepped_compass.measure_heading(h, field_magnitude_t=FIELD_T)

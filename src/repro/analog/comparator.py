@@ -325,13 +325,23 @@ class PickupAmplifier:
 
     # -- signal path ----------------------------------------------------------
 
+    def pole(self, sample_rate: float) -> Optional[float]:
+        """The band limit's pole ``α`` at ``sample_rate``, or ``None`` when
+        the stage does not filter (no bandwidth, or one at/above Nyquist).
+
+        The filter is ``y[n] = α·y[n−1] + (1−α)·x[n]``.
+        """
+        if self.bandwidth_hz is None or self.bandwidth_hz >= sample_rate / 2.0:
+            return None
+        return math.exp(-2.0 * math.pi * self.bandwidth_hz / sample_rate)
+
     def _lowpass(self, values: np.ndarray, sample_rate: float) -> np.ndarray:
         """Single-pole band limit along each row of an (N, n_samples) matrix."""
-        if self.bandwidth_hz is None or self.bandwidth_hz >= sample_rate / 2.0:
+        alpha = self.pole(sample_rate)
+        if alpha is None:
             return values
         from scipy.signal import lfilter, lfilter_zi
 
-        alpha = math.exp(-2.0 * math.pi * self.bandwidth_hz / sample_rate)
         b, a = [1.0 - alpha], [1.0, -alpha]
         # lfilter_zi(b, a) is not exactly alpha in floats, so memoise the
         # value rather than replace it.

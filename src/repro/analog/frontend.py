@@ -48,13 +48,15 @@ class ChannelMeasurement:
 class FrontEndConfig:
     """Front-end configuration knobs gathered in one place.
 
-    ``fastpath`` opts the compass's measurement engine in to the
-    closed-form pulse-timing solver (:mod:`repro.analog.fastpath`):
-    noiseless measurements on the tanh core skip the sampled simulation
-    entirely and compute the comparator edge times algebraically,
-    falling back to the stepped engine whenever the closed form would
-    not apply.  Default off — the stepped path stays bit-identical to
-    previous releases.
+    ``fastpath`` routes the compass's measurement engine through the
+    certified closed-form pulse-timing solver
+    (:mod:`repro.analog.fastpath`): noiseless measurements on the tanh
+    core skip the sampled simulation entirely and compute the comparator
+    edge times algebraically, resolving the few edges near a counter
+    tick exactly, so every count equals the stepped engine's.  It falls
+    back to the stepped engine whenever the closed form would not apply.
+    ``fastpath=False`` pins the stepped engine (tests and benchmark
+    references); it never changes a measurement, only its cost.
     """
 
     excitation: ExcitationSettings = field(default_factory=ExcitationSettings)
@@ -62,7 +64,7 @@ class FrontEndConfig:
     amplifier_gain: float = 100.0
     noise: NoiseBudget = NOISELESS
     noise_seed: int = 0
-    fastpath: bool = False
+    fastpath: bool = True
 
 
 class AnalogFrontEnd:
@@ -80,8 +82,9 @@ class AnalogFrontEnd:
         self.detector = PulsePositionDetector(config.detector)
         self.multiplexer = SensorMultiplexer()
         self._enabled = True
-        #: Routing decisions of the opt-in fast path (attempts, uses,
-        #: fallback reasons), kept by the compass's measurement engine.
+        #: Routing decisions of the fast path (attempts, uses, fallback
+        #: reasons, resolved edges), kept by the compass's measurement
+        #: engine.
         self.fastpath_stats = FastPathStats()
 
     # -- power gating ---------------------------------------------------------

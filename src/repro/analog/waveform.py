@@ -20,6 +20,7 @@ current."  The generator therefore models:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -90,15 +91,20 @@ class TriangularWaveformGenerator:
     def __init__(self, params: OscillatorParameters = OscillatorParameters()):
         self.params = params
 
-    def generate(self, grid: TimeGrid) -> Trace:
+    def generate(
+        self, grid: TimeGrid, start: int = 0, stop: Optional[int] = None
+    ) -> Trace:
         """Produce the triangle on a time grid.
 
         The grid's frequency is ignored in favour of the oscillator's own
         R·C frequency — exactly like the silicon, where the digital section
         must tolerate the analogue oscillator's tolerance-dependent rate.
+        ``start``/``stop`` select a sample window of the grid; every
+        sample is computed on its own, so a window is bit-identical to
+        the same samples of the full trace.
         """
         p = self.params
-        t = grid.times()
+        t = grid.times(start, stop)
         period = 1.0 / p.frequency_hz
         # Phase within a period, starting at the negative peak so the first
         # rising ramp begins at t = 0 (matches the analytic timing oracles).

@@ -174,14 +174,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.fastpath:
-        from .analog.frontend import FrontEndConfig
-        from .core.compass import CompassConfig
-
-        config = CompassConfig(front_end=FrontEndConfig(fastpath=True))
-        compass = IntegratedCompass(config)
-    else:
-        compass = IntegratedCompass()
+    compass = IntegratedCompass()
     points = heading_sweep(
         compass, n_points=args.points, field_magnitude_t=args.field * 1e-6
     )
@@ -193,10 +186,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     print(f"max |error| {stats.max_error:.3f} deg, rms {stats.rms_error:.3f} deg "
           f"over {stats.n_samples} headings")
-    if args.fastpath:
-        fp = compass.front_end.fastpath_stats
-        print(f"fastpath: used {fp.used}/{fp.attempted}, "
-              f"fallbacks {fp.fallbacks or '{}'}")
+    fp = compass.front_end.fastpath_stats
+    print(f"fastpath: used {fp.used}/{fp.attempted}, "
+          f"resolved {fp.resolved} edges, fallbacks {fp.fallbacks or '{}'}")
     return 0 if stats.meets(1.0) else 1
 
 
@@ -849,9 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="full-circle accuracy sweep")
     p.add_argument("--points", type=int, default=24)
     p.add_argument("--field", type=float, default=50.0)
-    p.add_argument("--fastpath", action="store_true",
-                   help="use the closed-form analog fast path "
-                        "(falls back to the stepped engine when invalid)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("power", help="power budget report")
@@ -1098,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("log", metavar="LOG", help="the .rplog to diff")
     p.add_argument("--paths", nargs="+", default=["recorded", "scalar"],
                    choices=["recorded", "backend", "scalar", "batch",
-                            "instrumented", "service", "fastpath"],
+                            "instrumented", "service"],
                    help="execution paths to diff pairwise "
                         "(default: recorded scalar)")
     p.add_argument("--tolerance", type=float, default=0.0,

@@ -167,6 +167,7 @@ class IntegratedCompass:
         """
         self.observer = observer
         self.back_end.observer = observer
+        self.front_end.fastpath_stats.metrics = observer.metrics
 
     # -- measurement ----------------------------------------------------------
 
@@ -185,6 +186,11 @@ class IntegratedCompass:
             samples_per_period=self.config.samples_per_period,
             frequency_hz=self.front_end.excitation.oscillator.params.frequency_hz,
         )
+
+    def _count_window(self, grid: TimeGrid) -> Tuple[float, float]:
+        """The counter's gate on ``grid``: every period after the settle."""
+        t0, t1 = grid.window()
+        return t0 + self.config.schedule.settle_periods * grid.period, t1
 
     def measure_components(
         self, h_x: float, h_y: float
@@ -224,11 +230,8 @@ class IntegratedCompass:
         process-wide default unless a caller hands in its own).
         """
         scalar = path == "scalar"
-        schedule = self.config.schedule
         grid = self._channel_grid()
-        settle_time = schedule.settle_periods * grid.period
-        t0, t1 = grid.window()
-        count_window = (t0 + settle_time, t1)
+        count_window = self._count_window(grid)
         self.supervisor.watchdog_guard(grid.n_periods)
 
         rows = int(h_x.size)
@@ -299,10 +302,11 @@ class IntegratedCompass:
     ) -> List[DetectorOutput]:
         """One channel's detector outputs for every row.
 
-        The one routing point: the closed-form fast path for the whole
-        channel when it is enabled and every row is eligible, else the
-        sampled excitation → pickup → comparator chain, ``chunk_size``
-        rows per numpy pass and bit-identical to
+        The one routing point: the certified closed-form fast path for
+        the whole channel when it is enabled, no recorder is attached
+        (a recording is always of the stepped chain) and every row is
+        eligible, else the sampled excitation → pickup → comparator
+        chain, ``chunk_size`` rows per numpy pass and bit-identical to
         :meth:`AnalogFrontEnd.measure_channel` row by row.  ``draws`` is
         a batch's reserved noise-block base plus the channel offset (row
         ``i`` draws ``draws + 2·i``), or ``None`` to draw as the
@@ -317,22 +321,11 @@ class IntegratedCompass:
         with observer.span(
             f"{STAGE_CHANNEL}.{channel}", channel=channel, rows=rows
         ) as channel_span:
-            if front_end.config.fastpath:
-                stats = front_end.fastpath_stats
-                stats.attempted += rows
-                reason = fastpath.ineligibility_reason(front_end, sensor)
-                if reason is None:
-                    with observer.span(STAGE_FASTPATH, channel=channel) as span:
-                        solved = fastpath.solve_channel_batch(
-                            front_end, sensor, channel, h, grid
-                        )
-                        span.set(solved=solved is not None)
-                    if solved is not None:
-                        stats.used += rows
-                        channel_span.set(fastpath=True)
-                        return solved
-                for _ in range(rows):
-                    stats.record_fallback(reason or "validity-envelope")
+            if front_end.config.fastpath and observer.recorder is None:
+                solved = self._closed_form_rows(sensor, channel, h, grid)
+                if solved is not None:
+                    channel_span.set(fastpath=True)
+                    return solved
 
             load = sensor.params.series_resistance
             with observer.span(STAGE_EXCITATION, channel=channel) as span:
@@ -371,6 +364,36 @@ class IntegratedCompass:
                         ("channel",),
                     ).inc(channel=channel)
         return outputs
+
+    def _closed_form_rows(
+        self, sensor: FluxgateSensor, channel: str, h: np.ndarray, grid: TimeGrid
+    ) -> Optional[List[DetectorOutput]]:
+        """The fast path's certified outputs for one channel, or ``None``.
+
+        Every row is accounted in ``front_end.fastpath_stats``: used, or
+        fallen back under its reason.  The certificate's lattice is the
+        counter's: ticks from the count-window start, to its end.
+        """
+        front_end = self.front_end
+        stats = front_end.fastpath_stats
+        rows = int(h.size)
+        stats.attempted += rows
+        reason = fastpath.ineligibility_reason(front_end, sensor)
+        if reason is not None:
+            stats.record_fallback(reason, rows)
+            return None
+        lattice = fastpath.CountLattice(
+            *self._count_window(grid), self.back_end.counter.config.tick
+        )
+        with self.observer.span(STAGE_FASTPATH, channel=channel) as span:
+            resolved = stats.resolved
+            solved = fastpath.solve_channel_batch(
+                front_end, sensor, channel, h, grid, lattice, stats
+            )
+            span.set(solved=solved is not None, resolved=stats.resolved - resolved)
+        if solved is not None:
+            stats.record_use(rows)
+        return solved
 
     def _single_axis_fallback(
         self, failures: dict, outputs: dict, count_window: Tuple[float, float]

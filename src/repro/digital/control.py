@@ -18,8 +18,9 @@ feed the power model (:mod:`repro.core.power`) and the GATE1 bench.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from ..analog.mux import MeasurementSchedule
 from ..errors import ProtocolError
@@ -58,6 +59,12 @@ _STATE_ENABLES: Dict[ControllerState, EnableSignals] = {
 }
 
 
+#: Measurements whose dwells :attr:`CompassController.history` keeps: a
+#: window for duty-cycle analysis that stays bounded for the life of a
+#: long-lived service replica.
+HISTORY_MEASUREMENTS = 256
+
+
 @dataclass
 class StateDwell:
     """One visited state and how long the FSM stayed there [s]."""
@@ -91,39 +98,42 @@ class CompassController:
         self.cordic_iterations = cordic_iterations
         self.clock_hz = clock_hz
         self.state = ControllerState.IDLE
-        self.history: List[StateDwell] = []
-
-    # -- timing ---------------------------------------------------------------
-
-    def _periods_seconds(self, n_periods: int) -> float:
-        return n_periods / self.excitation_frequency_hz
-
-    def state_duration(self, state: ControllerState) -> float:
-        """Dwell time of each state in one measurement [s]."""
-        s = self.schedule
-        durations = {
-            ControllerState.SETTLE_X: self._periods_seconds(s.settle_periods),
-            ControllerState.COUNT_X: self._periods_seconds(s.count_periods),
-            ControllerState.SETTLE_Y: self._periods_seconds(s.settle_periods),
-            ControllerState.COUNT_Y: self._periods_seconds(s.count_periods),
-            ControllerState.COMPUTE: self.cordic_iterations / self.clock_hz,
-        }
-        if state not in durations:
-            raise ProtocolError(f"state {state} has no fixed duration")
-        return durations[state]
-
-    @property
-    def measurement_sequence(self) -> Tuple[ControllerState, ...]:
-        """The state walk of one heading measurement (IDLE excluded)."""
         states = []
-        if self.schedule.settle_periods > 0:
+        if schedule.settle_periods > 0:
             states.append(ControllerState.SETTLE_X)
         states.append(ControllerState.COUNT_X)
-        if self.schedule.settle_periods > 0:
+        if schedule.settle_periods > 0:
             states.append(ControllerState.SETTLE_Y)
         states.append(ControllerState.COUNT_Y)
         states.append(ControllerState.COMPUTE)
-        return tuple(states)
+        #: The state walk of one heading measurement (IDLE excluded).
+        self.measurement_sequence: Tuple[ControllerState, ...] = tuple(states)
+        # The schedule is frozen and the timing attributes are never
+        # reassigned, so the dwell table is built once.
+        settle = schedule.settle_periods / excitation_frequency_hz
+        count = schedule.count_periods / excitation_frequency_hz
+        self._durations: Dict[ControllerState, float] = {
+            ControllerState.SETTLE_X: settle,
+            ControllerState.COUNT_X: count,
+            ControllerState.SETTLE_Y: settle,
+            ControllerState.COUNT_Y: count,
+            ControllerState.COMPUTE: cordic_iterations / clock_hz,
+        }
+        self._duration = sum(
+            self._durations[state] for state in self.measurement_sequence
+        )
+        #: The most recent measurements' dwells, oldest first.
+        self.history: Deque[StateDwell] = deque(
+            maxlen=HISTORY_MEASUREMENTS * len(self.measurement_sequence)
+        )
+
+    # -- timing ---------------------------------------------------------------
+
+    def state_duration(self, state: ControllerState) -> float:
+        """Dwell time of each state in one measurement [s]."""
+        if state not in self._durations:
+            raise ProtocolError(f"state {state} has no fixed duration")
+        return self._durations[state]
 
     # -- execution ----------------------------------------------------------------
 
@@ -134,8 +144,9 @@ class CompassController:
     def run_measurement(self) -> List[StateDwell]:
         """Walk one full measurement and record the dwell history.
 
-        Returns the dwells of this measurement; the cumulative history is
-        kept on :attr:`history` for duty-cycle analysis across a session.
+        Returns the dwells of this measurement; the last
+        :data:`HISTORY_MEASUREMENTS` measurements' dwells are kept on
+        :attr:`history` for duty-cycle analysis across a session.
         """
         if self.state is not ControllerState.IDLE:
             raise ProtocolError(
@@ -144,16 +155,14 @@ class CompassController:
         dwells: List[StateDwell] = []
         for state in self.measurement_sequence:
             self.state = state
-            dwells.append(StateDwell(state, self.state_duration(state)))
+            dwells.append(StateDwell(state, self._durations[state]))
         self.state = ControllerState.IDLE
         self.history.extend(dwells)
         return dwells
 
     def measurement_duration(self) -> float:
         """Active time of one measurement [s]."""
-        return sum(
-            self.state_duration(state) for state in self.measurement_sequence
-        )
+        return self._duration
 
     def block_duty_cycles(self, repetition_period: float) -> Dict[str, float]:
         """Fraction of time each gated block is enabled.

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from ..analog.frontend import FrontEndConfig
 from ..core.compass import CompassConfig
 from ..core.health import HealthConfig
 from ..errors import ConfigurationError
@@ -37,12 +36,10 @@ from .admission import TokenBucketConfig
 from .cache import DEFAULT_FIELD_QUANTUM_UT, DEFAULT_HEADING_QUANTUM_DEG
 
 #: The fleet's default compass: strict health supervision (resilience
-#: lives in the service layer) + the PR-6 closed-form fast path, which
-#: is what makes thousands of simulated devices per second affordable.
-FLEET_COMPASS = CompassConfig(
-    front_end=FrontEndConfig(fastpath=True),
-    health=HealthConfig(enabled=True),
-)
+#: lives in the service layer) on the default certified closed-form
+#: fast path, which is what makes thousands of simulated devices per
+#: second affordable.
+FLEET_COMPASS = CompassConfig(health=HealthConfig(enabled=True))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,7 @@ from .config import (
     M_COUNTER_TICKS,
     M_FACTORY_STAGE,
     M_FACTORY_UNITS,
+    M_FASTPATH,
     M_FIELD,
     M_FLEET_BROWNOUT,
     M_FLEET_BROWNOUT_SHIFTS,
@@ -123,6 +124,7 @@ __all__ = [
     "M_COUNTER_TICKS",
     "M_FACTORY_STAGE",
     "M_FACTORY_UNITS",
+    "M_FASTPATH",
     "M_FIELD",
     "M_FLEET_BROWNOUT",
     "M_FLEET_BROWNOUT_SHIFTS",

@@ -38,6 +38,7 @@ M_HEALTH_FALLBACKS = "health_fallbacks_total"      # {kind}
 M_BATCH_ROWS = "batch_rows_total"                  # {}
 M_BATCH_CHUNKS = "batch_chunks_total"              # {channel}
 M_CACHE_EVENTS = "excitation_cache_total"          # {event: hit|miss}
+M_FASTPATH = "fastpath_total"                      # {outcome: used|fallback, reason}
 M_CAMPAIGN_CELLS = "campaign_cells_total"          # {path, outcome}
 M_CAMPAIGN_ERROR = "campaign_error_deg"            # {path} histogram
 M_SERVICE_REQUESTS = "service_requests_total"      # {verdict}

@@ -52,61 +52,10 @@ CLASS_METADATA = "metadata"
 CLASS_TOLERATED = "tolerated-noise"
 CLASS_SILENT_WRONG = "silent-wrong"
 
-#: Paths whose edge times are *analytically* computed rather than
-#: sample-grid interpolated; diffing them against a stepped path uses a
-#: sub-tick :class:`TimingTolerance` instead of bit-exact ``==``.
-TIMING_TOLERANT_PATHS = frozenset({"fastpath"})
-
-
 def circular_delta_deg(a: float, b: float) -> float:
     """Smallest absolute angular distance between two headings [deg]."""
     delta = abs(a - b) % 360.0
     return min(delta, 360.0 - delta)
-
-
-@dataclass(frozen=True)
-class TimingTolerance:
-    """Bounds for comparing an analytic path against a stepped one.
-
-    The fast path computes edge times in closed form; the stepped engine
-    interpolates them on the sample grid.  They agree to well under one
-    analogue grid tick — but not to the last ulp, so the counter can
-    round an edge across a 238 ns clock boundary and shift a count by
-    ±2 per affected edge.  These bounds accept exactly that noise and
-    nothing more:
-
-    * ``edge_time_s`` — per-edge time difference (edge values and edge
-      *counts* still compare exactly),
-    * ``counter_ticks`` — allowed |Δ| on ``high_ticks`` and ``count``
-      (``total_ticks`` and ``overflowed`` still compare exactly: the
-      window is identical),
-    * ``heading_deg`` — circular heading difference (when counts moved,
-      the CORDIC register trace legitimately differs, so per-iteration
-      registers are only compared when all counts matched exactly),
-    * ``field_rel`` — relative field-estimate difference.
-    """
-
-    edge_time_s: float
-    counter_ticks: int
-    heading_deg: float
-    field_rel: float
-
-    @classmethod
-    def sub_tick(cls, header) -> "TimingTolerance":
-        """One analogue grid tick of the recorded design point.
-
-        A few counter ticks of slack cover an edge rounding across a
-        counter-clock boundary; the heading bound covers the resulting
-        count shift at the smallest (25 µT) field plus CORDIC
-        quantisation.
-        """
-        tick = 1.0 / (header.excitation_frequency_hz * header.samples_per_period)
-        return cls(
-            edge_time_s=tick,
-            counter_ticks=6,
-            heading_deg=0.7,
-            field_rel=0.02,
-        )
 
 
 @dataclass(frozen=True)
@@ -155,14 +104,8 @@ def _first_mismatch(
     a: MeasurementRecord,
     b: MeasurementRecord,
     compare_health: bool,
-    timing: Optional[TimingTolerance] = None,
 ) -> Optional[Tuple[str, object, object]]:
-    """The first divergent ``(stage, value_a, value_b)`` in chain order.
-
-    With ``timing`` set, edge times, counts, heading and field compare
-    within the given bounds instead of with ``==`` — everything within
-    tolerance is *not* a mismatch at all (the pair counts as clean).
-    """
+    """The first divergent ``(stage, value_a, value_b)`` in chain order."""
     if a.kind != b.kind:
         return ("kind", a.kind, b.kind)
     if (a.h_x, a.h_y) != (b.h_x, b.h_y):
@@ -182,12 +125,6 @@ def _first_mismatch(
             )
         for i, (edge_a, edge_b) in enumerate(zip(cap_a.edges, cap_b.edges)):
             if edge_a != edge_b:
-                if (
-                    timing is not None
-                    and edge_a[1] == edge_b[1]
-                    and abs(edge_a[0] - edge_b[0]) <= timing.edge_time_s
-                ):
-                    continue
                 return (f"{STAGE_PULSE}.{channel}.edge.{i}", edge_a, edge_b)
         if len(cap_a.edges) != len(cap_b.edges):
             return (
@@ -195,7 +132,6 @@ def _first_mismatch(
                 len(cap_a.edges),
                 len(cap_b.edges),
             )
-    counts_exact = True
     for channel in sorted(set(a.counter) | set(b.counter)):
         cnt_a = a.counter.get(channel)
         cnt_b = b.counter.get(channel)
@@ -205,20 +141,10 @@ def _first_mismatch(
             val_a = getattr(cnt_a, field_name)
             val_b = getattr(cnt_b, field_name)
             if val_a != val_b:
-                if (
-                    timing is not None
-                    and field_name in ("high_ticks", "count")
-                    and abs(val_a - val_b) <= timing.counter_ticks
-                ):
-                    counts_exact = False
-                    continue
                 return (f"{STAGE_COUNTER}.{channel}.{field_name}", val_a, val_b)
     if (a.cordic is None) != (b.cordic is None):
         return (STAGE_CORDIC, a.cordic, b.cordic)
-    # A tolerated count shift feeds the CORDIC different (but equally
-    # valid) operands, so the per-iteration register trace is only
-    # compared when every count matched exactly.
-    if a.cordic is not None and b.cordic is not None and counts_exact:
+    if a.cordic is not None and b.cordic is not None:
         registers = ("iteration", "shift", "rotated", "x_reg", "y_reg",
                      "angle_fixed")
         for step_a, step_b in zip(a.cordic.steps, b.cordic.steps):
@@ -240,24 +166,9 @@ def _first_mismatch(
         if a.cordic.cycles != b.cordic.cycles:
             return (f"{STAGE_CORDIC}.cycles", a.cordic.cycles, b.cordic.cycles)
     if a.heading_deg != b.heading_deg:
-        if not (
-            timing is not None
-            and circular_delta_deg(a.heading_deg, b.heading_deg)
-            <= timing.heading_deg
-        ):
-            return (STAGE_HEADING, a.heading_deg, b.heading_deg)
+        return (STAGE_HEADING, a.heading_deg, b.heading_deg)
     if a.field_estimate_a_per_m != b.field_estimate_a_per_m:
-        reference = max(
-            abs(a.field_estimate_a_per_m), abs(b.field_estimate_a_per_m)
-        )
-        if not (
-            timing is not None
-            and abs(a.field_estimate_a_per_m - b.field_estimate_a_per_m)
-            <= timing.field_rel * reference
-        ):
-            return (
-                STAGE_FIELD, a.field_estimate_a_per_m, b.field_estimate_a_per_m
-            )
+        return (STAGE_FIELD, a.field_estimate_a_per_m, b.field_estimate_a_per_m)
     if compare_health and a.health != b.health:
         return (STAGE_HEALTH, a.health, b.health)
     return None
@@ -268,16 +179,13 @@ def diff_record(
     b: MeasurementRecord,
     tolerance_deg: float = 0.0,
     compare_health: bool = True,
-    timing: Optional[TimingTolerance] = None,
 ) -> Optional[Divergence]:
     """Compare two records stage by stage; ``None`` means bit-identical.
 
     The ``path`` field is deliberately *not* compared — the whole point
-    is comparing the same measurement across different paths.  With
-    ``timing`` set, differences within the sub-tick bounds also return
-    ``None`` (used when one side is an analytic path).
+    is comparing the same measurement across different paths.
     """
-    mismatch = _first_mismatch(a, b, compare_health, timing=timing)
+    mismatch = _first_mismatch(a, b, compare_health)
     if mismatch is None:
         return None
     stage, val_a, val_b = mismatch
@@ -338,17 +246,6 @@ def _run_batch(reader: ReplayLogReader) -> List[MeasurementRecord]:
     return recorder.records
 
 
-def _run_fastpath(reader: ReplayLogReader) -> List[MeasurementRecord]:
-    from ..core.compass import IntegratedCompass
-
-    config = reader.header.rebuild_config()
-    config = dataclasses.replace(
-        config,
-        front_end=dataclasses.replace(config.front_end, fastpath=True),
-    )
-    return replay_full(reader, compass=IntegratedCompass(config))
-
-
 def _run_service(reader: ReplayLogReader) -> List[MeasurementRecord]:
     from ..service.service import HeadingService, ServiceConfig
 
@@ -371,7 +268,6 @@ PATHS: Dict[str, Callable[[ReplayLogReader], List[MeasurementRecord]]] = {
     "instrumented": _run_instrumented,
     "batch": _run_batch,
     "service": _run_service,
-    "fastpath": _run_fastpath,
 }
 
 
@@ -411,14 +307,8 @@ def diff_records(
     path_b: str,
     records_b: Sequence[MeasurementRecord],
     tolerance_deg: float = 0.0,
-    timing: Optional[TimingTolerance] = None,
 ) -> DiffResult:
-    """Diff two already-executed record streams, record by record.
-
-    ``timing`` is applied only when exactly one of the two paths is an
-    analytic (timing-tolerant) one — two stepped paths always compare
-    bit-exactly.
-    """
+    """Diff two already-executed record streams, record by record."""
     divergences: List[Divergence] = []
     if len(records_a) != len(records_b):
         divergences.append(
@@ -431,17 +321,12 @@ def diff_records(
             )
         )
     compare_health = path_a != "backend" and path_b != "backend"
-    tolerant_sides = sum(
-        1 for p in (path_a, path_b) if p in TIMING_TOLERANT_PATHS
-    )
-    pair_timing = timing if tolerant_sides == 1 else None
     for a, b in zip(records_a, records_b):
         divergence = diff_record(
             a,
             b,
             tolerance_deg=tolerance_deg,
             compare_health=compare_health,
-            timing=pair_timing,
         )
         if divergence is not None:
             divergences.append(divergence)
@@ -457,7 +342,6 @@ def run_conformance(
     reader: ReplayLogReader,
     paths: Sequence[str] = ("recorded", "scalar"),
     tolerance_deg: float = 0.0,
-    timing: Optional[TimingTolerance] = None,
 ) -> List[DiffResult]:
     """Replay one log through several paths and diff every pair.
 
@@ -465,11 +349,6 @@ def run_conformance(
     baseline every other path is diffed against, and the remaining
     paths are additionally diffed pairwise so a report covers all
     combinations.
-
-    When a timing-tolerant path (``fastpath``) is among ``paths`` and no
-    explicit ``timing`` is given, a sub-tick tolerance derived from the
-    log header is applied to the pairs involving it; all other pairs
-    still compare bit-exactly.
     """
     if len(paths) < 2:
         raise ReplayError("conformance needs at least two paths to diff")
@@ -479,8 +358,6 @@ def run_conformance(
             f"unknown execution paths {unknown}; choose from "
             f"{sorted(PATHS)}"
         )
-    if timing is None and any(p in TIMING_TOLERANT_PATHS for p in paths):
-        timing = TimingTolerance.sub_tick(reader.header)
     executed = {name: PATHS[name](reader) for name in dict.fromkeys(paths)}
     names = list(executed)
     results: List[DiffResult] = []
@@ -491,7 +368,6 @@ def run_conformance(
                     name_a, executed[name_a],
                     name_b, executed[name_b],
                     tolerance_deg=tolerance_deg,
-                    timing=timing,
                 )
             )
     return results
@@ -521,8 +397,6 @@ __all__ = [
     "DiffResult",
     "Divergence",
     "PATHS",
-    "TIMING_TOLERANT_PATHS",
-    "TimingTolerance",
     "circular_delta_deg",
     "diff_record",
     "diff_records",

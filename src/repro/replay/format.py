@@ -119,11 +119,19 @@ def config_fingerprint(config) -> str:
 
     Excludes the ``observe`` block — attaching a recorder or tracer must
     not change a compass's replay identity (the clean path is
-    bit-identical either way).
+    bit-identical either way) — and the front end's ``fastpath`` engine
+    choice: a recording is always of the stepped chain, and the
+    certified fast path serves the same counts.  Both are fingerprinted
+    at a fixed value (observability off, the stepped pin), so a
+    fingerprint does not move with either.
     """
     from ..observe import Observability
 
-    neutral = dataclasses.replace(config, observe=Observability())
+    neutral = dataclasses.replace(
+        config,
+        observe=Observability(),
+        front_end=dataclasses.replace(config.front_end, fastpath=False),
+    )
     return hashlib.sha256(repr(neutral).encode("utf-8")).hexdigest()[:16]
 
 

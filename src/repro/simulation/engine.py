@@ -86,9 +86,14 @@ class TimeGrid:
     def n_samples(self) -> int:
         return self.n_periods * self.samples_per_period
 
-    def times(self) -> np.ndarray:
-        """The time axis [s]; endpoint excluded so grids concatenate."""
-        return self.t_start + np.arange(self.n_samples) * self.dt
+    def times(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """The time axis [s]; endpoint excluded so grids concatenate.
+
+        ``start``/``stop`` select samples ``[start, stop)``, each
+        bit-identical to the same sample of the full axis.
+        """
+        stop = self.n_samples if stop is None else stop
+        return self.t_start + np.arange(start, stop) * self.dt
 
     def window(self) -> Tuple[float, float]:
         """(start, end) of the grid [s]."""

@@ -214,7 +214,7 @@ class TimeGradient:
     fast path and ``edge_order=1`` endpoints) bit-for-bit.
     """
 
-    def __init__(self, t: np.ndarray):
+    def __init__(self, t: np.ndarray, uniform: Optional[bool] = None):
         t = np.asarray(t, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ConfigurationError("gradient needs a 1-D time axis of >= 2 samples")
@@ -223,7 +223,9 @@ class TimeGradient:
             raise ConfigurationError("time axis must be strictly increasing")
         self.t = t
         self._dx = dx
-        self._uniform = bool(np.all(dx == dx[0]))
+        # ``uniform`` pins the stencil of a window cut from a longer axis
+        # to the one the whole axis takes (see :meth:`is_uniform`).
+        self._uniform = self.is_uniform(t) if uniform is None else uniform
         if not self._uniform and t.size >= 3:
             dx1, dx2 = dx[:-1], dx[1:]
             self._a = -dx2 / (dx1 * (dx1 + dx2))
@@ -233,6 +235,12 @@ class TimeGradient:
         #: fresh temporaries cost page faults on every call, and a row
         #: (not a per-shape matrix) keeps a long-lived operator small.
         self._row_tmp: Optional[np.ndarray] = None
+
+    @staticmethod
+    def is_uniform(t: np.ndarray) -> bool:
+        """Whether ``t`` takes ``np.gradient``'s uniform-spacing stencil."""
+        dx = np.diff(t)
+        return bool(np.all(dx == dx[0]))
 
     def apply(
         self, values: np.ndarray, out: Optional[np.ndarray] = None

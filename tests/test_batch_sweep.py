@@ -104,14 +104,18 @@ class TestBitIdentity:
 
 class TestExcitationCache:
     def test_cache_fills_once_and_is_reused(self):
+        # The cache serves the stepped engine, so pin it.
+        stepped = CompassConfig(front_end=FrontEndConfig(fastpath=False))
         cache = ExcitationTraceCache()
-        BatchCompass(cache=cache).sweep_headings(headings_evenly_spaced(3, 0.5))
+        BatchCompass(stepped, cache=cache).sweep_headings(
+            headings_evenly_spaced(3, 0.5)
+        )
         # Both converters share one parameter set: x and y share one trace.
         assert len(cache) == 1
         assert (cache.misses, cache.hits) == (1, 1)
         (entry,) = cache._entries.values()
         # A second compass on an equal config reuses it, by identity.
-        BatchCompass(CompassConfig(), cache=cache).sweep_headings(
+        BatchCompass(stepped, cache=cache).sweep_headings(
             headings_evenly_spaced(3, 90.5)
         )
         assert len(cache) == 1

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analog.frontend import FrontEndConfig
 from repro.cli import EXIT_CODES, build_parser, exit_code_for, main
 from repro.errors import (
     CircuitOpenError,
@@ -74,6 +75,7 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "max |error|" in out
         assert out.count("->") == 8
+        assert "fastpath: used 16/16" in out
 
 
 class TestPower:
@@ -112,8 +114,21 @@ class TestScan:
         assert "unknown fault kind" in capsys.readouterr().err
 
 
+@pytest.fixture
+def stepped_default(monkeypatch):
+    """Pin the stepped engine in the compasses a verb builds by default."""
+    import repro.core.compass as compass_module
+
+    default = compass_module.CompassConfig
+
+    def stepped(**fields):
+        return default(front_end=FrontEndConfig(fastpath=False), **fields)
+
+    monkeypatch.setattr(compass_module, "CompassConfig", stepped)
+
+
 class TestTraceCommand:
-    def test_trace_prints_full_span_tree(self, capsys):
+    def test_trace_prints_full_span_tree(self, capsys, stepped_default):
         assert main(["trace", "--heading", "45"]) == 0
         out = capsys.readouterr().out
         for stage in (
@@ -123,6 +138,12 @@ class TestTraceCommand:
         ):
             assert stage in out
         assert "heading_deg=45" in out
+
+    def test_default_trace_shows_the_certified_fastpath(self, capsys):
+        assert main(["trace", "--heading", "45"]) == 0
+        out = capsys.readouterr().out
+        assert "fastpath" in out and "resolved=0" in out
+        assert "pickup" not in out
 
     def test_trace_batch_writes_sinks(self, capsys, tmp_path):
         vcd = tmp_path / "trace.vcd"
@@ -141,13 +162,18 @@ class TestTraceCommand:
 
 
 class TestMetricsCommand:
-    def test_metrics_counts_both_paths(self, capsys):
+    def test_metrics_counts_both_paths(self, capsys, stepped_default):
         assert main(["metrics", "--points", "1"]) == 0
         out = capsys.readouterr().out
         assert "compass_measurements_total{path=batch,status=ok} 1" in out
         assert "compass_measurements_total{path=scalar,status=ok} 1" in out
         assert "health_checks_total" in out
         assert "excitation_cache_total" in out
+
+    def test_metrics_export_fastpath_outcomes(self, capsys):
+        assert main(["metrics", "--points", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "fastpath_total{outcome=used,reason=none} 4" in out
 
 
 class TestDatasheet:

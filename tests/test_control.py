@@ -44,6 +44,18 @@ class TestSequencing:
         controller.run_measurement()
         assert len(controller.history) == 2 * len(controller.measurement_sequence)
 
+    def test_history_stays_bounded(self):
+        # A service replica measures for its whole life: the dwell
+        # history is a window of whole measurements, not a log.
+        controller = CompassController()
+        per_measurement = len(controller.measurement_sequence)
+        bound = controller.history.maxlen
+        assert bound % per_measurement == 0
+        for _ in range(2050):
+            last = controller.run_measurement()
+        assert len(controller.history) == bound < 2050 * per_measurement
+        assert list(controller.history)[-per_measurement:] == last
+
 
 class TestTiming:
     def test_count_state_duration(self):

@@ -7,6 +7,7 @@ inspect the cache build private instances: the default one is shared by
 every compass in the process.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,13 +33,17 @@ from repro.simulation.signals import TimeGradient, Trace
 
 HEADING = 30.0
 
-#: Differs from the default compass only in the oscillator's slope
+#: The stepped engine, pinned: the one the cache serves.
+STEPPED = CompassConfig(front_end=FrontEndConfig(fastpath=False))
+
+#: Differs from the stepped compass only in the oscillator's slope
 #: asymmetry — a value the excitation trace depends on.
 SKEWED = CompassConfig(
     front_end=FrontEndConfig(
         excitation=ExcitationSettings(
             oscillator=OscillatorParameters(slope_asymmetry=0.05)
-        )
+        ),
+        fastpath=False,
     )
 )
 
@@ -63,9 +68,9 @@ def small_grid(t_start=0.0):
 class TestKey:
     def test_oscillator_parameters_are_part_of_the_key(self):
         shared = ExcitationTraceCache()
-        plain = counts(IntegratedCompass(), shared)
+        plain = counts(IntegratedCompass(STEPPED), shared)
         skewed = counts(IntegratedCompass(SKEWED), shared)
-        assert plain == counts(IntegratedCompass(), ExcitationTraceCache())
+        assert plain == counts(IntegratedCompass(STEPPED), ExcitationTraceCache())
         assert skewed == counts(IntegratedCompass(SKEWED), ExcitationTraceCache())
         assert skewed != plain
         assert len(shared) == 2
@@ -116,7 +121,7 @@ class TestBound:
 class TestArmedFault:
     def test_shadowed_generate_runs_and_is_never_stored(self):
         cache = ExcitationTraceCache()
-        compass = IntegratedCompass()
+        compass = IntegratedCompass(STEPPED)
         baseline = counts(compass, cache)
         (clean,) = cache._entries.values()
 
@@ -136,7 +141,7 @@ class TestArmedFault:
         calls = arm(compass)
         wrapped = counts(compass, cache)
         assert calls
-        cold = IntegratedCompass()
+        cold = IntegratedCompass(STEPPED)
         arm(cold)
         assert wrapped == counts(cold, ExcitationTraceCache())
         assert wrapped != baseline
@@ -168,7 +173,9 @@ class TestDefaultCache:
         assert ArrayCompass().cache is DEFAULT_TRACE_CACHE
 
     def test_scalar_lookups_are_counted(self):
-        compass = IntegratedCompass(CompassConfig(observe=Observability.on()))
+        compass = IntegratedCompass(
+            dataclasses.replace(STEPPED, observe=Observability.on())
+        )
         compass.measure_heading(HEADING)
         events = compass.observer.metrics.get(M_CACHE_EVENTS)
         assert events.value(event="hit") + events.value(event="miss") == 2

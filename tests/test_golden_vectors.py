@@ -18,6 +18,7 @@ import pathlib
 
 import pytest
 
+from repro.analog.frontend import FrontEndConfig
 from repro.batch import BatchCompass
 from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.observe import Observability
@@ -150,13 +151,19 @@ class TestInstrumentedPaths:
         for m, vector in zip(measurements, _vectors_for(field_ut)):
             assert_matches(m, vector)
 
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        return IntegratedCompass(CompassConfig(
+            front_end=FrontEndConfig(fastpath=False), observe=Observability.on()
+        ))
+
     @pytest.mark.parametrize("path", ["scalar", "batch"])
-    def test_span_tree_covers_every_stage(self, compass, path):
+    def test_span_tree_covers_every_stage(self, stepped, path):
         if path == "scalar":
-            compass.measure_heading(45.0, 50.0e-6)
+            stepped.measure_heading(45.0, 50.0e-6)
         else:
-            BatchCompass(compass).sweep_headings([45.0, 90.0], 50.0e-6)
-        root = compass.observer.ring().roots[-1]
+            BatchCompass(stepped).sweep_headings([45.0, 90.0], 50.0e-6)
+        root = stepped.observer.ring().roots[-1]
         validate_tree(root)
         names = {span.name for span in root.walk()}
         assert root.name == (STAGE_MEASURE if path == "scalar" else STAGE_BATCH)

@@ -1,34 +1,40 @@
-"""Property-based equivalence: fastpath-enabled compass ≡ stepped compass.
+"""Property-based equivalence: certified fast path ≡ stepped engine.
 
-Hypothesis draws headings, field magnitudes and comparator imperfections
-(threshold, hysteresis, propagation delay, static offset) and asserts
-that enabling the fast path never changes the measurement: either the
-closed form is used and agrees within the sub-tick timing tolerance of
-:mod:`repro.replay.diff`, or the front end silently falls back to the
-stepped engine and the results are bit-identical by construction.
+Hypothesis draws axis fields, comparator imperfections (threshold,
+hysteresis, propagation delay, static offset) and devices shifted by
+temperature and by production tolerances, and asserts that the fast
+path never changes the measurement: either the certified closed form is
+used — its edges near a counter tick resolved to the stepped edges bit
+for bit — or the front end falls back to the stepped engine.  Either way
+counts, heading, field estimate and health compare with ``==``.
 """
 
+import dataclasses
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analog import fastpath
 from repro.analog.frontend import AnalogFrontEnd, FrontEndConfig
 from repro.analog.pulse_detector import DetectorParameters
 from repro.core.compass import CompassConfig, IntegratedCompass
-from repro.replay import LogRecorder, attach_recorder
-from repro.replay.diff import TimingTolerance, diff_records
+from repro.core.tolerance import PRODUCTION_1997, perturbed_config
+from repro.errors import ReproError
+from repro.physics.thermal import compass_config_at_temperature
 from repro.sensors.fluxgate import FluxgateSensor
 from repro.sensors.parameters import IDEAL_TARGET
 from repro.simulation.engine import TimeGrid
 
-headings = st.floats(min_value=0.0, max_value=360.0,
-                     allow_nan=False, allow_infinity=False)
-# The paper's worldwide horizontal-field range, §1.
-fields_ut = st.sampled_from([25.0, 50.0, 65.0])
+# Axis fields a little past the ±52 A/m validity envelope, so draws
+# exercise the fallback seam too.
+axis_fields = st.floats(min_value=-56.0, max_value=56.0)
 thresholds = st.floats(min_value=0.08, max_value=0.14)
 hysteresis_values = st.floats(min_value=0.02, max_value=0.05)
 delays = st.floats(min_value=0.0, max_value=120e-9)
 offsets = st.floats(min_value=-0.006, max_value=0.006)
+temperatures = st.one_of(st.none(), st.floats(min_value=-40.0, max_value=85.0))
+tolerance_seeds = st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1))
 
 
 def detector_strategy():
@@ -41,27 +47,92 @@ def detector_strategy():
     )
 
 
-class TestCompassEquivalenceProperty:
-    @settings(max_examples=25, deadline=None)
-    @given(heading=headings, field_ut=fields_ut, detector=detector_strategy())
-    def test_fastpath_record_diffs_clean(self, heading, field_ut, detector):
-        stepped = IntegratedCompass(CompassConfig(
-            front_end=FrontEndConfig(detector=detector)
-        ))
-        fast = IntegratedCompass(CompassConfig(
-            front_end=FrontEndConfig(detector=detector, fastpath=True)
-        ))
-        rec_stepped = attach_recorder(stepped, LogRecorder())
-        rec_fast = attach_recorder(fast, LogRecorder())
-        stepped.measure_heading(heading, field_ut * 1e-6)
-        fast.measure_heading(heading, field_ut * 1e-6)
-        timing = TimingTolerance.sub_tick(rec_stepped.header)
-        result = diff_records(
-            "scalar", rec_stepped.records,
-            "fastpath", rec_fast.records,
-            timing=timing,
+def device(detector, temperature_c, tolerance_seed) -> CompassConfig:
+    config = CompassConfig(front_end=FrontEndConfig(detector=detector))
+    if temperature_c is not None:
+        config = compass_config_at_temperature(config, temperature_c)
+    if tolerance_seed is not None:
+        config = perturbed_config(
+            config, PRODUCTION_1997, np.random.default_rng(tolerance_seed)
         )
-        assert result.clean, result.divergences[0].describe()
+    return config
+
+
+def engine(config: CompassConfig, fast: bool) -> IntegratedCompass:
+    front_end = dataclasses.replace(config.front_end, fastpath=fast)
+    return IntegratedCompass(dataclasses.replace(config, front_end=front_end))
+
+
+def served(compass: IntegratedCompass, h_x: float, h_y: float):
+    """The measurement's served values, or the typed error it raised."""
+    try:
+        m = compass.measure_components(h_x, h_y)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return m.x_count, m.y_count, m.heading_deg, m.field_estimate_a_per_m, m.health
+
+
+class TestCompassEquivalenceProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        h_x=axis_fields,
+        h_y=axis_fields,
+        detector=detector_strategy(),
+        temperature_c=temperatures,
+        tolerance_seed=tolerance_seeds,
+    )
+    # The uncertified closed form read y = -469 (stepped -471) and
+    # x = -285 (stepped -287) here: one edge each within ps of a tick.
+    @example(
+        h_x=-26.88036490132368, h_y=-12.07800985652365,
+        detector=DetectorParameters(), temperature_c=None, tolerance_seed=None,
+    )
+    @example(
+        h_x=-7.371475062976813, h_y=-1.530562648430049,
+        detector=DetectorParameters(), temperature_c=None, tolerance_seed=None,
+    )
+    def test_certified_measurement_equals_stepped(
+        self, h_x, h_y, detector, temperature_c, tolerance_seed
+    ):
+        config = device(detector, temperature_c, tolerance_seed)
+        fast = engine(config, fast=True)
+        stepped = engine(config, fast=False)
+        assert served(fast, h_x, h_y) == served(stepped, h_x, h_y)
+        stats = fast.front_end.fastpath_stats
+        assert stats.attempted == 2
+        assert stats.used + stats.fallback_total == 2
+
+
+class TestResolverProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        h=st.floats(min_value=-50.0, max_value=50.0),
+        detector=detector_strategy(),
+        temperature_c=temperatures,
+        tolerance_seed=tolerance_seeds,
+    )
+    def test_every_resolved_edge_is_the_stepped_edge(
+        self, h, detector, temperature_c, tolerance_seed
+    ):
+        compass = engine(device(detector, temperature_c, tolerance_seed), True)
+        front_end, sensor = compass.front_end, compass.sensors.sensor_x
+        grid = compass._channel_grid()
+        tick = compass.back_end.counter.config.tick
+        lattice = fastpath.CountLattice(*compass._count_window(grid), tick)
+        front_end.excitation.select_channel("x")
+        stats = fastpath.FastPathStats()
+        # A guard of one whole tick marks every edge near: all of them go
+        # through the exact resolver.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastpath, "TICK_GUARD_S", tick)
+            solved = fastpath.solve_channel_batch(
+                front_end, sensor, "x", np.array([h]), grid, lattice, stats
+            )
+        if solved is None:
+            return  # outside the envelope: the fallback seam applies
+        stepped = front_end.measure_channel(sensor, "x", h, grid).detector_output
+        assert stats.resolved == len(stepped.edges) == 2 * grid.n_periods
+        assert solved[0].edges == stepped.edges
 
 
 class TestSolverEdgeProperty:
