@@ -18,6 +18,7 @@ Four standing records in ``BENCH_array.json``:
   (count-gated; the wall-time speedup is recorded only).
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -151,7 +152,14 @@ def run_performance():
 
     # Each round starts from cold caches: the speedup under test is the
     # per-sweep trace-synthesis saving, which a warm cache would hide.
-    shared = _square_array()
+    # The trace cache serves the stepped engine, so these sweeps pin it.
+    element = ArrayConfig().element
+    shared = _square_array(
+        element=dataclasses.replace(
+            element,
+            front_end=dataclasses.replace(element.front_end, fastpath=False),
+        )
+    )
     shared.sweep_headings(SWEEP_HEADINGS)  # warm the batch path itself
 
     def sweep_shared():

@@ -7,8 +7,8 @@ recorded pulse edges, so back-end replay only re-runs the counters and
 the CORDIC.  This bench records a 72-heading turntable sweep once, then
 times three ways of re-deriving its headings:
 
-* **live** — re-simulating the full chain from scratch (the baseline a
-  debugging session would otherwise pay per hypothesis);
+* **live** — re-simulating the full stepped chain from scratch (the
+  baseline a debugging session would otherwise pay per hypothesis);
 * **replay** — :class:`~repro.replay.ReplayPlayer` re-executing the
   digital back-end from the recorded pulses, bit-exactly;
 * **verify** — the same replay plus the stage-by-stage conformance
@@ -24,7 +24,8 @@ import time
 from pathlib import Path
 
 from conftest import emit
-from repro.core.compass import IntegratedCompass
+from repro.analog.frontend import FrontEndConfig
+from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.core.heading import headings_evenly_spaced
 from repro.replay import LogRecorder, ReplayPlayer, attach_recorder, read_log
 
@@ -48,7 +49,11 @@ def run_comparison():
     compass.observer.close()
     log_text = buffer.getvalue()
 
-    live_compass = IntegratedCompass()
+    # Live re-simulation of a recording is a stepped measurement: a
+    # recording is always of the stepped chain.
+    live_compass = IntegratedCompass(
+        CompassConfig(front_end=FrontEndConfig(fastpath=False))
+    )
     t0 = time.perf_counter()
     live = [
         live_compass.measure_heading(h, field_magnitude_t=FIELD_T)

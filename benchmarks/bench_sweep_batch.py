@@ -12,7 +12,9 @@ root.
 The default configuration is noiseless, so every run is deterministic;
 the batch side is timed cold (empty excitation cache) and warm
 (best-of-3 with the cache populated) — a sweep-heavy session pays the
-cold cost once.
+cold cost once.  Both sides pin the stepped engine
+(``FrontEndConfig(fastpath=False)``): the vectorization under test is
+the stepped chain's.
 """
 
 import json
@@ -22,19 +24,21 @@ from pathlib import Path
 import pytest
 
 from conftest import emit
+from repro.analog.frontend import FrontEndConfig
 from repro.batch import BatchCompass
-from repro.core.compass import IntegratedCompass
+from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.core.heading import headings_evenly_spaced
 
 N_HEADINGS = 72
 FIELD_T = 50.0e-6
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+STEPPED = CompassConfig(front_end=FrontEndConfig(fastpath=False))
 
 
 def run_comparison():
     headings = headings_evenly_spaced(N_HEADINGS, 0.5)
 
-    scalar_compass = IntegratedCompass()
+    scalar_compass = IntegratedCompass(STEPPED)
     t0 = time.perf_counter()
     scalar = [
         scalar_compass.measure_heading(h, field_magnitude_t=FIELD_T)
@@ -42,7 +46,7 @@ def run_comparison():
     ]
     scalar_s = time.perf_counter() - t0
 
-    batch_compass = BatchCompass()
+    batch_compass = BatchCompass(STEPPED)
     t0 = time.perf_counter()
     batch = batch_compass.sweep_headings(headings, field_magnitude_t=FIELD_T)
     cold_s = time.perf_counter() - t0
