@@ -103,15 +103,10 @@ replay:
 # Certify the closed-form analog fast path, the default engine: the
 # exact conformance suites (default compass == the stepped pin, counts,
 # heading, field and health, on the golden vectors and Hypothesis
-# draws), a recorded sweep diffed through the recorded, scalar and batch
-# paths (a recording is stepped; exit 15 on silent-wrong), the sweep
-# with its fastpath line, then BENCH_fastpath.json with the >=20x gate.
+# draws), the sweep with its fastpath line, then BENCH_fastpath.json
+# with the >=20x gate.  Recordings are stepped: `make replay` covers them.
 fastpath:
 	PYTHONPATH=src pytest tests/test_fastpath.py tests/test_property_fastpath.py -q
-	PYTHONPATH=src python -m repro record --out fastpath-sweep.rplog --points 24
-	PYTHONPATH=src python -m repro diff fastpath-sweep.rplog \
-		--paths recorded scalar batch \
-		--json fastpath-divergence.json
 	PYTHONPATH=src python -m repro sweep --points 24
 	PYTHONPATH=src pytest benchmarks/bench_fastpath.py --benchmark-only -s
 

@@ -15,7 +15,11 @@ times three ways of re-deriving its headings:
   check against the recorded values.
 
 The contract asserted (and written to ``BENCH_replay.json``): replay is
-bit-exact and at least 5x faster than live re-simulation.
+bit-exact and at least 5x faster than live re-simulation.  Both figures
+are stepped-engine figures: a recording is of the stepped chain, so the
+live side pins ``FrontEndConfig(fastpath=False)``.  A default compass
+re-simulates on the certified closed-form fast path instead, which a
+back-end replay only about matches (~1x on a 2-core Xeon).
 """
 
 import io

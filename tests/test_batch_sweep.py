@@ -46,6 +46,15 @@ def assert_bit_identical(batch, scalar):
         assert b.field_estimate_a_per_m == s.field_estimate_a_per_m
 
 
+#: Both engines, for the noiseless cases.  The default (closed-form fast
+#: path) never reaches the chunked stepped chain, so each batch-vs-scalar
+#: check also runs with the stepped engine pinned.
+ENGINES = (
+    CompassConfig(),
+    CompassConfig(front_end=FrontEndConfig(fastpath=False)),
+)
+
+
 class TestBitIdentity:
     # The golden suite (test_golden_vectors.py) pins batch-vs-scalar
     # bit-identity on every default run; this wider sweep stays as the
@@ -54,11 +63,12 @@ class TestBitIdentity:
     @pytest.mark.parametrize("magnitude_t", [25e-6, 50e-6, 65e-6])
     def test_full_circle_matches_scalar(self, magnitude_t):
         headings = headings_evenly_spaced(12, 0.5)
-        scalar = scalar_sweep(CompassConfig(), headings, magnitude_t)
-        batch = BatchCompass().sweep_headings(
-            headings, field_magnitude_t=magnitude_t
-        )
-        assert_bit_identical(batch, scalar)
+        for config in ENGINES:
+            scalar = scalar_sweep(config, headings, magnitude_t)
+            batch = BatchCompass(config).sweep_headings(
+                headings, field_magnitude_t=magnitude_t
+            )
+            assert_bit_identical(batch, scalar)
 
     def test_noisy_chain_matches_scalar(self):
         # Draw-for-draw replication: the batch engine reserves the scalar
@@ -75,31 +85,37 @@ class TestBitIdentity:
         # A chunk size that does not divide the batch exercises the ragged
         # final chunk; results must not depend on the chunking at all.
         headings = headings_evenly_spaced(7, 3.0)
-        scalar = scalar_sweep(CompassConfig(), headings, 50e-6)
-        for chunk_size in (1, 3, 7, 16):
-            batch = BatchCompass(chunk_size=chunk_size).sweep_headings(
-                headings, field_magnitude_t=50e-6
-            )
-            assert_bit_identical(batch, scalar)
+        for config in ENGINES:
+            scalar = scalar_sweep(config, headings, 50e-6)
+            for chunk_size in (1, 3, 7, 16):
+                batch = BatchCompass(config, chunk_size=chunk_size)
+                assert_bit_identical(
+                    batch.sweep_headings(headings, field_magnitude_t=50e-6),
+                    scalar,
+                )
 
     def test_magnitude_sweep_matches_scalar_nesting(self):
         magnitudes = [25e-6, 65e-6]
         headings = headings_evenly_spaced(4, 0.5)
-        grouped = BatchCompass().sweep_magnitudes(magnitudes, n_headings=4)
-        assert [m for m, _ in grouped] == magnitudes
-        for magnitude, measurements in grouped:
-            scalar = scalar_sweep(CompassConfig(), headings, magnitude)
-            assert_bit_identical(measurements, scalar)
+        for config in ENGINES:
+            grouped = BatchCompass(config).sweep_magnitudes(
+                magnitudes, n_headings=4
+            )
+            assert [m for m, _ in grouped] == magnitudes
+            for magnitude, measurements in grouped:
+                scalar = scalar_sweep(config, headings, magnitude)
+                assert_bit_identical(measurements, scalar)
 
     def test_monte_carlo_matches_scalar_runner(self):
-        result = monte_carlo(n_trials=2, n_headings=4)
-        scalar_stats = monte_carlo_accuracy(
-            CompassConfig(), n_trials=2, n_headings=4
-        )
-        assert result.stats.max_error == scalar_stats.max_error
-        assert result.stats.rms_error == scalar_stats.rms_error
-        assert result.stats.n_samples == scalar_stats.n_samples == 8
-        assert len(result.records) == 2
+        for config in ENGINES:
+            result = monte_carlo(config, n_trials=2, n_headings=4)
+            scalar_stats = monte_carlo_accuracy(
+                config, n_trials=2, n_headings=4
+            )
+            assert result.stats.max_error == scalar_stats.max_error
+            assert result.stats.rms_error == scalar_stats.rms_error
+            assert result.stats.n_samples == scalar_stats.n_samples == 8
+            assert len(result.records) == 2
 
 
 class TestExcitationCache:

@@ -129,6 +129,9 @@ class TestResolverProperty:
                 front_end, sensor, "x", np.array([h]), grid, lattice, stats
             )
         if solved is None:
+            # Only the envelope may refuse: a resolver that gives up on
+            # an edge (``tick-margin``) fails the property.
+            assert set(stats.fallbacks) == {"validity-envelope"}
             return  # outside the envelope: the fallback seam applies
         stepped = front_end.measure_channel(sensor, "x", h, grid).detector_output
         assert stats.resolved == len(stepped.edges) == 2 * grid.n_periods
