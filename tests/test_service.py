@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.batch import BatchScene
 from repro.core.health import HealthConfig
 from repro.errors import (
     CircuitOpenError,
@@ -408,6 +409,56 @@ class TestLoudFailures:
         slow = [a for a in response.attempts if a.replica == "replica-2"]
         assert slow and all(a.outcome == "timeout" for a in slow)
         assert response.verdict is ServiceVerdict.QUORUM_DEGRADED
+
+
+class TestScenePath:
+    """``measure_scene``: the bulk path votes each row by the scalar rule."""
+
+    HEADINGS = (0.0, 45.0, 123.0, 271.5)
+
+    def _scene(self, service):
+        return BatchScene.from_headings(
+            service.replicas[0].compass.sensors, self.HEADINGS
+        )
+
+    def test_clean_rows_equal_fresh_scalar_requests(self):
+        service = _service()
+        rows = service.measure_scene(self._scene(service))
+        assert len(rows) == len(self.HEADINGS)
+        for heading, row in zip(self.HEADINGS, rows):
+            scalar = _service().measure_heading(heading)
+            assert row.heading_deg == scalar.heading_deg
+            assert row.field_estimate_a_per_m == scalar.field_estimate_a_per_m
+            assert row.votes == scalar.votes
+            assert row.flags == scalar.flags
+            assert row.authoritative and scalar.authoritative
+
+    def test_batch_faulted_replica_degrades_every_row(self):
+        service = _service()
+        scene = self._scene(service)
+        with REGISTRY.inject(
+            "sensor.open_excitation_coil", service.replicas[1].compass, 1.0
+        ):
+            rows = service.measure_scene(scene)
+        for row in rows:
+            assert row.verdict is ServiceVerdict.QUORUM_DEGRADED
+            assert row.flags == ("replica-1: batch-fault",)
+            assert [a.outcome for a in row.attempts] == ["ok", "fault", "ok"]
+
+    def test_majority_batch_fault_raises_quorum_error(self):
+        service = _service()
+        scene = self._scene(service)
+        with REGISTRY.inject(
+            "sensor.open_excitation_coil", service.replicas[0].compass, 1.0
+        ), REGISTRY.inject(
+            "sensor.open_excitation_coil", service.replicas[1].compass, 1.0
+        ):
+            with pytest.raises(QuorumError) as caught:
+                service.measure_scene(scene)
+        assert str(caught.value) == (
+            "scene row 0: collected 1 vote-eligible headings, quorum needs 2 "
+            "(healthy 1, degraded 0)"
+        )
 
 
 class TestDeterminism:
