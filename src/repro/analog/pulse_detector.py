@@ -67,14 +67,16 @@ class DetectorOutput:
             value = edge.value
         return value
 
-    def duty_cycle(self) -> float:
-        """Exact fraction of the window spent high.
+    def duty_cycle(self, window: Optional[Tuple[float, float]] = None) -> float:
+        """Exact fraction of ``window`` spent high.
 
         This is the quantity §3.2 calls "a direct indication of the field
         component measured"; the hardware approximates it with the
-        up-down counter.
+        up-down counter.  ``window`` defaults to the observation window,
+        settling periods included; the health supervisor passes the
+        counting window so the duty compares directly with the count.
         """
-        t_start, t_end = self.window
+        t_start, t_end = self.window if window is None else window
         if t_end <= t_start:
             raise ConfigurationError("empty observation window")
         high_time = 0.0

@@ -13,8 +13,7 @@ axis-field rows [A/m] — exactly the inputs
 :meth:`repro.core.compass.IntegratedCompass.measure_components`
 consumes.  Constructors cover the three ways scenes arise in practice
 (raw components, heading sweeps through a sensor pair, magnitude ×
-heading grids), and the record round-trips through JSON so a scene can
-be pinned in a test fixture or shipped to a remote worker.
+heading grids).
 
 Bit-identity contract: building a scene with :meth:`from_headings` and
 measuring it via :meth:`repro.batch.BatchCompass.measure_scene` is
@@ -27,7 +26,7 @@ the same row order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -106,28 +105,6 @@ class BatchScene:
         return cls(h_x=tuple(h_x), h_y=tuple(h_y))
 
     @classmethod
-    def from_pairs(
-        cls,
-        sensors: OrthogonalSensorPair,
-        pairs: Sequence[Tuple[float, float]],
-    ) -> "BatchScene":
-        """A scene from explicit ``(heading_deg, field_t)`` request pairs.
-
-        The fleet's prewarm path: each row may sit at its own field
-        magnitude (quantized scene points), converted row-by-row with
-        the same arithmetic ``measure_heading`` uses.
-        """
-        h_x: List[float] = []
-        h_y: List[float] = []
-        for heading_deg, field_t in pairs:
-            x, y = sensors.axis_fields_from_tesla(
-                float(field_t), float(heading_deg)
-            )
-            h_x.append(x)
-            h_y.append(y)
-        return cls(h_x=tuple(h_x), h_y=tuple(h_y))
-
-    @classmethod
     def from_magnitudes(
         cls,
         sensors: OrthogonalSensorPair,
@@ -150,10 +127,6 @@ class BatchScene:
 
     # -- access ----------------------------------------------------------------
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.h_x)
-
     def __len__(self) -> int:
         return len(self.h_x)
 
@@ -163,22 +136,6 @@ class BatchScene:
             np.asarray(self.h_x, dtype=float),
             np.asarray(self.h_y, dtype=float),
         )
-
-    # -- JSON round trip -------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, List[float]]:
-        return {"h_x": list(self.h_x), "h_y": list(self.h_y)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Sequence[float]]) -> "BatchScene":
-        try:
-            h_x = payload["h_x"]
-            h_y = payload["h_y"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"scene payload needs 'h_x' and 'h_y' lists: {exc}"
-            ) from exc
-        return cls.from_components(h_x, h_y)
 
 
 __all__ = ["BatchScene"]

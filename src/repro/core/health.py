@@ -39,7 +39,7 @@ import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..analog.pulse_detector import DetectorOutput
 from ..digital.atan_rom import build_rom
@@ -183,33 +183,6 @@ class HealthReport:
 #: shared constant so clean-path measurements from any code path compare
 #: equal.
 HEALTHY = HealthReport(status="ok")
-
-
-def _duty_in_window(
-    detector: DetectorOutput, window: Tuple[float, float]
-) -> float:
-    """Exact detector duty cycle restricted to ``window``.
-
-    Unlike :meth:`DetectorOutput.duty_cycle` (which integrates over the
-    detector's own observation window, settling periods included) this
-    evaluates the latch waveform over the *counting* window, making it
-    directly comparable to the up-down count.
-    """
-    t_start, t_end = window
-    if t_end <= t_start:
-        raise FaultError("health check: empty counting window")
-    high_time = 0.0
-    value = detector.initial_value
-    t_prev = t_start
-    for edge in detector.edges:
-        t_clamped = min(max(edge.time, t_start), t_end)
-        if value == 1:
-            high_time += t_clamped - t_prev
-        t_prev = t_clamped
-        value = edge.value
-    if value == 1:
-        high_time += t_end - t_prev
-    return high_time / (t_end - t_start)
 
 
 def _edges_in_window(
@@ -369,14 +342,17 @@ class HealthSupervisor:
 
         # 2. count/duty cross-consistency: the digital count must agree
         #    with the analogue duty cycle up to clock quantisation.
+        #    Check 3 reuses the (sets, resets) tally taken here.
+        edge_tally: Dict[str, Tuple[int, int]] = {}
         for channel, count_result, detector in (
             ("x", result.x_result, detector_x),
             ("y", result.y_result, detector_y),
         ):
-            duty = _duty_in_window(detector, count_window)
+            duty = detector.duty_cycle(count_window)
             expected_count = count_result.total_ticks * (2.0 * duty - 1.0)
-            n_edges = sum(1 for e in detector.edges if t0 < e.time < t1)
-            tolerance = (n_edges + 2) + cfg.duty_margin_ticks
+            sets, resets = _edges_in_window(detector, count_window)
+            edge_tally[channel] = (sets, resets)
+            tolerance = (sets + resets + 2) + cfg.duty_margin_ticks
             if abs(count_result.count - expected_count) > tolerance:
                 self._count_check("count-duty", "fault")
                 raise FaultError(
@@ -389,8 +365,8 @@ class HealthSupervisor:
 
         # 3. pulse activity: one set and one reset per excitation period.
         expected_events = self._compass.config.schedule.count_periods
-        for channel, detector in (("x", detector_x), ("y", detector_y)):
-            sets, resets = _edges_in_window(detector, count_window)
+        for channel in ("x", "y"):
+            sets, resets = edge_tally[channel]
             if (
                 abs(sets - expected_events) > cfg.edge_tolerance
                 or abs(resets - expected_events) > cfg.edge_tolerance

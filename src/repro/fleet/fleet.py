@@ -280,72 +280,6 @@ class HeadingFleet:
                 f"fresh {fresh.heading_deg!r})"
             )
 
-    # -- scene prewarm ---------------------------------------------------------
-
-    def prewarm(self, requests) -> int:
-        """Bulk-fill the scene cache through the batch backend.
-
-        ``requests`` is an iterable of ``(true_heading_deg,
-        field_magnitude_t)`` pairs.  Each pair is snapped onto the
-        measurement grid exactly like :meth:`submit`, deduplicated per
-        scene key, rendered into one :class:`~repro.batch.BatchScene`,
-        and measured through the reference service's per-replica batch
-        engines (:meth:`~repro.service.HeadingService.measure_scene`).
-        Rows that come back ``AUTHORITATIVE`` are inserted into the
-        cache; because the batch path is bit-identical to the scalar
-        one, prewarmed entries pass the conformance guard's bit-exact
-        re-measurement like any organically cached answer.
-
-        Returns the number of cache entries written.  A no-op (0) when
-        the cache is disabled.
-        """
-        if self.cache is None:
-            return 0
-        cfg = self.config
-        seen = set()
-        scenes: List[str] = []
-        snapped: List[tuple] = []
-        for true_heading_deg, field_magnitude_t in requests:
-            heading_bin, s_heading = quantize_heading(
-                true_heading_deg, cfg.heading_quantum_deg
-            )
-            field_bin, s_field = quantize_field(
-                field_magnitude_t, cfg.field_quantum_ut
-            )
-            scene = scene_key(self.fingerprint, heading_bin, field_bin)
-            if scene in seen:
-                continue
-            seen.add(scene)
-            scenes.append(scene)
-            snapped.append((s_heading, s_field))
-        if not snapped:
-            return 0
-        from ..batch import BatchScene
-
-        service = self._reference_service()
-        record = BatchScene.from_pairs(
-            service.replicas[0].compass.sensors, snapped
-        )
-        responses = service.measure_scene(record)
-        inserted = 0
-        for scene, (s_heading, s_field), response in zip(
-            scenes, snapped, responses
-        ):
-            if response.verdict is not ServiceVerdict.AUTHORITATIVE:
-                continue
-            self.cache.put(
-                scene,
-                CacheEntry(
-                    heading_deg=response.heading_deg,
-                    field_estimate_a_per_m=response.field_estimate_a_per_m,
-                    verdict=response.verdict.value,
-                    heading_input_deg=s_heading,
-                    field_input_t=s_field,
-                ),
-            )
-            inserted += 1
-        return inserted
-
     # -- the request path ------------------------------------------------------
 
     async def submit(

@@ -49,7 +49,7 @@ from ..core.calibration import align_to_reference, fit_ellipse_calibration
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.heading import HeadingMeasurement
 from ..core.tilt import Attitude, body_field_components
-from ..errors import CalibrationError, ScenarioError
+from ..errors import CalibrationError, ReproError, ScenarioError
 from ..nav.dead_reckoning import DeadReckoner, Position
 from ..observe import (
     DISABLED,
@@ -411,9 +411,10 @@ class ScenarioRunner:
         Recording runs never take this path: ``.rplog`` capture is pinned
         to the scalar measurement sequence.
 
-        A group whose batch pass raises falls back to per-step scalar
-        measurement (``None`` rows signal the caller to measure
-        scalar so typed errors surface on the exact offending step).
+        A group whose batch pass raises a :class:`~repro.errors.ReproError`
+        falls back to per-step scalar measurement (``None`` rows signal
+        the caller to measure scalar so typed errors surface on the exact
+        offending step); any other exception is a bug and propagates.
         """
         scenario = self.scenario
         grouped: Dict[int, List[Tuple[int, float, float]]] = {}
@@ -438,7 +439,7 @@ class ScenarioRunner:
             )
             try:
                 rows = BatchCompass(compass).measure_scene(scene)
-            except Exception:
+            except ReproError:
                 continue  # leave the rows None: scalar fallback per step
             for (step, _, _), measurement in zip(items, rows):
                 measurements[step] = measurement

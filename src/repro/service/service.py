@@ -307,7 +307,6 @@ class HeadingService:
         with fewer than ``quorum`` vote-eligible headings raises
         :class:`~repro.errors.QuorumError`.
         """
-        cfg = self.config
         n_rows = len(scene)
         if n_rows == 0:
             return []
@@ -337,93 +336,35 @@ class HeadingService:
                 attempts.append(record)
                 self._count_attempt(record)
             self.clock.sleep(bulk_latency)
-        elapsed = self.clock.now() - start
+        elapsed_s = (self.clock.now() - start) / n_rows
         responses: List[ServiceResponse] = []
         for row in range(n_rows):
+            healthy: List[Tuple[str, HeadingMeasurement]] = []
+            degraded: List[Tuple[str, HeadingMeasurement]] = []
+            flags: List[str] = []
+            for replica, rows in zip(self.replicas, per_replica):
+                if rows is None:
+                    flags.append(f"{replica.name}: batch-fault")
+                    continue
+                measurement = rows[row]
+                if measurement.degraded:
+                    detail = ",".join(measurement.health.flags)
+                    flags.append(f"{replica.name}: degraded: {detail}")
+                    degraded.append((replica.name, measurement))
+                else:
+                    healthy.append((replica.name, measurement))
             responses.append(
-                self._conclude_scene_row(
-                    row, per_replica, attempts, elapsed / n_rows
+                self._verdict(
+                    healthy,
+                    degraded,
+                    flags,
+                    attempts,
+                    attempt_count=len(self.replicas),
+                    elapsed_s=elapsed_s,
+                    prefix=f"scene row {row}: ",
                 )
             )
         return responses
-
-    def _conclude_scene_row(
-        self,
-        row: int,
-        per_replica: List[Optional[List[HeadingMeasurement]]],
-        attempts: List[AttemptRecord],
-        elapsed_s: float,
-    ) -> ServiceResponse:
-        """Vote one scene row with the scalar path's verdict rules."""
-        cfg = self.config
-        healthy: List[Tuple[str, HeadingMeasurement]] = []
-        degraded: List[Tuple[str, HeadingMeasurement]] = []
-        flags: List[str] = []
-        for replica, rows in zip(self.replicas, per_replica):
-            if rows is None:
-                flags.append(f"{replica.name}: batch-fault")
-                continue
-            measurement = rows[row]
-            if measurement.degraded:
-                detail = ",".join(measurement.health.flags)
-                flags.append(f"{replica.name}: degraded: {detail}")
-                degraded.append((replica.name, measurement))
-            else:
-                healthy.append((replica.name, measurement))
-        second_class = False
-        voters = list(healthy)
-        if len(healthy) < cfg.quorum and degraded:
-            voters = healthy + degraded
-            second_class = True
-        if len(voters) < cfg.quorum:
-            raise QuorumError(
-                f"scene row {row}: collected {len(voters)} vote-eligible "
-                f"headings, quorum needs {cfg.quorum} "
-                f"(healthy {len(healthy)}, degraded {len(degraded)})"
-            )
-        vote = vote_headings(
-            [m.heading_deg for _, m in voters],
-            outlier_threshold_deg=cfg.vote_outlier_deg,
-            mad_scale=cfg.vote_mad_scale,
-        )
-        if len(vote.inliers) < cfg.quorum:
-            raise QuorumError(
-                f"scene row {row}: only {len(vote.inliers)} of "
-                f"{len(voters)} headings agree within "
-                f"{vote.threshold_deg:.2f} deg; quorum needs {cfg.quorum}"
-            )
-        for index in vote.outliers:
-            flags.append(
-                f"{voters[index][0]}: vote-outlier "
-                f"({voters[index][1].heading_deg:.2f} deg rejected)"
-            )
-        clean_sweep = (
-            len(healthy) == len(self.replicas)
-            and vote.unanimous
-            and not second_class
-        )
-        verdict = (
-            ServiceVerdict.AUTHORITATIVE
-            if clean_sweep
-            else ServiceVerdict.QUORUM_DEGRADED
-        )
-        field_estimates = [
-            voters[i][1].field_estimate_a_per_m for i in vote.inliers
-        ]
-        field_estimate = sorted(field_estimates)[len(field_estimates) // 2]
-        self._count_request(
-            verdict, len(self.replicas), elapsed_s, vote.dissent_deg
-        )
-        return ServiceResponse(
-            heading_deg=vote.heading_deg,
-            verdict=verdict,
-            field_estimate_a_per_m=field_estimate,
-            votes=tuple(m.heading_deg for _, m in voters),
-            vote=vote,
-            attempts=tuple(attempts),
-            elapsed_s=elapsed_s,
-            flags=tuple(flags),
-        )
 
     # -- the request loop ------------------------------------------------------
 
@@ -675,7 +616,6 @@ class HeadingService:
         attempts: List[AttemptRecord],
         start: float,
     ) -> ServiceResponse:
-        cfg = self.config
         real_attempts = [a for a in attempts if a.outcome != "breaker-open"]
         healthy = [
             (r.name, state[r.name].healthy)
@@ -695,13 +635,53 @@ class HeadingService:
             )
         if len(pool) < len(self.replicas):
             # A stepped-down vote pool is visible provenance: the
-            # clean-sweep test below compares against the *full* pool,
-            # so this request can never be labelled authoritative.
+            # clean-sweep test compares against the *full* pool, so this
+            # request can never be labelled authoritative.
             flags.append(
                 f"quorum-stepdown: consulted {len(pool)} of "
                 f"{len(self.replicas)} replicas"
             )
+        # Only breaker refusals and no measurement at all: the pool is
+        # open, not merely short of votes.
+        if attempts and not real_attempts:
+            raise CircuitOpenError(
+                "every replica's circuit breaker is open; request "
+                "fast-failed without a measurement"
+            )
+        return self._verdict(
+            healthy,
+            degraded,
+            flags,
+            attempts,
+            attempt_count=len(real_attempts),
+            elapsed_s=self.clock.now() - start,
+            tally=f", attempts {len(real_attempts)}",
+            clean_attempts=len(real_attempts) == len(self.replicas)
+            and all(a.outcome == "ok" for a in real_attempts),
+        )
 
+    def _verdict(
+        self,
+        healthy: List[Tuple[str, HeadingMeasurement]],
+        degraded: List[Tuple[str, HeadingMeasurement]],
+        flags: List[str],
+        attempts: List[AttemptRecord],
+        *,
+        attempt_count: int,
+        elapsed_s: float,
+        prefix: str = "",
+        tally: str = "",
+        clean_attempts: bool = True,
+    ) -> ServiceResponse:
+        """The one verdict rule, shared by the scalar and scene paths.
+
+        ``healthy`` and ``degraded`` are ``(replica name, measurement)``
+        votes; ``flags`` already holds the caller's provenance and gains
+        the vote's outlier flags.  ``prefix`` leads and ``tally`` ends
+        the quorum messages; ``clean_attempts`` is the caller's own
+        condition for an authoritative answer.
+        """
+        cfg = self.config
         # Healthy headings alone when they reach quorum; health-degraded
         # ones only ever top up a short pool, and their use always
         # demotes the verdict.
@@ -711,19 +691,11 @@ class HeadingService:
             voters = healthy + degraded
             second_class = True
         if len(voters) < cfg.quorum:
-            if not real_attempts and attempts:
-                error: ReproError = CircuitOpenError(
-                    "every replica's circuit breaker is open; request "
-                    "fast-failed without a measurement"
-                )
-            else:
-                error = QuorumError(
-                    f"collected {len(voters)} vote-eligible headings, "
-                    f"quorum needs {cfg.quorum} "
-                    f"(healthy {len(healthy)}, degraded {len(degraded)}, "
-                    f"attempts {len(real_attempts)})"
-                )
-            raise error
+            raise QuorumError(
+                f"{prefix}collected {len(voters)} vote-eligible headings, "
+                f"quorum needs {cfg.quorum} "
+                f"(healthy {len(healthy)}, degraded {len(degraded)}{tally})"
+            )
 
         vote = vote_headings(
             [m.heading_deg for _, m in voters],
@@ -732,8 +704,8 @@ class HeadingService:
         )
         if len(vote.inliers) < cfg.quorum:
             raise QuorumError(
-                f"only {len(vote.inliers)} of {len(voters)} headings agree "
-                f"within {vote.threshold_deg:.2f} deg; quorum needs "
+                f"{prefix}only {len(vote.inliers)} of {len(voters)} headings "
+                f"agree within {vote.threshold_deg:.2f} deg; quorum needs "
                 f"{cfg.quorum}"
             )
         for index in vote.outliers:
@@ -746,8 +718,7 @@ class HeadingService:
             len(healthy) == len(self.replicas)
             and vote.unanimous
             and not second_class
-            and len(real_attempts) == len(self.replicas)
-            and all(a.outcome == "ok" for a in real_attempts)
+            and clean_attempts
         )
         verdict = (
             ServiceVerdict.AUTHORITATIVE
@@ -758,9 +729,8 @@ class HeadingService:
             voters[i][1].field_estimate_a_per_m for i in vote.inliers
         ]
         field_estimate = sorted(field_estimates)[len(field_estimates) // 2]
-        elapsed = self.clock.now() - start
         self._count_request(
-            verdict, len(real_attempts), elapsed, vote.dissent_deg
+            verdict, attempt_count, elapsed_s, vote.dissent_deg
         )
         return ServiceResponse(
             heading_deg=vote.heading_deg,
@@ -769,10 +739,9 @@ class HeadingService:
             votes=tuple(m.heading_deg for _, m in voters),
             vote=vote,
             attempts=tuple(attempts),
-            elapsed_s=elapsed,
+            elapsed_s=elapsed_s,
             flags=tuple(flags),
         )
-
 
 __all__ = [
     "AttemptRecord",

@@ -1,27 +1,13 @@
-"""Mixed-signal simulation substrate: traces, time grids, sweeps."""
+"""Mixed-signal simulation substrate: traces, time grids, VCD dumps."""
 
-from .engine import ProbeBoard, SimulationEngine, TimeGrid
+from .engine import TimeGrid
 from .signals import PulseEvent, Trace, find_pulses
 from .vcd import VCDWriter
-from .testbench import (
-    ExperimentLog,
-    ExperimentRecord,
-    Sweep,
-    SweepResult,
-    WaveformReport,
-)
 
 __all__ = [
-    "ExperimentLog",
-    "ExperimentRecord",
-    "ProbeBoard",
     "PulseEvent",
-    "SimulationEngine",
-    "Sweep",
-    "SweepResult",
     "TimeGrid",
     "Trace",
     "VCDWriter",
-    "WaveformReport",
     "find_pulses",
 ]

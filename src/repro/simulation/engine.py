@@ -1,15 +1,11 @@
-"""Fixed-timestep mixed-signal simulation engine.
+"""The time grid of the fixed-timestep mixed-signal simulation.
 
 The compass is a chain of behavioural analogue blocks followed by
-bit-accurate digital blocks.  The engine's job is small but load-bearing:
-
-* build a **time grid** aligned to the 8 kHz excitation so that every
-  measurement window contains an integer number of excitation periods
-  (the up-down counter relies on symmetric windows to reject the 50 %
-  no-field duty cycle), and
-* run a chain of :class:`AnalogBlock` transforms over that grid while
-  recording named traces for inspection — the Python equivalent of probing
-  nets in the ELDO testbench the paper used.
+bit-accurate digital blocks; the compass drives the blocks itself.  What
+they share is a **time grid** aligned to the 8 kHz excitation, so that
+every measurement window contains an integer number of excitation
+periods (the up-down counter relies on symmetric windows to reject the
+50 % no-field duty cycle).
 
 Digital blocks do not run on the dense analogue grid.  They consume *edge
 times* extracted from the detector output and quantise them against their
@@ -20,7 +16,7 @@ waveform, only the comparator edges.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -103,68 +99,3 @@ class TimeGrid:
         """Wrap sample values into a :class:`Trace` on this grid."""
         return Trace(self.times(), values)
 
-
-#: An analogue block: maps (grid, input trace or None) -> output trace.
-AnalogBlock = Callable[[TimeGrid, Optional[Trace]], Trace]
-
-
-class ProbeBoard:
-    """Named trace storage — the simulation's oscilloscope channels."""
-
-    def __init__(self) -> None:
-        self._traces: Dict[str, Trace] = {}
-
-    def record(self, name: str, trace: Trace) -> Trace:
-        self._traces[name] = trace
-        return trace
-
-    def __getitem__(self, name: str) -> Trace:
-        if name not in self._traces:
-            known = ", ".join(sorted(self._traces)) or "<none>"
-            raise ConfigurationError(f"no probe {name!r}; recorded: {known}")
-        return self._traces[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._traces
-
-    def names(self) -> List[str]:
-        return sorted(self._traces)
-
-
-class SimulationEngine:
-    """Runs a pipeline of analogue blocks on a shared time grid.
-
-    A deliberately thin orchestrator: each stage is a callable taking the
-    grid and the previous stage's trace, and the engine records every
-    intermediate under the stage's name.
-    """
-
-    def __init__(self, grid: TimeGrid):
-        self.grid = grid
-        self.probes = ProbeBoard()
-
-    def run_chain(
-        self, stages: Iterable[Tuple[str, AnalogBlock]], source: Optional[Trace] = None
-    ) -> Trace:
-        """Run ``stages`` in order, feeding each the previous output.
-
-        Returns the final trace; all intermediates are available via
-        :attr:`probes`.  Probes are committed to the board only once the
-        whole chain has succeeded: a rejected call *or a stage raising
-        mid-chain* leaves the probe board exactly as it was, so a failed
-        run can never poison the next one with stale traces.
-        """
-        stage_list = list(stages)
-        if not stage_list:
-            raise ConfigurationError("run_chain needs at least one stage")
-        trace = source
-        staged: List[Tuple[str, Trace]] = []
-        for name, block in stage_list:
-            trace = block(self.grid, trace)
-            if not isinstance(trace, Trace):
-                raise ConfigurationError(f"stage {name!r} did not return a Trace")
-            staged.append((name, trace))
-        for name, recorded in staged:
-            self.probes.record(name, recorded)
-        assert trace is not None  # stage_list is non-empty and each stage returned a Trace
-        return trace

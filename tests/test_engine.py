@@ -1,10 +1,10 @@
-"""Tests for the simulation engine (time grids, probes, chains)."""
+"""Tests for the simulation time grid."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.simulation.engine import ProbeBoard, SimulationEngine, TimeGrid
+from repro.simulation.engine import TimeGrid
 from repro.simulation.signals import Trace
 from repro.units import EXCITATION_FREQUENCY_HZ
 
@@ -64,91 +64,3 @@ class TestTimeGrid:
         # dominant one.
         grid = TimeGrid(1)
         assert grid.dt < 1.0 / 4.194304e6 / 5.0
-
-
-class TestProbeBoard:
-    def test_record_and_fetch(self):
-        board = ProbeBoard()
-        tr = TimeGrid(1, samples_per_period=64).trace(np.zeros(64))
-        board.record("pickup", tr)
-        assert board["pickup"] is tr
-        assert "pickup" in board
-        assert board.names() == ["pickup"]
-
-    def test_missing_probe_raises_with_listing(self):
-        board = ProbeBoard()
-        with pytest.raises(ConfigurationError, match="no probe"):
-            board["nonexistent"]
-
-
-class TestSimulationEngine:
-    def test_chain_passes_traces_through(self):
-        grid = TimeGrid(1, samples_per_period=64)
-        engine = SimulationEngine(grid)
-
-        def source(g, _):
-            return g.trace(np.ones(g.n_samples))
-
-        def doubler(g, trace):
-            return trace.scaled(2.0)
-
-        out = engine.run_chain([("src", source), ("dbl", doubler)])
-        assert np.allclose(out.v, 2.0)
-        assert np.allclose(engine.probes["src"].v, 1.0)
-
-    def test_empty_chain_rejected(self):
-        engine = SimulationEngine(TimeGrid(1, samples_per_period=64))
-        with pytest.raises(ConfigurationError):
-            engine.run_chain([])
-
-    def test_rejected_chain_leaves_probes_untouched(self):
-        # Validation runs before any stage: a rejected call must not
-        # leave partial traces on the probe board.
-        engine = SimulationEngine(TimeGrid(1, samples_per_period=64))
-        with pytest.raises(ConfigurationError):
-            engine.run_chain(iter(()))
-        assert engine.probes.names() == []
-
-    def test_empty_generator_rejected_like_empty_list(self):
-        engine = SimulationEngine(TimeGrid(1, samples_per_period=64))
-        with pytest.raises(ConfigurationError, match="at least one stage"):
-            engine.run_chain(stage for stage in [])
-
-    def test_non_trace_stage_rejected(self):
-        engine = SimulationEngine(TimeGrid(1, samples_per_period=64))
-        with pytest.raises(ConfigurationError, match="did not return a Trace"):
-            engine.run_chain([("bad", lambda g, t: 42)])
-
-    def test_failed_mid_chain_leaves_probes_untouched(self):
-        # A stage raising halfway through must not leave the earlier
-        # stages' traces behind: stale probes from a failed run would
-        # poison the next run's inspection.
-        engine = SimulationEngine(TimeGrid(1, samples_per_period=64))
-
-        def source(g, trace):
-            return g.trace(np.ones(g.n_samples))
-
-        def explode(g, trace):
-            raise ConfigurationError("boom")
-
-        good = engine.run_chain([("keep", source)])
-        with pytest.raises(ConfigurationError, match="boom"):
-            engine.run_chain([("src", source), ("bad", explode)])
-        assert engine.probes.names() == ["keep"]
-        assert engine.probes["keep"] is good
-
-    def test_failed_chain_does_not_overwrite_prior_probe(self):
-        # Same stage name as an earlier successful run: the old trace
-        # must survive the failed re-run.
-        engine = SimulationEngine(TimeGrid(1, samples_per_period=64))
-
-        def source(g, trace):
-            return g.trace(np.ones(g.n_samples))
-
-        first = engine.run_chain([("src", source)])
-        with pytest.raises(ConfigurationError):
-            engine.run_chain(
-                [("src", source), ("bad", lambda g, t: (_ for _ in ()).throw(
-                    ConfigurationError("late failure")))]
-            )
-        assert engine.probes["src"] is first

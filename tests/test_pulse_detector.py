@@ -51,10 +51,31 @@ class TestDetectorOutput:
         )
         assert out.duty_cycle() == pytest.approx(0.5)
 
+    def test_duty_cycle_over_a_sub_window(self):
+        # High 1–3 and 5–9 (×1e-4 s); the sub-window 2–8 starts high,
+        # drops at 3, rises at 5 and ends before the reset at 9.
+        out = DetectorOutput(
+            edges=(
+                LogicEdge(1e-4, 1),
+                LogicEdge(3e-4, 0),
+                LogicEdge(5e-4, 1),
+                LogicEdge(9e-4, 0),
+            ),
+            initial_value=0,
+            window=(0.0, 1e-3),
+        )
+        assert out.duty_cycle((2e-4, 8e-4)) == pytest.approx(4.0 / 6.0)
+        assert out.duty_cycle() == pytest.approx(0.6)
+        assert out.duty_cycle() == out.duty_cycle(out.window)
+
     def test_empty_window_rejected(self):
         out = DetectorOutput(edges=(), initial_value=0, window=(1.0, 1.0))
         with pytest.raises(ConfigurationError):
             out.duty_cycle()
+        with pytest.raises(ConfigurationError):
+            DetectorOutput(
+                edges=(), initial_value=0, window=(0.0, 1.0)
+            ).duty_cycle((0.5, 0.5))
 
     def test_as_trace_renders_levels(self):
         out = DetectorOutput(

@@ -17,9 +17,15 @@ import math
 
 import pytest
 
+from repro.batch import BatchCompass
 from repro.core.compass import CompassConfig, IntegratedCompass
 from repro.core.heading import HeadingMeasurement
-from repro.errors import ConfigurationError, EnvelopeError, ScenarioError
+from repro.errors import (
+    ConfigurationError,
+    EnvelopeError,
+    FaultError,
+    ScenarioError,
+)
 from repro.physics.earth_field import FieldVector, field_at_location
 from repro.scenario import (
     CLEAN_SPEC_SCENARIOS,
@@ -548,6 +554,34 @@ class TestRunnerCorpus:
         assert temps[0] == 25.0 and temps[-1] == 55.0
         assert result.steps[-1].true_pitch_deg == 6.0
         assert result.steps[0].true_pitch_deg == 0.0
+
+
+class TestBatchFallback:
+    """The batched step pass falls back to scalar only on a typed error."""
+
+    @staticmethod
+    def _raising(monkeypatch, error):
+        calls = []
+
+        def measure_scene(self, scene):
+            calls.append(len(scene))
+            raise error
+
+        monkeypatch.setattr(BatchCompass, "measure_scene", measure_scene)
+        return calls
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        self._raising(monkeypatch, RuntimeError("batch engine bug"))
+        with pytest.raises(RuntimeError, match="batch engine bug"):
+            ScenarioRunner(ENV_SCREEN).run()
+
+    def test_typed_error_falls_back_to_identical_scalar_steps(
+        self, monkeypatch
+    ):
+        expected = ScenarioRunner(ENV_SCREEN).run().to_dict()
+        calls = self._raising(monkeypatch, FaultError("injected batch fault"))
+        assert ScenarioRunner(ENV_SCREEN).run().to_dict() == expected
+        assert calls
 
 
 class TestBenchBitIdentity:
