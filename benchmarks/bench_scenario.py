@@ -51,11 +51,10 @@ def run_suite():
 
 
 def run_suite_scalar():
-    """The corpus with per-plant batching disabled (scalar refresh)."""
-    original = ScenarioRunner._measure_steps_batched
-    ScenarioRunner._measure_steps_batched = (
-        lambda self: [None] * self.scenario.steps
-    )
+    """The corpus with batching disabled: the per-plant mission groups
+    and the turn-table both measure scalar."""
+    original = ScenarioRunner._measure_batched
+    ScenarioRunner._measure_batched = lambda self, compass, rows: None
     try:
         runs = {}
         results = {}
@@ -67,7 +66,7 @@ def run_suite_scalar():
         wall_s = time.perf_counter() - start
         return runs, results, wall_s
     finally:
-        ScenarioRunner._measure_steps_batched = original
+        ScenarioRunner._measure_batched = original
 
 
 def test_scenario1_suite_and_campaign(benchmark):

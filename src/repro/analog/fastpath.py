@@ -25,19 +25,22 @@ core those times are analytically computable — the §2.1 arithmetic
   ``−(Var/2)·w''/w'`` (see :func:`_curvature_shift`), and the comparator
   its propagation delay.
 
-The solver emits the same :class:`~repro.analog.pulse_detector
-.DetectorOutput` edge stream the counter consumes — no sampled waveform
-is ever materialised — and certifies it: the edge times agree with the
-stepped engine to well below one grid tick, and every edge close enough
-to a counter tick for that to matter is resolved to the stepped edge
-exactly, so the counts are the stepped engine's.  It *refuses* (returns
-``None``) whenever the closed form would not reproduce the stepped
-engine: noise in the budget, a non-tanh core, soft-start or nonlinear
-excitation, an armed analog-layer fault injector, an external field
-that pushes a crossing out of the guarded validity envelope, or an edge
-it cannot resolve.  The caller then runs the stepped engine, so the fast
-path never changes *what* is measured — only how fast (see
-``docs/fastpath.md`` for the error budget and the certificate).
+The solver emits its interleaved (set, reset) edge-times matrix as the
+:class:`~repro.analog.pulse_detector.EdgeBlock` the counter and the
+health review consume, one :class:`~repro.analog.pulse_detector
+.DetectorOutput` view per row — no sampled waveform and no per-edge
+object is ever materialised — and certifies it: the edge times agree
+with the stepped engine to well below one grid tick, and every edge
+close enough to a counter tick for that to matter is resolved to the
+stepped edge exactly, so the counts are the stepped engine's.  It
+*refuses* (returns ``None``) whenever the closed form would not
+reproduce the stepped engine: noise in the budget, a non-tanh core,
+soft-start or nonlinear excitation, an armed analog-layer fault
+injector, an external field that pushes a crossing out of the guarded
+validity envelope, or an edge it cannot resolve.  The caller then runs
+the stepped engine, so the fast path never changes *what* is measured —
+only how fast (see ``docs/fastpath.md`` for the error budget and the
+certificate).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from ..physics.magnetics import TanhCore
 from ..simulation.engine import TimeGrid
 from ..simulation.signals import TimeGradient
 from .excitation import overridden
-from .pulse_detector import DetectorOutput, LogicEdge
+from .pulse_detector import DetectorOutput, EdgeBlock
 
 #: Refuse when the comparator level is above this fraction of the pulse
 #: peak: near the peak the level crossing becomes tangent and the stepped
@@ -360,6 +363,15 @@ class _ExactWindow:
         return float(edges[0]) if edges.size == 1 else None
 
 
+@functools.lru_cache(maxsize=8)
+def _latch_values(n_periods: int) -> np.ndarray:
+    """The latch values every solved row shares, as one read-only
+    :class:`EdgeBlock` row: set, reset, ... once per period."""
+    values = np.tile(np.array([1, 0], dtype=np.int8), n_periods)[None, :]
+    values.flags.writeable = False
+    return values
+
+
 def _edge_error_bound(
     q: float, slew: float, hk: float, dt: float, alpha: Optional[float]
 ) -> float:
@@ -564,16 +576,10 @@ def _solve(
             resolved = rows.size
 
     window = (grid.t_start, grid.t_start + float(grid.n_samples - 1) * grid.dt)
-    values = (1, 0) * grid.n_periods
-    outputs = [
-        DetectorOutput(
-            edges=tuple(map(LogicEdge, row, values)),
-            initial_value=0,
-            window=window,
-        )
-        for row in times.tolist()
-    ]
-    return outputs, resolved
+    block = EdgeBlock(
+        times, _latch_values(grid.n_periods), np.zeros(h0.size, dtype=np.int8), window
+    )
+    return block.rows(), resolved
 
 
 def solve_channel(

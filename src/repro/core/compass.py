@@ -355,7 +355,7 @@ class IntegratedCompass:
                     )
                 with observer.span(STAGE_COMPARATOR, channel=channel) as span:
                     detected = front_end.detector.detect_batch(amplified, current.t)
-                    span.set(edges=sum(len(d.edges) for d in detected))
+                    span.set(edges=sum(d.edge_count for d in detected))
                 outputs.extend(detected)
                 if observer.metrics is not None and path != "scalar":
                     observer.metrics.counter(

@@ -189,15 +189,8 @@ def _edges_in_window(
     detector: DetectorOutput, window: Tuple[float, float]
 ) -> Tuple[int, int]:
     """(set events, reset events) strictly inside ``window``."""
-    t_start, t_end = window
-    sets = resets = 0
-    for edge in detector.edges:
-        if t_start < edge.time < t_end:
-            if edge.value == 1:
-                sets += 1
-            else:
-                resets += 1
-    return sets, resets
+    sets, resets = detector.block.tally((window[0], window[1]))
+    return int(sets[detector.row]), int(resets[detector.row])
 
 
 class HealthSupervisor:
@@ -438,7 +431,13 @@ class HealthSupervisor:
         last good measurement re-flagged with staleness metadata.
         """
         if not self.config.degrade:
-            raise fault
+            try:
+                raise fault
+            finally:
+                # The traceback holds this frame: drop the frame's
+                # reference back to the exception, or the pair (and the
+                # compass its frames hold) waits for the cyclic collector.
+                del fault
         if self._last_good is None:
             raise DegradedOperationError(
                 "health check failed and no last-known-good heading exists "
@@ -474,7 +473,12 @@ class HealthSupervisor:
         from .heading import HeadingMeasurement
 
         if not self.config.degrade:
-            raise cause  # strict mode: the channel failure propagates
+            # Strict mode: the channel failure propagates (without
+            # leaving a frame-exception cycle, as in stale_fallback).
+            try:
+                raise cause
+            finally:
+                del cause
         compass = self._compass
         counter = compass.back_end.counter
         counter.enable()

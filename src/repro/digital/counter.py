@@ -16,6 +16,9 @@ exactly cancelled.
 The model is exact rather than tick-looped: the number of clock ticks that
 fall inside each latch-high interval is a floor-difference, so counts are
 bit-identical to sampling 4.2 million times per second without doing so.
+The detector's :class:`~repro.analog.pulse_detector.EdgeBlock` computes
+those floor-differences for all its rows in one pass per window; each
+:meth:`UpDownCounter.count_window` call reads its row.
 """
 
 from __future__ import annotations
@@ -138,21 +141,9 @@ class UpDownCounter:
             raise ConfigurationError("empty counting window")
 
         total_ticks = self._ticks_in(t_start, t_end, t_start)
-        high_ticks = 0
-        value = detector.value_at(t_start)
-        t_prev = t_start
-        for edge in detector.edges:
-            if edge.time <= t_start:
-                value = edge.value
-                continue
-            if edge.time >= t_end:
-                break
-            if value == 1:
-                high_ticks += self._ticks_in(t_prev, edge.time, t_start)
-            t_prev = edge.time
-            value = edge.value
-        if value == 1:
-            high_ticks += self._ticks_in(t_prev, t_end, t_start)
+        high_ticks = int(
+            detector.block.high_ticks((t_start, t_end), self.config.tick)[detector.row]
+        )
 
         count = 2 * high_ticks - total_ticks
         overflowed = not fits_signed(count, self.config.width_bits)

@@ -33,9 +33,10 @@ and a constant 25 °C profile drives the exact
 suite pins — so :func:`~repro.scenario.dsl.bench_clean_scenario` is
 bit-identical to ``tests/golden/compass_vectors.json`` by construction,
 recorded or not.  Raw mission measurements are grouped per rounded-°C
-plant and batched through :meth:`~repro.batch.BatchCompass.measure_scene`
-(itself bit-identical per row to the scalar loop); recording runs stay
-scalar so the ``.rplog`` byte stream is unchanged.
+plant, and the 13 turn-table measurements form one group; each group is
+batched through :meth:`~repro.batch.BatchCompass.measure_scene` (itself
+bit-identical per row to the scalar loop).  Recording runs stay scalar
+so the ``.rplog`` byte stream is unchanged.
 """
 
 from __future__ import annotations
@@ -397,24 +398,40 @@ class ScenarioRunner:
         )
         return compass.measure_components(h_x, h_y)
 
+    def _measure_batched(
+        self, compass: IntegratedCompass, rows: List[Tuple[float, float]]
+    ) -> Optional[List[HeadingMeasurement]]:
+        """``(h_x, h_y)`` rows measured on ``compass`` as one scene.
+
+        :meth:`~repro.batch.BatchCompass.measure_scene` is bit-identical
+        per row to the scalar ``measure_components`` loop, noise draws
+        included.  A batch pass that raises a
+        :class:`~repro.errors.ReproError` returns ``None``: the caller
+        then measures the rows scalar, so typed errors surface on the
+        exact offending row.  Any other exception is a bug and
+        propagates.  Recording runs never call this: ``.rplog`` capture
+        is pinned to the scalar measurement sequence.
+        """
+        scene = BatchScene.from_components(
+            [h_x for h_x, _ in rows], [h_y for _, h_y in rows]
+        )
+        try:
+            return BatchCompass(compass).measure_scene(scene)
+        except ReproError:
+            return None
+
     def _measure_steps_batched(
         self,
     ) -> List[Optional[HeadingMeasurement]]:
         """All raw mission measurements, grouped per plant and batched.
 
         Steps are grouped on the same rounded-°C key the plant cache
-        uses — one scene × one plant per temperature — and pushed
-        through :meth:`~repro.batch.BatchCompass.measure_scene`, which is
-        bit-identical per row to the scalar loop.  Grouping is
-        order-preserving within each plant, so a noisy front-end draws
-        its stream in the same per-compass order the scalar run would.
-        Recording runs never take this path: ``.rplog`` capture is pinned
-        to the scalar measurement sequence.
-
-        A group whose batch pass raises a :class:`~repro.errors.ReproError`
-        falls back to per-step scalar measurement (``None`` rows signal
-        the caller to measure scalar so typed errors surface on the exact
-        offending step); any other exception is a bug and propagates.
+        uses — one scene × one plant per temperature — and measured by
+        :meth:`_measure_batched`.  Grouping is order-preserving within
+        each plant, so a noisy front-end draws its stream in the same
+        per-compass order the scalar run would.  A group whose batch
+        pass fails leaves its rows ``None``: the caller measures those
+        steps scalar.
         """
         scenario = self.scenario
         grouped: Dict[int, List[Tuple[int, float, float]]] = {}
@@ -432,15 +449,12 @@ class ScenarioRunner:
             [None] * scenario.steps
         )
         for quantised, items in grouped.items():
-            compass = self._compasses[quantised]
-            scene = BatchScene.from_components(
-                [h_x for _, h_x, _ in items],
-                [h_y for _, _, h_y in items],
+            rows = self._measure_batched(
+                self._compasses[quantised],
+                [(h_x, h_y) for _, h_x, h_y in items],
             )
-            try:
-                rows = BatchCompass(compass).measure_scene(scene)
-            except ReproError:
-                continue  # leave the rows None: scalar fallback per step
+            if rows is None:
+                continue
             for (step, _, _), measurement in zip(items, rows):
                 measurements[step] = measurement
         return measurements
@@ -455,14 +469,24 @@ class ScenarioRunner:
         controlled condition a crew calibrates in.
         """
         compass = self._compass_at(self.scenario.temperature.at(0))
-        samples = []
-        for heading in CALIBRATION_HEADINGS:
-            measurement = self._measure(
-                compass, heading, self.field, 0.0, 0.0
-            )
-            samples.append(
-                (float(measurement.x_count), float(measurement.y_count))
-            )
+        # The rotation, then one more look at the first heading as the
+        # alignment reference: 13 measurements, batched unless recording.
+        rows = [
+            self._components_for(compass, heading, self.field, 0.0, 0.0)
+            for heading in CALIBRATION_HEADINGS + CALIBRATION_HEADINGS[:1]
+        ]
+        measured = (
+            None
+            if self._recorder is not None
+            else self._measure_batched(compass, rows)
+        )
+        if measured is None:
+            measured = [compass.measure_components(h_x, h_y) for h_x, h_y in rows]
+        *rotation, reference = measured
+        samples = [
+            (float(measurement.x_count), float(measurement.y_count))
+            for measurement in rotation
+        ]
         try:
             model = fit_ellipse_calibration(samples)
         except CalibrationError as exc:
@@ -470,9 +494,6 @@ class ScenarioRunner:
                 f"scenario {self.scenario.name!r}: pre-mission calibration "
                 f"rotation failed ({exc})"
             ) from exc
-        reference = self._measure(
-            compass, CALIBRATION_HEADINGS[0], self.field, 0.0, 0.0
-        )
         model = align_to_reference(
             model,
             float(reference.x_count),

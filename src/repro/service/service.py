@@ -713,10 +713,19 @@ class HeadingService:
                 f"{voters[index][0]}: vote-outlier "
                 f"({voters[index][1].heading_deg:.2f} deg rejected)"
             )
+        # A MAD-widened threshold means the pool itself disagrees: the
+        # vote rejected nothing because the spread hid the outliers.
+        spread = vote.threshold_deg > cfg.vote_outlier_deg
+        if spread:
+            flags.append(
+                f"vote-spread: threshold widened to {vote.threshold_deg:.2f} "
+                f"deg (MAD {vote.mad_deg:.2f} deg)"
+            )
 
         clean_sweep = (
             len(healthy) == len(self.replicas)
             and vote.unanimous
+            and not spread
             and not second_class
             and clean_attempts
         )

@@ -104,6 +104,24 @@ class TestStrictMode:
             with pytest.raises(FaultError, match="count"):
                 compass.measure_heading(45.0)
 
+    def test_faulted_compass_is_freed_without_the_cycle_collector(self):
+        # The re-raised FaultError's traceback holds the fallback's
+        # frame; that frame must not hold the exception back, or the
+        # pair keeps the compass alive until a cyclic collection.
+        compass = _compass(degrade=False)
+        alive = weakref.ref(compass)
+        gc.disable()
+        try:
+            with REGISTRY.inject("digital.cordic_rom_bitflip", compass, 3.0):
+                try:
+                    compass.measure_heading(45.0)
+                except FaultError:
+                    pass
+            del compass
+            assert alive() is None
+        finally:
+            gc.enable()
+
 
 class TestStaleFallback:
     def test_degrade_mode_serves_last_known_good(self):

@@ -584,6 +584,58 @@ class TestBatchFallback:
         assert calls
 
 
+class TestTurnTableBatch:
+    """The 13 turn-table measurements run as one batch unless recording;
+    the sealed store is the scalar rotation's, bit for bit."""
+
+    CALIBRATED = sorted(
+        name for name, s in SCENARIOS.items() if s.compensation.calibration
+    )
+
+    @staticmethod
+    def _scalar_store(monkeypatch, name):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ScenarioRunner, "_measure_batched", lambda self, compass, rows: None
+            )
+            return ScenarioRunner(SCENARIOS[name])._build_store()
+
+    @pytest.mark.parametrize("name", CALIBRATED)
+    def test_batched_store_equals_scalar(self, monkeypatch, name):
+        scene_rows = []
+        measure_scene = BatchCompass.measure_scene
+
+        def counting(self, scene):
+            scene_rows.append(len(scene))
+            return measure_scene(self, scene)
+
+        expected = self._scalar_store(monkeypatch, name)
+        monkeypatch.setattr(BatchCompass, "measure_scene", counting)
+        store = ScenarioRunner(SCENARIOS[name])._build_store()
+        assert scene_rows == [13]
+        assert store.model == expected.model
+        assert store.fit_residual_deg == expected.fit_residual_deg
+        assert store.crc == expected.crc
+        assert store == expected
+
+    @staticmethod
+    def _raising(monkeypatch, error):
+        def measure_scene(self, scene):
+            raise error
+
+        monkeypatch.setattr(BatchCompass, "measure_scene", measure_scene)
+
+    def test_typed_error_falls_back_to_scalar_store(self, monkeypatch):
+        expected = self._scalar_store(monkeypatch, "steel-hull")
+        self._raising(monkeypatch, FaultError("injected batch fault"))
+        assert ScenarioRunner(SCENARIOS["steel-hull"])._build_store() == expected
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        self._raising(monkeypatch, RuntimeError("batch engine bug"))
+        with pytest.raises(RuntimeError, match="batch engine bug"):
+            ScenarioRunner(SCENARIOS["steel-hull"])._build_store()
+
+
 class TestBenchBitIdentity:
     """The acceptance anchor: scenarios may not move a clean-path bit."""
 

@@ -461,6 +461,56 @@ class TestScenePath:
         )
 
 
+class TestVoteSpread:
+    """Two wrong replicas widen the MAD threshold past the floor: the
+    vote then rejects nothing, so the verdict must say so itself."""
+
+    SHIFTS = {0: 20.0, 1: -40.0}
+    FLAG = "vote-spread: threshold widened to 60.00 deg (MAD 20.00 deg)"
+
+    @staticmethod
+    def _shifted(measurement, shift):
+        return dataclasses.replace(
+            measurement, heading_deg=(measurement.heading_deg + shift) % 360.0
+        )
+
+    def _check(self, response):
+        assert response.vote.outliers == ()
+        assert response.vote.threshold_deg == 60.0
+        assert response.verdict is ServiceVerdict.QUORUM_DEGRADED
+        assert not response.authoritative
+        assert response.flags == (self.FLAG,)
+
+    def test_scalar_split_pool_is_not_authoritative(self):
+        service = _service()
+        for index, shift in self.SHIFTS.items():
+            replica = service.replicas[index]
+            measure = replica.measure
+            replica.measure = lambda *args, measure=measure, shift=shift: (
+                self._shifted(measure(*args), shift)
+            )
+        self._check(service.measure_heading(GOLDEN_HEADING[0]))
+
+    def test_scene_split_pool_is_not_authoritative(self):
+        service = _service()
+        scene = BatchScene.from_headings(
+            service.replicas[0].compass.sensors, [GOLDEN_HEADING[0]]
+        )
+        for index, shift in self.SHIFTS.items():
+            engine = service.replicas[index].batch()
+            measure = engine.measure_scene
+            engine.measure_scene = lambda scene, measure=measure, shift=shift: [
+                self._shifted(m, shift) for m in measure(scene)
+            ]
+        (row,) = service.measure_scene(scene)
+        self._check(row)
+
+    def test_quantisation_disagreement_does_not_widen(self):
+        response = _service().measure_heading(GOLDEN_HEADING[0])
+        assert response.vote.threshold_deg == 5.0
+        assert response.authoritative and response.flags == ()
+
+
 class TestDeterminism:
     def test_identical_seeds_identical_responses(self):
         def run():
