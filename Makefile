@@ -112,8 +112,9 @@ fastpath:
 
 # Every campaign, soak and lot report into OUT (default reports/), with
 # the two wall-clock keys nulled so the files are a pure function of the
-# code.  Behaviour gate for refactors: run it in two checkouts, then
-# `diff -r` the two OUT directories.  NULL_KEY rewrites in the format of
+# code, plus the stdout of the CLI heading sweep and the datasheet.
+# Behaviour gate for refactors: run it in two checkouts, then `diff -r`
+# the two OUT directories.  NULL_KEY rewrites in the format of
 # src/repro/report.py, spelled out here because reports-diff runs this
 # Makefile against a BASE that may predate that module.
 OUT ?= reports
@@ -129,6 +130,8 @@ reports:
 	PYTHONPATH=src python -m repro soak --requests 100 --json $(OUT)/soak.json
 	PYTHONPATH=src python -m repro fleet-soak --json $(OUT)/fleet-soak.json
 	PYTHONPATH=src python -m repro factory --json $(OUT)/factory.json
+	PYTHONPATH=src python -m repro sweep --points 24 > $(OUT)/sweep.txt
+	PYTHONPATH=src python -m repro datasheet > $(OUT)/datasheet.txt
 	$(NULL_KEY) $(OUT)/soak.json elapsed_s
 	$(NULL_KEY) $(OUT)/fleet-soak.json elapsed_wall_s
 

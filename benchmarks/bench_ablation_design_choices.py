@@ -23,8 +23,10 @@ from conftest import emit
 from repro.analog.comparator import Comparator, ComparatorParameters, PickupAmplifier
 from repro.analog.excitation import ExcitationSource
 from repro.analog.pulse_detector import DetectorParameters, PulsePositionDetector
-from repro.core.accuracy import heading_sweep, sweep_stats
-from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.batch import BatchCompass
+from repro.core.accuracy import ErrorStats
+from repro.core.compass import CompassConfig
+from repro.core.heading import headings_evenly_spaced
 from repro.digital.counter import UpDownCounter
 from repro.sensors.fluxgate import FluxgateSensor
 from repro.sensors.parameters import IDEAL_TARGET
@@ -35,9 +37,10 @@ def run_core_model_ablation():
     rows = [f"{'core model':<16} {'max err °':>10} {'rms err °':>10}"]
     results = {}
     for model in ("piecewise", "tanh", "jiles-atherton"):
-        compass = IntegratedCompass(CompassConfig(core_model=model))
+        batch = BatchCompass(CompassConfig(core_model=model))
         n = 6 if model == "jiles-atherton" else 12  # JA is loop-bound
-        stats = sweep_stats(heading_sweep(compass, n_points=n, start_deg=7.0))
+        headings = headings_evenly_spaced(n, 7.0)
+        stats = ErrorStats.from_sweep(headings, batch.sweep_headings(headings))
         rows.append(f"{model:<16} {stats.max_error:10.3f} {stats.rms_error:10.3f}")
         results[model] = stats
     return rows, results

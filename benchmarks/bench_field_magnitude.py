@@ -8,38 +8,31 @@ pole."
 This bench sweeps the horizontal field magnitude across (and slightly
 beyond) the paper's worldwide range and reports the heading-error
 statistics at each point.  All magnitudes run as one fused batch through
-the batch engine — bit-identical to the scalar ``magnitude_sweep`` loop.
+the batch engine — bit-identical to a scalar ``measure_heading`` loop
+nested magnitude-major.
 """
 
 import pytest
 
 from conftest import emit
 from repro.batch import BatchCompass
-from repro.core.accuracy import SweepPoint, sweep_stats
+from repro.core.accuracy import ErrorStats
 from repro.core.heading import headings_evenly_spaced
 
 
-def run_magnitude_sweep():
+def run_magnitude_study():
     magnitudes = [25e-6, 35e-6, 45e-6, 55e-6, 65e-6]
     n_headings = 16
     headings = headings_evenly_spaced(n_headings, 0.5)
     grouped = BatchCompass().sweep_magnitudes(magnitudes, n_headings=n_headings)
     return [
-        (
-            magnitude,
-            sweep_stats(
-                [
-                    SweepPoint(true_heading, m.heading_deg)
-                    for true_heading, m in zip(headings, measurements)
-                ]
-            ),
-        )
+        (magnitude, ErrorStats.from_sweep(headings, measurements))
         for magnitude, measurements in grouped
     ]
 
 
 def test_mag1_field_magnitude_insensitivity(benchmark):
-    results = benchmark(run_magnitude_sweep)
+    results = benchmark(run_magnitude_study)
 
     rows = [f"{'|B| µT':>8} {'max err °':>10} {'rms err °':>10}"]
     for magnitude, stats in results:

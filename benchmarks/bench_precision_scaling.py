@@ -17,12 +17,14 @@ import pytest
 
 from conftest import emit
 from repro.analog.mux import MeasurementSchedule
-from repro.core.accuracy import heading_sweep, sweep_stats
-from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.batch import BatchCompass
+from repro.core.accuracy import ErrorStats
+from repro.core.compass import CompassConfig
+from repro.core.heading import headings_evenly_spaced
 from repro.physics.noise import NoiseBudget
 
 
-def _compass(count_periods, cordic_iterations, noise=None, seed=0):
+def _batch(count_periods, cordic_iterations, noise=None, seed=0):
     config = CompassConfig(
         schedule=MeasurementSchedule(count_periods=count_periods),
         cordic_iterations=cordic_iterations,
@@ -34,15 +36,19 @@ def _compass(count_periods, cordic_iterations, noise=None, seed=0):
                 config.front_end, noise=noise, noise_seed=seed
             ),
         )
-    return IntegratedCompass(config)
+    return BatchCompass(config)
+
+
+def _turntable_stats(batch, n_points):
+    headings = headings_evenly_spaced(n_points, 0.7)
+    return ErrorStats.from_sweep(headings, batch.sweep_headings(headings))
 
 
 def run_digital_scaling():
     rows = [f"{'periods':>8} {'cordic it':>10} {'max err °':>10} {'rms err °':>10}"]
     results = {}
     for periods, iterations in ((2, 8), (8, 8), (8, 12), (16, 12), (32, 14)):
-        compass = _compass(periods, iterations)
-        stats = sweep_stats(heading_sweep(compass, n_points=16, start_deg=0.7))
+        stats = _turntable_stats(_batch(periods, iterations), 16)
         rows.append(
             f"{periods:8d} {iterations:10d} {stats.max_error:10.4f} "
             f"{stats.rms_error:10.4f}"
@@ -67,8 +73,7 @@ def test_prec1_analog_bottleneck(benchmark):
         rows = [f"{'periods':>8} {'rms err ° (noisy)':>18}"]
         results = {}
         for periods in (8, 32):
-            compass = _compass(periods, 12, noise=noise, seed=7)
-            stats = sweep_stats(heading_sweep(compass, n_points=10, start_deg=0.7))
+            stats = _turntable_stats(_batch(periods, 12, noise=noise, seed=7), 10)
             rows.append(f"{periods:8d} {stats.rms_error:18.4f}")
             results[periods] = stats
         return rows, results

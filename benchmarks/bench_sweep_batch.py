@@ -28,7 +28,7 @@ import pytest
 from conftest import emit
 from repro.analog.frontend import FrontEndConfig
 from repro.batch import BatchCompass
-from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.core.compass import CHUNK_ROWS, CompassConfig, IntegratedCompass
 from repro.core.heading import headings_evenly_spaced
 
 N_HEADINGS = 72
@@ -69,7 +69,7 @@ def run_comparison():
     return {
         "n_headings": N_HEADINGS,
         "field_magnitude_t": FIELD_T,
-        "chunk_size": batch_compass.chunk_size,
+        "chunk_size": CHUNK_ROWS,
         "scalar_s": round(scalar_s, 4),
         "batch_cold_s": round(cold_s, 4),
         "batch_warm_s": round(warm_s, 4),

@@ -6,7 +6,7 @@ passes instead of N scalar ``measure_heading`` calls, producing
 bit-identical :class:`~repro.core.heading.HeadingMeasurement` records.
 """
 
-from .engine import BatchCompass, ExcitationTraceCache, MonteCarloResult, monte_carlo
+from .engine import BatchCompass, ExcitationTraceCache, MonteCarloResult
 from .scene import BatchScene
 
 __all__ = [
@@ -14,5 +14,4 @@ __all__ = [
     "BatchScene",
     "ExcitationTraceCache",
     "MonteCarloResult",
-    "monte_carlo",
 ]

@@ -5,13 +5,10 @@ turns ``N`` axis-field rows into ``N`` heading records; a scalar
 ``measure_heading`` is its one-row case.  Sweeps repeat almost all of
 the per-row work — the excitation current is identical across headings
 and every per-sample transform vectorizes over a ``(N, n_samples)``
-matrix — so :class:`BatchCompass` drives the engine with many rows and
-adds what only multi-row calls need:
-
-* row *chunks*, so every intermediate matrix stays cache-resident (a
-  full 72 × 36864 float64 matrix is ~21 MB per temporary — memory-bound
-  and slower than chunks of 12),
-* the scene, sweep and Monte-Carlo APIs.
+matrix — so :class:`BatchCompass` drives the engine with many rows.  It is the
+one multi-row API: scenes, heading and magnitude sweeps, and
+Monte-Carlo runs.  The stepped chain runs :data:`~repro.core.compass.CHUNK_ROWS` rows per
+numpy pass, so every intermediate matrix stays cache-resident.
 
 Scalar and batch rows alike take their excitation trace (with its
 precomputed finite-difference gradient) from an
@@ -67,12 +64,6 @@ class BatchCompass:
         build one).  Batches run through the compass's own measurement
         engine and front- and back-end instances, so interleaving scalar
         and batch measurements keeps a single noise stream.
-    chunk_size:
-        Rows processed per numpy pass.  Small chunks keep every
-        intermediate ``(chunk, n_samples)`` matrix inside the CPU caches;
-        the default of 12 (~3.5 MB per temporary at the default grid) is
-        the measured sweet spot — both much larger and chunk-of-1 are
-        slower.
     cache:
         Optional :class:`ExcitationTraceCache`; ``None`` uses the
         process-wide default every compass shares.  Because the cache
@@ -84,7 +75,6 @@ class BatchCompass:
     def __init__(
         self,
         compass: Optional[object] = None,
-        chunk_size: int = 12,
         cache: Optional[ExcitationTraceCache] = None,
     ):
         if compass is None:
@@ -95,10 +85,7 @@ class BatchCompass:
             raise ConfigurationError(
                 "BatchCompass wants an IntegratedCompass, a CompassConfig, or None"
             )
-        if chunk_size < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
         self.compass = compass
-        self.chunk_size = chunk_size
         self.cache = DEFAULT_TRACE_CACHE if cache is None else cache
 
     # -- core batch measurement ------------------------------------------------
@@ -130,9 +117,7 @@ class BatchCompass:
             raise ConfigurationError("h_x and h_y must be 1-D arrays of equal length")
         if h_x.size == 0:
             return []
-        measurements = self.compass._measure_rows(
-            h_x, h_y, "batch", cache=self.cache, chunk_size=self.chunk_size
-        )
+        measurements = self.compass._measure_rows(h_x, h_y, "batch", cache=self.cache)
         metrics = self.compass.observer.metrics
         if metrics is not None:
             metrics.counter(
@@ -205,59 +190,35 @@ class BatchCompass:
         n_headings: int = 12,
         field_magnitude_t: float = 50.0e-6,
         perturb: Optional[Callable[[CompassConfig, int], CompassConfig]] = None,
-        chunk_size: int = 12,
-    ) -> "MonteCarloResult":
-        """Batched Monte-Carlo run; see :func:`monte_carlo`.
+    ) -> MonteCarloResult:
+        """Monte-Carlo accuracy run over randomised trials.
 
-        A static method because each trial perturbs the *configuration*
-        and therefore needs its own compass instance.
+        Each trial builds a compass from ``perturb(base_config, trial)``
+        (default: vary only the noise seed) and batch-sweeps its
+        headings; the returned record keeps every individual measurement
+        alongside the pooled error statistics.  A static method because
+        each trial perturbs the *configuration* and therefore needs its
+        own compass instance.
         """
-        return monte_carlo(
-            base_config=base_config,
-            n_trials=n_trials,
-            n_headings=n_headings,
-            field_magnitude_t=field_magnitude_t,
-            perturb=perturb,
-            chunk_size=chunk_size,
-        )
+        if n_trials < 1:
+            raise ConfigurationError("need at least one trial")
+        base_config = base_config or CompassConfig()
 
+        def default_perturb(config: CompassConfig, trial: int) -> CompassConfig:
+            front_end = dataclasses.replace(config.front_end, noise_seed=trial)
+            return dataclasses.replace(config, front_end=front_end)
 
-def monte_carlo(
-    base_config: Optional[CompassConfig] = None,
-    n_trials: int = 20,
-    n_headings: int = 12,
-    field_magnitude_t: float = 50.0e-6,
-    perturb: Optional[Callable[[CompassConfig, int], CompassConfig]] = None,
-    chunk_size: int = 12,
-) -> MonteCarloResult:
-    """Batched Monte-Carlo accuracy run (cf. ``monte_carlo_accuracy``).
-
-    Each trial builds a compass from ``perturb(base_config, trial)``
-    (default: vary only the noise seed) and batch-sweeps its headings;
-    the returned record keeps every individual measurement alongside the
-    pooled error statistics.
-    """
-    if n_trials < 1:
-        raise ConfigurationError("need at least one trial")
-    base_config = base_config or CompassConfig()
-
-    def default_perturb(config: CompassConfig, trial: int) -> CompassConfig:
-        front_end = dataclasses.replace(config.front_end, noise_seed=trial)
-        return dataclasses.replace(config, front_end=front_end)
-
-    perturb = perturb or default_perturb
-    records: List[List[Tuple[float, HeadingMeasurement]]] = []
-    errors: List[float] = []
-    for trial in range(n_trials):
-        batch = BatchCompass(
-            IntegratedCompass(perturb(base_config, trial)), chunk_size=chunk_size
-        )
-        start = 0.5 + 360.0 * trial / (n_trials * n_headings)
-        headings = headings_evenly_spaced(n_headings, start)
-        measurements = batch.sweep_headings(
-            headings, field_magnitude_t=field_magnitude_t
-        )
-        trial_records = list(zip(headings, measurements))
-        records.append(trial_records)
-        errors.extend(m.error_against(h) for h, m in trial_records)
-    return MonteCarloResult(records=records, stats=ErrorStats.from_errors(errors))
+        perturb = perturb or default_perturb
+        records: List[List[Tuple[float, HeadingMeasurement]]] = []
+        errors: List[float] = []
+        for trial in range(n_trials):
+            batch = BatchCompass(perturb(base_config, trial))
+            start = 0.5 + 360.0 * trial / (n_trials * n_headings)
+            headings = headings_evenly_spaced(n_headings, start)
+            measurements = batch.sweep_headings(
+                headings, field_magnitude_t=field_magnitude_t
+            )
+            trial_records = list(zip(headings, measurements))
+            records.append(trial_records)
+            errors.extend(m.error_against(h) for h, m in trial_records)
+        return MonteCarloResult(records=records, stats=ErrorStats.from_errors(errors))

@@ -57,7 +57,7 @@ import sys
 from typing import List, Optional
 
 from .btest.interconnect import FaultKind, InterconnectFault, SubstrateHarness
-from .core.accuracy import heading_sweep, sweep_stats
+from .core.accuracy import ErrorStats
 from .core.compass import IntegratedCompass
 from .core.power import PowerModel
 from .digital.display import DisplayMode
@@ -174,15 +174,18 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .batch import BatchCompass
+    from .core.heading import headings_evenly_spaced
+    from .units import angular_difference_deg
+
     compass = IntegratedCompass()
-    points = heading_sweep(
-        compass, n_points=args.points, field_magnitude_t=args.field * 1e-6
-    )
-    stats = sweep_stats(points)
-    for p in points:
+    headings = headings_evenly_spaced(args.points, 0.5)
+    measurements = BatchCompass(compass).sweep_headings(headings, args.field * 1e-6)
+    stats = ErrorStats.from_sweep(headings, measurements)
+    for h, m in zip(headings, measurements):
         print(
-            f"{p.true_heading_deg:8.2f} -> {p.measured_heading_deg:8.3f} "
-            f"({p.error_deg:+.3f})"
+            f"{h:8.2f} -> {m.heading_deg:8.3f} "
+            f"({angular_difference_deg(m.heading_deg, h):+.3f})"
         )
     print(f"max |error| {stats.max_error:.3f} deg, rms {stats.rms_error:.3f} deg "
           f"over {stats.n_samples} headings")

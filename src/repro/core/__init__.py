@@ -6,15 +6,7 @@ from .anomaly import (
     FieldAnomalyDetector,
     FieldVerdict,
 )
-from .accuracy import (
-    ErrorStats,
-    SweepPoint,
-    heading_sweep,
-    magnitude_sweep,
-    monte_carlo_accuracy,
-    quantisation_floor_deg,
-    sweep_stats,
-)
+from .accuracy import ErrorStats, quantisation_floor_deg
 from .calibration import (
     CalibrationModel,
     align_to_reference,
@@ -91,19 +83,14 @@ __all__ = [
     "IntegratedCompass",
     "PowerModel",
     "PowerReport",
-    "SweepPoint",
     "collect_calibration_samples",
     "compass_point",
     "default_blocks",
     "digital_dynamic_current",
     "excitation_supply_current",
     "fit_ellipse_calibration",
-    "heading_sweep",
     "headings_evenly_spaced",
     "identity_calibration",
-    "magnitude_sweep",
     "mean_heading_deg",
-    "monte_carlo_accuracy",
     "quantisation_floor_deg",
-    "sweep_stats",
 ]

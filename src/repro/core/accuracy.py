@@ -1,24 +1,22 @@
-"""Accuracy analysis: the machinery behind the paper's 1° claim.
+"""Accuracy statistics: the numbers behind the paper's 1° claim.
 
 "Simulations indicate that an accuracy within one degree is possible"
-(§6).  This module provides the sweeps and statistics that turn one
-:class:`~repro.core.compass.IntegratedCompass` into that number: full
-heading sweeps, field-magnitude sweeps (the §4 insensitivity claim), and
-Monte-Carlo runs over noise seeds and sensor imperfections.
+(§6).  The sweeps that produce the errors — full heading sweeps,
+field-magnitude sweeps (the §4 insensitivity claim) and Monte-Carlo
+runs over noise seeds and sensor imperfections — are
+:class:`repro.batch.BatchCompass` methods; this module summarises their
+errors and states the counter's quantisation floor.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..units import angular_difference_deg
-from .compass import CompassConfig, IntegratedCompass
-from .heading import headings_evenly_spaced
+from .heading import HeadingMeasurement
 
 
 @dataclass(frozen=True)
@@ -27,7 +25,6 @@ class ErrorStats:
 
     max_error: float
     rms_error: float
-    mean_error: float
     n_samples: int
 
     @classmethod
@@ -38,101 +35,23 @@ class ErrorStats:
         return cls(
             max_error=float(np.max(np.abs(arr))),
             rms_error=float(np.sqrt(np.mean(arr**2))),
-            mean_error=float(np.mean(arr)),
             n_samples=int(arr.size),
+        )
+
+    @classmethod
+    def from_sweep(
+        cls,
+        headings_deg: Sequence[float],
+        measurements: Sequence[HeadingMeasurement],
+    ) -> "ErrorStats":
+        """Statistics of a sweep's measurements against their true headings."""
+        return cls.from_errors(
+            [m.error_against(h) for h, m in zip(headings_deg, measurements)]
         )
 
     def meets(self, budget_deg: float) -> bool:
         """Whether the worst error is within an accuracy budget."""
         return self.max_error <= budget_deg
-
-
-@dataclass
-class SweepPoint:
-    """One point of a heading sweep."""
-
-    true_heading_deg: float
-    measured_heading_deg: float
-
-    @property
-    def error_deg(self) -> float:
-        return angular_difference_deg(
-            self.measured_heading_deg, self.true_heading_deg
-        )
-
-
-def heading_sweep(
-    compass: IntegratedCompass,
-    n_points: int = 72,
-    field_magnitude_t: float = 50.0e-6,
-    start_deg: float = 0.5,
-) -> List[SweepPoint]:
-    """Measure at ``n_points`` evenly spaced true headings.
-
-    ``start_deg`` defaults off the cardinal grid so the sweep also probes
-    the CORDIC between its exactly-representable angles.
-    """
-    points = []
-    for true_heading in headings_evenly_spaced(n_points, start_deg):
-        measurement = compass.measure_heading(true_heading, field_magnitude_t)
-        points.append(SweepPoint(true_heading, measurement.heading_deg))
-    return points
-
-
-def sweep_stats(points: Sequence[SweepPoint]) -> ErrorStats:
-    """Error statistics of a heading sweep."""
-    return ErrorStats.from_errors([p.error_deg for p in points])
-
-
-def magnitude_sweep(
-    compass: IntegratedCompass,
-    magnitudes_t: Sequence[float],
-    n_headings: int = 24,
-) -> List[Tuple[float, ErrorStats]]:
-    """Heading-error statistics at several field magnitudes.
-
-    The §4 claim under test: "The calculation method is insensitive to
-    local variations of the magnitude of the earths magnetic field".
-    """
-    if len(magnitudes_t) == 0:
-        raise ConfigurationError("need at least one magnitude")
-    results = []
-    for magnitude in magnitudes_t:
-        points = heading_sweep(compass, n_headings, magnitude)
-        results.append((magnitude, sweep_stats(points)))
-    return results
-
-
-def monte_carlo_accuracy(
-    base_config: CompassConfig,
-    n_trials: int = 20,
-    n_headings: int = 12,
-    field_magnitude_t: float = 50.0e-6,
-    perturb: Optional[Callable[[CompassConfig, int], CompassConfig]] = None,
-) -> ErrorStats:
-    """Worst-case accuracy over randomised trials.
-
-    Each trial builds a compass from ``perturb(base_config, trial_index)``
-    (default: vary only the noise seed) and sweeps headings; the returned
-    statistics pool every error from every trial.
-    """
-    if n_trials < 1:
-        raise ConfigurationError("need at least one trial")
-
-    def default_perturb(config: CompassConfig, trial: int) -> CompassConfig:
-        fe = dataclasses.replace(config.front_end, noise_seed=trial)
-        return dataclasses.replace(config, front_end=fe)
-
-    perturb = perturb or default_perturb
-    errors: List[float] = []
-    for trial in range(n_trials):
-        compass = IntegratedCompass(perturb(base_config, trial))
-        start = 0.5 + 360.0 * trial / (n_trials * n_headings)
-        points = heading_sweep(
-            compass, n_headings, field_magnitude_t, start_deg=start
-        )
-        errors.extend(p.error_deg for p in points)
-    return ErrorStats.from_errors(errors)
 
 
 def quantisation_floor_deg(count_full_scale: int) -> float:

@@ -57,6 +57,13 @@ from ..units import CORDIC_ITERATIONS
 from .heading import HeadingMeasurement
 from .health import HealthConfig, HealthSupervisor
 
+#: Rows per numpy pass of the stepped chain.  Small chunks keep every
+#: intermediate ``(chunk, n_samples)`` matrix inside the CPU caches (a
+#: full 72 × 36864 float64 matrix is ~21 MB per temporary); 12 rows
+#: (~3.5 MB at the default grid) is the measured sweet spot — both much
+#: larger chunks and chunks of one are slower.
+CHUNK_ROWS = 12
+
 
 def _record_measurement(
     metrics: MetricsRegistry, measurement: HeadingMeasurement, path: str
@@ -212,7 +219,6 @@ class IntegratedCompass:
         h_y: np.ndarray,
         path: str,
         cache: ExcitationTraceCache = DEFAULT_TRACE_CACHE,
-        chunk_size: int = 1,
     ) -> List[HeadingMeasurement]:
         """The measurement engine: ``N`` axis-field rows → ``N`` records.
 
@@ -245,7 +251,7 @@ class IntegratedCompass:
         if scalar:
             root_span = observer.span(STAGE_MEASURE, path=path)
         else:
-            root_span = observer.span(STAGE_BATCH, rows=rows, chunk_size=chunk_size)
+            root_span = observer.span(STAGE_BATCH, rows=rows, chunk_size=CHUNK_ROWS)
         with root_span as root:
             failures = {}
             outputs = {}
@@ -258,7 +264,7 @@ class IntegratedCompass:
                     draws = None if draw_base is None else draw_base + offset
                     try:
                         outputs[channel] = self._channel_rows(
-                            sensor, channel, h, grid, draws, cache, chunk_size, path
+                            sensor, channel, h, grid, draws, cache, path
                         )
                     except ReproError as exc:
                         if not degrade or isinstance(exc, FaultError):
@@ -297,7 +303,6 @@ class IntegratedCompass:
         grid: TimeGrid,
         draws: Optional[int],
         cache: ExcitationTraceCache,
-        chunk_size: int,
         path: str,
     ) -> List[DetectorOutput]:
         """One channel's detector outputs for every row.
@@ -306,7 +311,7 @@ class IntegratedCompass:
         the whole channel when it is enabled, no recorder is attached
         (a recording is always of the stepped chain) and every row is
         eligible, else the sampled excitation → pickup → comparator
-        chain, ``chunk_size`` rows per numpy pass and bit-identical to
+        chain, :data:`CHUNK_ROWS` rows per numpy pass and bit-identical to
         :meth:`AnalogFrontEnd.measure_channel` row by row.  ``draws`` is
         a batch's reserved noise-block base plus the channel offset (row
         ``i`` draws ``draws + 2·i``), or ``None`` to draw as the
@@ -339,8 +344,8 @@ class IntegratedCompass:
                 )
             noisy = not amplifier.budget.is_noiseless
             outputs: List[DetectorOutput] = []
-            for start in range(0, rows, chunk_size):
-                chunk = h[start : start + chunk_size]
+            for start in range(0, rows, CHUNK_ROWS):
+                chunk = h[start : start + CHUNK_ROWS]
                 with observer.span(STAGE_PICKUP, channel=channel, rows=int(chunk.size)):
                     pickup = sensor.simulate_batch(current, chunk, trace.gradient)
                     indices = None

@@ -26,8 +26,9 @@ from ..units import (
     EXCITATION_FREQUENCY_HZ,
     SUPPLY_VOLTAGE,
 )
-from .accuracy import heading_sweep, magnitude_sweep, sweep_stats
+from .accuracy import ErrorStats
 from .compass import CompassConfig, IntegratedCompass
+from .heading import headings_evenly_spaced
 from .power import PowerModel
 from .tilt import max_tolerable_tilt_deg
 
@@ -101,15 +102,24 @@ def generate_datasheet(
               f"{COUNTER_CLOCK_HZ / 1e6:.6f} MHz", "2^22 Hz watch family")
 
     # -- compass performance ------------------------------------------------
-    stats = sweep_stats(heading_sweep(compass, n_points=n_headings, start_deg=0.5))
+    # Deferred import: repro.batch itself imports this package.
+    from ..batch import BatchCompass
+
+    batch = BatchCompass(compass)
+    headings = headings_evenly_spaced(n_headings, 0.5)
+    stats = ErrorStats.from_sweep(headings, batch.sweep_headings(headings))
     sheet.add("compass performance", "heading accuracy (max)",
               f"{stats.max_error:.3f} deg", f"{n_headings}-point sweep, 50 µT")
     sheet.add("compass performance", "heading accuracy (rms)",
               f"{stats.rms_error:.3f} deg")
-    magnitude_results = magnitude_sweep(
-        compass, [25e-6, 65e-6], n_headings=max(6, n_headings // 2)
+    n_range = max(6, n_headings // 2)
+    range_headings = headings_evenly_spaced(n_range, 0.5)
+    worst_over_range = max(
+        ErrorStats.from_sweep(range_headings, measurements).max_error
+        for _, measurements in batch.sweep_magnitudes(
+            [25e-6, 65e-6], n_headings=n_range
+        )
     )
-    worst_over_range = max(s.max_error for _, s in magnitude_results)
     sheet.add("compass performance", "accuracy over 25…65 µT",
               f"{worst_over_range:.3f} deg", "worldwide field range")
     sheet.add("compass performance", "resolution (counter LSB)",

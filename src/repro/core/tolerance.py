@@ -156,10 +156,7 @@ def measure_unit(
     measurements = BatchCompass(IntegratedCompass(config)).sweep_headings(
         headings, field_magnitude_t=field_magnitude_t
     )
-    errors = [
-        m.error_against(heading) for heading, m in zip(headings, measurements)
-    ]
-    return ErrorStats.from_errors(errors)
+    return ErrorStats.from_sweep(headings, measurements)
 
 
 @dataclass

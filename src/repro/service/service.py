@@ -220,8 +220,14 @@ class HeadingService:
     # -- observability ---------------------------------------------------------
 
     def _transition_hook(self, replica_name: str):
+        # The hook closes over the observer, not the service: each
+        # replica's breaker holds it, so a reference back to the service
+        # would keep a dropped service and its replicas alive until a
+        # cyclic collection.
+        observer = self.observer
+
         def hook(from_state: BreakerState, to_state: BreakerState) -> None:
-            metrics = self.observer.metrics
+            metrics = observer.metrics
             if metrics is None:
                 return
             metrics.counter(

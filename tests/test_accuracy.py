@@ -4,21 +4,17 @@ import dataclasses
 
 import pytest
 
-from repro.core.accuracy import (
-    ErrorStats,
-    heading_sweep,
-    magnitude_sweep,
-    monte_carlo_accuracy,
-    quantisation_floor_deg,
-    sweep_stats,
-)
-from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.batch import BatchCompass
+from repro.core.accuracy import ErrorStats, quantisation_floor_deg
+from repro.core.compass import CompassConfig
+from repro.core.heading import headings_evenly_spaced
 from repro.errors import ConfigurationError
+from repro.units import angular_difference_deg
 
 
 @pytest.fixture(scope="module")
-def compass():
-    return IntegratedCompass()
+def batch():
+    return BatchCompass()
 
 
 class TestErrorStats:
@@ -39,43 +35,52 @@ class TestErrorStats:
 
 
 class TestHeadingSweep:
-    def test_sweep_covers_circle(self, compass):
-        points = heading_sweep(compass, n_points=8)
-        headings = [p.true_heading_deg for p in points]
+    def test_sweep_covers_circle(self, batch):
+        measurements = batch.sweep_headings(n_points=8)
+        headings = [m.heading_deg for m in measurements]
         assert len(headings) == 8
         assert max(headings) - min(headings) > 300.0
 
     @pytest.mark.slow
-    def test_paper_accuracy_on_sweep(self, compass):
+    def test_paper_accuracy_on_sweep(self, batch):
         # The §6 claim at the default design point; test_paper_claims.py
         # keeps a smaller sweep of the same claim in the default tier.
-        points = heading_sweep(compass, n_points=24)
-        stats = sweep_stats(points)
+        headings = headings_evenly_spaced(24, 0.5)
+        stats = ErrorStats.from_sweep(headings, batch.sweep_headings(headings))
         assert stats.meets(1.0)
 
-    def test_error_signs_preserved(self, compass):
-        points = heading_sweep(compass, n_points=8)
-        # SweepPoint.error_deg is signed; stats take magnitudes.
-        stats = sweep_stats(points)
-        assert stats.max_error >= abs(stats.mean_error)
+    def test_error_signs_preserved(self, batch):
+        headings = headings_evenly_spaced(8, 0.5)
+        measurements = batch.sweep_headings(headings)
+        signed = [
+            angular_difference_deg(m.heading_deg, h)
+            for h, m in zip(headings, measurements)
+        ]
+        # The signed errors fall on both sides; the stats take magnitudes.
+        assert min(signed) < 0.0 < max(signed)
+        stats = ErrorStats.from_sweep(headings, measurements)
+        assert stats.max_error == max(abs(e) for e in signed)
+        assert stats == ErrorStats.from_errors(signed)
 
 
 class TestMagnitudeSweep:
-    def test_insensitive_across_worldwide_range(self, compass):
-        results = magnitude_sweep(compass, [25e-6, 65e-6], n_headings=8)
-        for magnitude, stats in results:
+    def test_insensitive_across_worldwide_range(self, batch):
+        headings = headings_evenly_spaced(8, 0.5)
+        grouped = batch.sweep_magnitudes([25e-6, 65e-6], n_headings=8)
+        for magnitude, measurements in grouped:
+            stats = ErrorStats.from_sweep(headings, measurements)
             assert stats.meets(1.0), f"failed at {magnitude*1e6:.0f} µT"
 
-    def test_empty_magnitudes_rejected(self, compass):
+    def test_empty_magnitudes_rejected(self, batch):
         with pytest.raises(ConfigurationError):
-            magnitude_sweep(compass, [])
+            batch.sweep_magnitudes([])
 
 
 class TestMonteCarlo:
     def test_noise_seeds_stay_within_budget(self):
-        stats = monte_carlo_accuracy(
+        stats = BatchCompass.monte_carlo(
             CompassConfig(), n_trials=3, n_headings=6
-        )
+        ).stats
         assert stats.n_samples == 18
         assert stats.meets(1.0)
 
@@ -84,14 +89,15 @@ class TestMonteCarlo:
             fe = dataclasses.replace(config.front_end, noise_seed=trial + 100)
             return dataclasses.replace(config, front_end=fe)
 
-        stats = monte_carlo_accuracy(
+        result = BatchCompass.monte_carlo(
             CompassConfig(), n_trials=2, n_headings=4, perturb=perturb
         )
-        assert stats.n_samples == 8
+        assert result.stats.n_samples == 8
+        assert [len(trial) for trial in result.records] == [4, 4]
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ConfigurationError):
-            monte_carlo_accuracy(CompassConfig(), n_trials=0)
+            BatchCompass.monte_carlo(CompassConfig(), n_trials=0)
 
 
 class TestQuantisationFloor:

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.analog.frontend import FrontEndConfig
-from repro.batch import BatchCompass, ExcitationTraceCache, monte_carlo
-from repro.core.accuracy import monte_carlo_accuracy
-from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.analog.mux import MeasurementSchedule
+from repro.batch import BatchCompass, ExcitationTraceCache
+from repro.core.compass import CHUNK_ROWS, CompassConfig, IntegratedCompass
 from repro.core.heading import headings_evenly_spaced
 from repro.digital.counter import CountResult
 from repro.errors import ConfigurationError
-from repro.physics.noise import NOISELESS, TYPICAL_1997_CMOS
+from repro.observe import M_BATCH_CHUNKS, Observability
+from repro.physics.noise import NOISELESS, TYPICAL_1997_CMOS, NoiseBudget
 
 #: Full 1997-era noise budget — white floor, flicker, offset and jitter.
 NOISY_CONFIG = CompassConfig(
@@ -33,6 +34,15 @@ def scalar_sweep(config, headings, magnitude_t):
         compass.measure_heading(h, field_magnitude_t=magnitude_t)
         for h in headings
     ]
+
+
+def noisy(noise, seed):
+    return CompassConfig(front_end=FrontEndConfig(noise=noise, noise_seed=seed))
+
+
+def fastpath_record(compass):
+    stats = compass.front_end.fastpath_stats
+    return stats.attempted, stats.used, stats.resolved, stats.fallbacks
 
 
 def assert_bit_identical(batch, scalar):
@@ -55,6 +65,24 @@ ENGINES = (
 )
 
 
+#: Every configuration the sweep callers run (datasheet, ``repro sweep``,
+#: the ACC1/MAG1/ABL1/PREC1 benches): core laws, counting windows,
+#: CORDIC depth and noisy front ends.
+SWEEP_CONFIGS = {
+    "default": CompassConfig(),
+    "piecewise": CompassConfig(core_model="piecewise"),
+    "jiles-atherton": CompassConfig(core_model="jiles-atherton"),
+    "count-2": CompassConfig(schedule=MeasurementSchedule(count_periods=2)),
+    "count-32-cordic-14": CompassConfig(
+        schedule=MeasurementSchedule(count_periods=32), cordic_iterations=14
+    ),
+    "white-50nv-seed-7": noisy(
+        NoiseBudget(white_density=50e-9, flicker_corner_hz=1e3), 7
+    ),
+    "cmos-1997-seed-3": noisy(TYPICAL_1997_CMOS, 3),
+}
+
+
 class TestBitIdentity:
     # The golden suite (test_golden_vectors.py) pins batch-vs-scalar
     # bit-identity on every default run; this wider sweep stays as the
@@ -70,6 +98,19 @@ class TestBitIdentity:
             )
             assert_bit_identical(batch, scalar)
 
+    @pytest.mark.parametrize(
+        "config", SWEEP_CONFIGS.values(), ids=SWEEP_CONFIGS.keys()
+    )
+    def test_sweep_matches_measure_heading_loop(self, config):
+        # The reference is a plain measure_heading loop; the batch sweep
+        # must match it bit for bit and route every row the same way.
+        headings = headings_evenly_spaced(3, 0.5)
+        compass = IntegratedCompass(config)
+        scalar = [compass.measure_heading(h) for h in headings]
+        batch = BatchCompass(config)
+        assert_bit_identical(batch.sweep_headings(headings), scalar)
+        assert fastpath_record(batch.compass) == fastpath_record(compass)
+
     def test_noisy_chain_matches_scalar(self):
         # Draw-for-draw replication: the batch engine reserves the scalar
         # loop's x0, y0, x1, y1, … noise stream up front and indexes into
@@ -82,17 +123,25 @@ class TestBitIdentity:
         assert_bit_identical(batch, scalar)
 
     def test_chunk_boundaries_do_not_leak(self):
-        # A chunk size that does not divide the batch exercises the ragged
-        # final chunk; results must not depend on the chunking at all.
-        headings = headings_evenly_spaced(7, 3.0)
-        for config in ENGINES:
-            scalar = scalar_sweep(config, headings, 50e-6)
-            for chunk_size in (1, 3, 7, 16):
-                batch = BatchCompass(config, chunk_size=chunk_size)
-                assert_bit_identical(
-                    batch.sweep_headings(headings, field_magnitude_t=50e-6),
-                    scalar,
-                )
+        # A row count that is not a multiple of the chunk size exercises
+        # the ragged final chunk of the stepped chain; a noisy front end
+        # makes each row's noise draw index cross the chunk boundaries.
+        rows = 25
+        assert rows % CHUNK_ROWS
+        config = dataclasses.replace(
+            NOISY_CONFIG,
+            front_end=dataclasses.replace(NOISY_CONFIG.front_end, fastpath=False),
+        )
+        headings = headings_evenly_spaced(rows, 3.0)
+        scalar = scalar_sweep(config, headings, 50e-6)
+        batch = BatchCompass(
+            dataclasses.replace(config, observe=Observability.on(tracing=False))
+        )
+        assert_bit_identical(
+            batch.sweep_headings(headings, field_magnitude_t=50e-6), scalar
+        )
+        chunks = batch.compass.observer.metrics.get(M_BATCH_CHUNKS)
+        assert chunks.value(channel="x") == chunks.value(channel="y") == 3
 
     def test_magnitude_sweep_matches_scalar_nesting(self):
         magnitudes = [25e-6, 65e-6]
@@ -107,15 +156,26 @@ class TestBitIdentity:
                 assert_bit_identical(measurements, scalar)
 
     def test_monte_carlo_matches_scalar_runner(self):
+        # Trial t is a measure_heading loop on noise seed t, its headings
+        # offset by t/(n_trials·n_headings) of a turn.
         for config in ENGINES:
-            result = monte_carlo(config, n_trials=2, n_headings=4)
-            scalar_stats = monte_carlo_accuracy(
-                config, n_trials=2, n_headings=4
-            )
-            assert result.stats.max_error == scalar_stats.max_error
-            assert result.stats.rms_error == scalar_stats.rms_error
-            assert result.stats.n_samples == scalar_stats.n_samples == 8
+            result = BatchCompass.monte_carlo(config, n_trials=2, n_headings=4)
             assert len(result.records) == 2
+            for trial, records in enumerate(result.records):
+                headings = headings_evenly_spaced(4, 0.5 + 360.0 * trial / 8)
+                seeded = dataclasses.replace(
+                    config,
+                    front_end=dataclasses.replace(
+                        config.front_end, noise_seed=trial
+                    ),
+                )
+                assert [h for h, _ in records] == list(headings)
+                assert_bit_identical(
+                    [m for _, m in records], scalar_sweep(seeded, headings, 50e-6)
+                )
+            errors = [m.error_against(h) for rs in result.records for h, m in rs]
+            assert result.stats.max_error == max(errors)
+            assert result.stats.n_samples == 8
 
 
 class TestExcitationCache:
@@ -150,10 +210,6 @@ class TestBatchApi:
     def test_bad_compass_argument_rejected(self):
         with pytest.raises(ConfigurationError):
             BatchCompass(compass="not a compass")
-
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BatchCompass(chunk_size=0)
 
     @pytest.mark.parametrize(
         "noise,counts",

@@ -288,7 +288,7 @@ class TestFrontEndRouting:
         ):
             (output,) = compass._channel_rows(
                 sensor, channel, np.array([h]), grid, None,
-                DEFAULT_TRACE_CACHE, 1, "scalar",
+                DEFAULT_TRACE_CACHE, "scalar",
             )
             edges[channel] = [(e.time, e.value) for e in output.edges]
         return edges

@@ -6,8 +6,10 @@ import pytest
 
 from repro.analog.mux import MeasurementSchedule
 from repro.btest.interconnect import FaultKind, InterconnectFault, SubstrateHarness
-from repro.core.accuracy import heading_sweep, sweep_stats
+from repro.batch import BatchCompass
+from repro.core.accuracy import ErrorStats
 from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.core.heading import headings_evenly_spaced
 from repro.digital.display import DisplayMode
 from repro.errors import ComplianceError, ConfigurationError
 from repro.physics.earth_field import DipoleEarthField, LOCATIONS
@@ -15,6 +17,13 @@ from repro.physics.noise import NoiseBudget
 from repro.sensors.parameters import IDEAL_TARGET
 from repro.soc.mcm import build_compass_mcm
 from repro.soc.netlist import CompassNetlist
+
+
+def _turntable_stats(compass, n_points):
+    """Error statistics of an ``n_points`` batch heading sweep from 0.5°."""
+    headings = headings_evenly_spaced(n_points, 0.5)
+    measurements = BatchCompass(compass).sweep_headings(headings)
+    return ErrorStats.from_sweep(headings, measurements)
 
 
 class TestFullChainAtLocations:
@@ -81,7 +90,7 @@ class TestNoiseRobustness:
         # 12-point sweep can spike slightly past 1° on an unlucky draw;
         # the rms budget is the stable statistic at this noise floor.
         compass = self._noisy_compass(20e-9)
-        stats = sweep_stats(heading_sweep(compass, n_points=12))
+        stats = _turntable_stats(compass, 12)
         assert stats.rms_error < 0.5
         assert stats.max_error < 1.25
 
@@ -91,7 +100,7 @@ class TestNoiseRobustness:
         # are limited" — at a conservative 50 nV/√Hz the timing jitter of
         # the shallow pulse tails, not the digital section, sets accuracy.
         compass = self._noisy_compass(50e-9)
-        stats = sweep_stats(heading_sweep(compass, n_points=12))
+        stats = _turntable_stats(compass, 12)
         assert stats.rms_error < 1.5
         assert stats.max_error < 3.0
 
@@ -148,8 +157,8 @@ class TestScheduleTradeoffs:
         long = IntegratedCompass(
             CompassConfig(schedule=MeasurementSchedule(count_periods=16))
         )
-        stats_short = sweep_stats(heading_sweep(short, n_points=10))
-        stats_long = sweep_stats(heading_sweep(long, n_points=10))
+        stats_short = _turntable_stats(short, 10)
+        stats_long = _turntable_stats(long, 10)
         assert stats_long.rms_error <= stats_short.rms_error + 0.05
         # Short windows trade accuracy for update rate.
         assert short.update_rate_hz() > long.update_rate_hz()

@@ -7,8 +7,10 @@ figures with full sweeps.
 
 import pytest
 
-from repro.core.accuracy import heading_sweep, magnitude_sweep, sweep_stats
+from repro.batch import BatchCompass
+from repro.core.accuracy import ErrorStats
 from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.core.heading import headings_evenly_spaced
 from repro.core.power import PowerModel
 from repro.digital.atan_rom import algorithmic_residual_deg
 from repro.digital.cordic import CordicArctan
@@ -24,12 +26,18 @@ from repro.units import (
 )
 
 
+def _turntable_stats(compass, n_points):
+    """Error statistics of an ``n_points`` batch heading sweep from 0.5°."""
+    headings = headings_evenly_spaced(n_points, 0.5)
+    measurements = BatchCompass(compass).sweep_headings(headings)
+    return ErrorStats.from_sweep(headings, measurements)
+
+
 class TestAbstractClaims:
     def test_accuracy_of_one_degree(self):
         """'The compass has been designed to have an accuracy of one
         degree.'"""
-        compass = IntegratedCompass()
-        stats = sweep_stats(heading_sweep(compass, n_points=36))
+        stats = _turntable_stats(IntegratedCompass(), 36)
         assert stats.max_error < 1.0
 
     def test_fits_single_sog_of_200k_transistors(self):
@@ -136,10 +144,10 @@ class TestSection4Claims:
         """'insensitive to local variations of the magnitude of the earths
         magnetic field ... between 25µT in south America and 65µT near the
         south pole'"""
-        compass = IntegratedCompass()
-        results = magnitude_sweep(compass, [25e-6, 45e-6, 65e-6], n_headings=12)
-        for _, stats in results:
-            assert stats.meets(1.0)
+        headings = headings_evenly_spaced(12, 0.5)
+        grouped = BatchCompass().sweep_magnitudes([25e-6, 45e-6, 65e-6], 12)
+        for _, measurements in grouped:
+            assert ErrorStats.from_sweep(headings, measurements).meets(1.0)
 
     def test_arbitrary_precision_extension(self):
         """'The pulse count part and the arctan part can be modified easily
@@ -153,7 +161,7 @@ class TestSection6Claims:
     def test_conclusion_accuracy_within_one_degree(self):
         """'Simulations indicate that an accuracy within one degree is
         possible.'"""
-        stats = sweep_stats(heading_sweep(IntegratedCompass(), n_points=24))
+        stats = _turntable_stats(IntegratedCompass(), 24)
         assert stats.meets(1.0)
 
     def test_designed_to_broad_specifications(self):

@@ -573,3 +573,32 @@ class TestServiceObservability:
         ):
             response = service.measure_heading(46.0)
         assert response.verdict is ServiceVerdict.QUORUM_DEGRADED
+
+    def test_dropped_service_freed_by_reference_counting(self):
+        # Each replica's breaker holds the transition hook; a hook that
+        # referenced the service would form a cycle that only the
+        # cyclic collector frees.  Gc stays off here, so the service and
+        # its replica compasses must go the moment the last name does.
+        import gc
+        import weakref
+
+        service = _service(observe=Observability.on(tracing=False))
+        service.measure_heading(45.0)
+        with REGISTRY.inject(
+            "digital.cordic_rom_bitflip", service.replicas[0].compass, 3.0
+        ):
+            service.measure_heading(45.0)
+        assert service.observer.metrics.get(M_BREAKER_TRANSITIONS).value(
+            replica="replica-0", to="open"
+        ) == 1
+        refs = [weakref.ref(service)] + [
+            weakref.ref(replica.compass) for replica in service.replicas
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del service
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
