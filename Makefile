@@ -110,9 +110,10 @@ fastpath:
 	PYTHONPATH=src python -m repro sweep --points 24
 	PYTHONPATH=src pytest benchmarks/bench_fastpath.py --benchmark-only -s
 
-# Every campaign, soak and lot report into OUT (default reports/), with
-# the two wall-clock keys nulled so the files are a pure function of the
-# code, plus the stdout of the CLI heading sweep and the datasheet.
+# Every campaign, soak, lot and array-ambush report into OUT (default
+# reports/), with the two wall-clock keys nulled so the files are a pure
+# function of the code, plus the stdout of the CLI heading sweep, the
+# datasheet and the service simulation.
 # Behaviour gate for refactors: run it in two checkouts, then `diff -r`
 # the two OUT directories.  NULL_KEY rewrites in the format of
 # src/repro/report.py, spelled out here because reports-diff runs this
@@ -132,6 +133,8 @@ reports:
 	PYTHONPATH=src python -m repro factory --json $(OUT)/factory.json
 	PYTHONPATH=src python -m repro sweep --points 24 > $(OUT)/sweep.txt
 	PYTHONPATH=src python -m repro datasheet > $(OUT)/datasheet.txt
+	PYTHONPATH=src python -m repro array --ambush 1.0 --json $(OUT)/array.json
+	PYTHONPATH=src python -m repro serve-sim > $(OUT)/serve-sim.txt
 	$(NULL_KEY) $(OUT)/soak.json elapsed_s
 	$(NULL_KEY) $(OUT)/fleet-soak.json elapsed_wall_s
 

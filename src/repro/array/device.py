@@ -92,9 +92,6 @@ class ArrayConfig:
     min_elements:
         Fusion refuses (:class:`~repro.errors.ArrayFusionError`) with
         fewer surviving elements than this.
-    vote_outlier_deg, vote_mad_scale:
-        K-of-N vote parameters (same semantics as the heading
-        service's).
     gradient_threshold:
         Near-field detection threshold: maximum per-element residual
         against the fused field, as a fraction of the fused magnitude.
@@ -112,8 +109,6 @@ class ArrayConfig:
     element: CompassConfig = CompassConfig(health=HealthConfig(enabled=True))
     seed: int = 0
     min_elements: int = 1
-    vote_outlier_deg: float = 5.0
-    vote_mad_scale: float = 3.0
     gradient_threshold: float = 0.005
     strict: bool = False
     observe: Observability = Observability()
@@ -391,11 +386,7 @@ class ArrayCompass:
         vote: Optional[VoteResult] = None
         used = list(candidates)
         if len(candidates) > 1:
-            vote = vote_headings(
-                body_headings,
-                outlier_threshold_deg=self.config.vote_outlier_deg,
-                mad_scale=self.config.vote_mad_scale,
-            )
+            vote = vote_headings(body_headings)
             for position in vote.outliers:
                 statuses[candidates[position]] = "outlier"
             used = [candidates[position] for position in vote.inliers]

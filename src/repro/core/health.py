@@ -223,11 +223,6 @@ class HealthSupervisor:
     def enabled(self) -> bool:
         return self.config.enabled
 
-    @property
-    def last_good(self) -> Optional["HeadingMeasurement"]:
-        """The most recent measurement that passed every check."""
-        return self._last_good
-
     def reset(self) -> None:
         """Forget the last-known-good history (e.g. after relocation)."""
         self._last_good = None

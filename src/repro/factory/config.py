@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..errors import ConfigurationError
 
@@ -104,9 +104,6 @@ class DefectDistribution:
                 f"unknown severity law {self.severity_law!r}; "
                 f"use one of {SEVERITY_LAWS}"
             )
-
-    def layer_weights(self) -> Dict[str, float]:
-        return dict(self.layer_mix)
 
 
 @dataclass(frozen=True)

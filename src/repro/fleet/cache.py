@@ -41,6 +41,8 @@ DEFAULT_HEADING_QUANTUM_DEG = 360.0 / 4096.0
 #: Default field quantum [µT]: exact binary fraction dividing the
 #: worldwide 25…65 µT band endpoints and the golden magnitudes.
 DEFAULT_FIELD_QUANTUM_UT = 0.25
+#: Scene-key entries the fleet's cache holds before LRU eviction.
+FLEET_CACHE_CAPACITY = 4096
 
 
 def quantize_heading(heading_deg: float, quantum_deg: float) -> Tuple[int, float]:
@@ -124,6 +126,7 @@ __all__ = [
     "CacheEntry",
     "DEFAULT_FIELD_QUANTUM_UT",
     "DEFAULT_HEADING_QUANTUM_DEG",
+    "FLEET_CACHE_CAPACITY",
     "HeadingCache",
     "quantize_field",
     "quantize_heading",

@@ -33,7 +33,6 @@ from ..observe import Observability
 from ..service import ServiceConfig
 from ..units import TARGET_ACCURACY_DEG
 from .admission import TokenBucketConfig
-from .cache import DEFAULT_FIELD_QUANTUM_UT, DEFAULT_HEADING_QUANTUM_DEG
 
 #: The fleet's default compass: strict health supervision (resilience
 #: lives in the service layer) on the default certified closed-form
@@ -160,12 +159,7 @@ class FleetConfig:
         Per-shard bounded queue capacity.
     deadline_s:
         Default end-to-end request deadline (queue wait + service).
-    est_alpha:
-        EWMA smoothing for the per-shard service-time estimate that
-        drives deadline eviction.
-    heading_quantum_deg, field_quantum_ut:
-        Measurement-grid quanta (see :mod:`repro.fleet.cache`).
-    cache_capacity, cache_enabled, coalesce_enabled:
+    cache_enabled, coalesce_enabled:
         The scene-key cache and in-flight coalescing switches.
     guard_every:
         Conformance guard cadence: every Nth cache hit is re-measured
@@ -189,10 +183,6 @@ class FleetConfig:
     admission: TokenBucketConfig = TokenBucketConfig()
     queue_depth: int = 32
     deadline_s: float = 0.25
-    est_alpha: float = 0.2
-    heading_quantum_deg: float = DEFAULT_HEADING_QUANTUM_DEG
-    field_quantum_ut: float = DEFAULT_FIELD_QUANTUM_UT
-    cache_capacity: int = 4096
     cache_enabled: bool = True
     coalesce_enabled: bool = True
     guard_every: int = 0
@@ -207,10 +197,6 @@ class FleetConfig:
             raise ConfigurationError("queue depth must be >= 1")
         if self.deadline_s <= 0.0:
             raise ConfigurationError("fleet deadline must be positive")
-        if not 0.0 < self.est_alpha <= 1.0:
-            raise ConfigurationError("est_alpha must be in (0, 1]")
-        if self.heading_quantum_deg <= 0.0 or self.field_quantum_ut <= 0.0:
-            raise ConfigurationError("quanta must be positive")
         if self.guard_every < 0:
             raise ConfigurationError("guard_every must be >= 0")
 

@@ -63,6 +63,9 @@ from ..service.clock import SimulatedClock
 from ..service.service import ServiceVerdict
 from .admission import QueueItem, TokenBucket
 from .cache import (
+    DEFAULT_FIELD_QUANTUM_UT,
+    DEFAULT_HEADING_QUANTUM_DEG,
+    FLEET_CACHE_CAPACITY,
     CacheEntry,
     HeadingCache,
     quantize_field,
@@ -129,7 +132,7 @@ class HeadingFleet:
         # The scheduler satisfies the bucket's clock surface (`now()`).
         self.bucket = TokenBucket(config.admission, self.scheduler)
         self.cache: Optional[HeadingCache] = (
-            HeadingCache(config.cache_capacity) if config.cache_enabled else None
+            HeadingCache(FLEET_CACHE_CAPACITY) if config.cache_enabled else None
         )
         self._inflight: Dict[str, Any] = {}
         self.brownout = BrownoutController(
@@ -316,10 +319,10 @@ class HeadingFleet:
                     reason="rate-limit",
                 )
             heading_bin, snapped_heading = quantize_heading(
-                true_heading_deg, cfg.heading_quantum_deg
+                true_heading_deg, DEFAULT_HEADING_QUANTUM_DEG
             )
             field_bin, snapped_field = quantize_field(
-                field_magnitude_t, cfg.field_quantum_ut
+                field_magnitude_t, DEFAULT_FIELD_QUANTUM_UT
             )
             scene = scene_key(self.fingerprint, heading_bin, field_bin)
             shard_index = self.ring.lookup(key)

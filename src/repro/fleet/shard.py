@@ -32,6 +32,9 @@ from .kernel import Scheduler
 #: Prior for the per-shard service-time EWMA [s]: one fast-path
 #: three-replica quorum request measures ≈8 ms of simulated time.
 DEFAULT_SERVICE_ESTIMATE_S = 0.008
+#: EWMA smoothing of the per-shard service-time estimate that drives
+#: deadline eviction.
+SERVICE_ESTIMATE_ALPHA = 0.2
 
 
 class FleetShard:
@@ -53,7 +56,6 @@ class FleetShard:
         )
         self.queue = BoundedShardQueue(scheduler, config.queue_depth)
         self.est_service_s = DEFAULT_SERVICE_ESTIMATE_S
-        self._est_alpha = config.est_alpha
         self.served = 0
         self.failed = 0
 
@@ -65,7 +67,7 @@ class FleetShard:
 
     def note_service_time(self, elapsed_s: float) -> None:
         """Fold one observed service time into the eviction-price EWMA."""
-        self.est_service_s += self._est_alpha * (
+        self.est_service_s += SERVICE_ESTIMATE_ALPHA * (
             elapsed_s - self.est_service_s
         )
 

@@ -47,6 +47,8 @@ from .loadgen import LoadPhase, OpenLoopGenerator, PhaseRecord
 #: Load phases past this multiple of rated RPS count as overload and
 #: must show typed shedding.
 OVERLOAD_MULTIPLIER = 2.0
+#: Cap on shards with any compromised replica at once.
+MAX_CHAOTIC_SHARDS = 2
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,6 @@ class FleetSoakConfig:
         :mod:`repro.faults.chaos` constants.
     chaos_interval_s:
         Virtual-time period of the chaos stepper.
-    max_chaotic_shards:
-        Cap on shards with any compromised replica at once.
     faults:
         Registered measurement-fault names to draw from; default all.
     hot_fraction, hot_scenes, devices:
@@ -90,7 +90,6 @@ class FleetSoakConfig:
     seed: int = 0
     chaos: bool = True
     chaos_interval_s: float = 0.05
-    max_chaotic_shards: int = 2
     faults: Optional[Sequence[str]] = None
     hot_fraction: float = 0.5
     hot_scenes: int = 8
@@ -108,8 +107,6 @@ class FleetSoakConfig:
                 )
         if self.chaos_interval_s <= 0.0:
             raise ConfigurationError("chaos interval must be positive")
-        if self.max_chaotic_shards < 0:
-            raise ConfigurationError("max_chaotic_shards must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ class FleetSoak:
         now: float,
     ) -> None:
         """One chaos step: release on every shard, then arm and spike
-        shard by shard while at most ``max_chaotic_shards`` are stormy."""
+        shard by shard while at most ``MAX_CHAOTIC_SHARDS`` are stormy."""
 
         def log(shard: int, action: Optional[StormAction]) -> None:
             if action is None:
@@ -285,10 +282,7 @@ class FleetSoak:
 
         def shard_open(shard: int) -> bool:
             stormy = {i for i, storm in enumerate(storms) if storm.compromised()}
-            return (
-                shard in stormy
-                or len(stormy) < self.config.max_chaotic_shards
-            )
+            return shard in stormy or len(stormy) < MAX_CHAOTIC_SHARDS
 
         # Release everywhere first so capacity frees up within this step.
         for shard, storm in enumerate(storms):

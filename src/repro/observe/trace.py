@@ -343,9 +343,6 @@ class Tracer:
         """Total spans closed over this tracer's lifetime."""
         return self._finished_spans
 
-    def add_sink(self, sink: SpanSink) -> None:
-        self.sinks.append(sink)
-
     def close(self) -> None:
         """Close every sink (flushes files, writes the VCD)."""
         if self._stack:

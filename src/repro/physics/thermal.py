@@ -47,50 +47,47 @@ class ThermalCoefficients:
 NOMINAL_COEFFICIENTS = ThermalCoefficients()
 
 
-def sensor_at_temperature(params, temperature_c: float,
-                          coefficients: ThermalCoefficients = NOMINAL_COEFFICIENTS):
+def sensor_at_temperature(params, temperature_c: float):
     """A :class:`~repro.sensors.parameters.FluxgateParameters` copy at T.
 
     HK, Bs and the copper series resistance drift; the geometry does not.
     """
     _check_temperature(temperature_c)
+    drift = NOMINAL_COEFFICIENTS
     core = dataclasses.replace(
         params.core,
         anisotropy_field=params.core.anisotropy_field
-        * coefficients.factor(coefficients.hk_per_k, temperature_c),
+        * drift.factor(drift.hk_per_k, temperature_c),
         saturation_flux_density=params.core.saturation_flux_density
-        * coefficients.factor(coefficients.bs_per_k, temperature_c),
+        * drift.factor(drift.bs_per_k, temperature_c),
     )
     return dataclasses.replace(
         params,
         core=core,
         series_resistance=params.series_resistance
-        * coefficients.factor(
-            coefficients.copper_resistance_per_k, temperature_c
-        ),
+        * drift.factor(drift.copper_resistance_per_k, temperature_c),
     )
 
 
-def oscillator_at_temperature(osc_params, temperature_c: float,
-                              coefficients: ThermalCoefficients = NOMINAL_COEFFICIENTS):
+def oscillator_at_temperature(osc_params, temperature_c: float):
     """An :class:`~repro.analog.waveform.OscillatorParameters` copy at T."""
     _check_temperature(temperature_c)
+    drift = NOMINAL_COEFFICIENTS
     return dataclasses.replace(
         osc_params,
         resistance=osc_params.resistance
-        * coefficients.factor(coefficients.film_resistor_per_k, temperature_c),
+        * drift.factor(drift.film_resistor_per_k, temperature_c),
         capacitance=osc_params.capacitance
-        * coefficients.factor(coefficients.capacitor_per_k, temperature_c),
+        * drift.factor(drift.capacitor_per_k, temperature_c),
     )
 
 
-def compass_config_at_temperature(base_config, temperature_c: float,
-                                  coefficients: ThermalCoefficients = NOMINAL_COEFFICIENTS):
+def compass_config_at_temperature(base_config, temperature_c: float):
     """A full :class:`~repro.core.compass.CompassConfig` drifted to T."""
     _check_temperature(temperature_c)
-    sensor = sensor_at_temperature(base_config.sensor, temperature_c, coefficients)
+    sensor = sensor_at_temperature(base_config.sensor, temperature_c)
     oscillator = oscillator_at_temperature(
-        base_config.front_end.excitation.oscillator, temperature_c, coefficients
+        base_config.front_end.excitation.oscillator, temperature_c
     )
     excitation = dataclasses.replace(
         base_config.front_end.excitation, oscillator=oscillator

@@ -76,10 +76,6 @@ class LogRecorder:
         self._closed = False
         self._pending_inputs: Optional[tuple] = None
 
-    @property
-    def in_memory(self) -> bool:
-        return self._handle is None
-
     # -- header ----------------------------------------------------------------
 
     def bind(self, config) -> None:

@@ -35,7 +35,6 @@ from .compensation import (
     F_TILT_ENVELOPE,
     AnomalyGate,
     CalibrationStore,
-    ChainConfig,
     ChainVerdict,
     CompensationChain,
     ThermalCalibration,
@@ -76,7 +75,6 @@ __all__ = [
     "CLEAN_IRON",
     "CLEAN_SPEC_SCENARIOS",
     "CalibrationStore",
-    "ChainConfig",
     "ChainVerdict",
     "CompensationChain",
     "CompensationPolicy",

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.anomaly import DetectorSettings, FieldAnomalyDetector
+from ..core.anomaly import FieldAnomalyDetector
 from ..core.calibration import CalibrationModel
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.heading import HeadingMeasurement
@@ -59,6 +59,54 @@ F_FIELD_BAND = "field-band"
 F_TILT_ENVELOPE = "tilt-envelope"
 F_FIELD_RESIDUAL = "field-residual"
 F_ANOMALY = "anomaly"
+
+# Thresholds of the compensation-integrity guards, characterised for the
+# paper's one design point.
+#: Margin beyond the thermal fit range before EnvelopeError [°C].
+TEMPERATURE_MARGIN_C = 5.0
+#: Telemetry/oscillator-thermometer disagreement that trips the
+#: plausibility guard [K] (~3 counter ticks of window drift).
+TEMPERATURE_IMPLAUSIBLE_K = 15.0
+#: Staleness watchdog budget [missions since the table was fitted].
+MAX_CALIBRATION_AGE_MISSIONS = 0
+#: Worst self-measured calibration-rotation residual the chain will
+#: serve unflagged [deg].  An affine fit that cannot reproduce its
+#: own turn-table headings to this budget is operating outside the
+#: domain where the ellipse model is trustworthy (off-reference
+#: temperature, weak horizontal field, near-bound iron) — still the
+#: best correction available, but every heading through it is
+#: flagged.  The golden corpus fits at ≤0.29°; the known
+#: silent-wrong envelope corners fit at ≥0.9°.
+MAX_FIT_RESIDUAL_DEG = 0.5
+#: Horizontal-field floor of the iron-calibrated instrument's
+#: qualified envelope [µT].  Heading resolution is degrees per
+#: count, and counts scale with the horizontal field — below this
+#: floor the count nonlinearity alone can exceed the 1° spec with
+#: barely any platform iron, so every calibrated heading is served
+#: flagged.  (The paper rates 25–65 µT worldwide; 20 µT is where
+#: our characterisation shows the spec genuinely becomes
+#: unattainable.)
+QUALIFIED_FIELD_FLOOR_UT = 20.0
+#: The paper's rated field-band minimum [µT].  Between the floor
+#: and this line the instrument operates *derated*: the iron
+#: budget shrinks to ``DERATED_IRON_FRACTION``.
+RATED_FIELD_MIN_UT = 25.0
+#: Maximum hard-iron fraction of the horizontal field (measured
+#: from the table's own fitted ``|offset| / radius``) the chain
+#: serves unflagged when the field is below the rated band.
+DERATED_IRON_FRACTION = 0.075
+#: Compensable tilt cone; beyond it the small-tilt inversion is
+#: extrapolating and the honest answer is a refusal [deg].
+MAX_TILT_DEG = 20.0
+#: Relative corrected-magnitude residual against the location model
+#: that latches the field-residual monitor.
+RESIDUAL_THRESHOLD = 0.06
+#: Steps the residual must persist before latching (one-step
+#: glitches are quantisation, not faults).
+RESIDUAL_PERSISTENCE = 1
+#: Relative departure from the sticky trusted-magnitude baseline that
+#: the anomaly gate refuses.
+GATE_BASELINE_JUMP = 0.25
 
 
 @dataclass(frozen=True)
@@ -257,13 +305,8 @@ class AnomalyGate:
     quietly regain trust while the disturbance is still there.
     """
 
-    def __init__(
-        self,
-        settings: DetectorSettings = DetectorSettings(),
-        baseline_jump: float = 0.25,
-    ):
-        self.detector = FieldAnomalyDetector(settings)
-        self.baseline_jump = baseline_jump
+    def __init__(self):
+        self.detector = FieldAnomalyDetector()
         self.baseline_a_per_m: Optional[float] = None
 
     def check(self, measurement: HeadingMeasurement,
@@ -287,7 +330,7 @@ class AnomalyGate:
                 abs(corrected_field_a_per_m - self.baseline_a_per_m)
                 / self.baseline_a_per_m
             )
-            if deviation > self.baseline_jump:
+            if deviation > GATE_BASELINE_JUMP:
                 return False, (
                     f"field {deviation:.0%} off the trusted baseline "
                     f"({report.verdict.value})"
@@ -303,55 +346,6 @@ class AnomalyGate:
                 corrected_field_a_per_m - self.baseline_a_per_m
             )
         return True, ""
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Thresholds of the compensation-integrity guards."""
-
-    strict: bool = False
-    #: Margin beyond the thermal fit range before EnvelopeError [°C].
-    temperature_margin_c: float = 5.0
-    #: Telemetry/oscillator-thermometer disagreement that trips the
-    #: plausibility guard [K] (~3 counter ticks of window drift).
-    temperature_implausible_k: float = 15.0
-    #: Staleness watchdog budget [missions since the table was fitted].
-    max_calibration_age_missions: int = 0
-    #: Worst self-measured calibration-rotation residual the chain will
-    #: serve unflagged [deg].  An affine fit that cannot reproduce its
-    #: own turn-table headings to this budget is operating outside the
-    #: domain where the ellipse model is trustworthy (off-reference
-    #: temperature, weak horizontal field, near-bound iron) — still the
-    #: best correction available, but every heading through it is
-    #: flagged.  The golden corpus fits at ≤0.29°; the known
-    #: silent-wrong envelope corners fit at ≥0.9°.
-    max_fit_residual_deg: float = 0.5
-    #: Horizontal-field floor of the iron-calibrated instrument's
-    #: qualified envelope [µT].  Heading resolution is degrees per
-    #: count, and counts scale with the horizontal field — below this
-    #: floor the count nonlinearity alone can exceed the 1° spec with
-    #: barely any platform iron, so every calibrated heading is served
-    #: flagged.  (The paper rates 25–65 µT worldwide; 20 µT is where
-    #: our characterisation shows the spec genuinely becomes
-    #: unattainable.)
-    qualified_field_floor_ut: float = 20.0
-    #: The paper's rated field-band minimum [µT].  Between the floor
-    #: and this line the instrument operates *derated*: the iron
-    #: budget shrinks to ``derated_iron_fraction``.
-    rated_field_min_ut: float = 25.0
-    #: Maximum hard-iron fraction of the horizontal field (measured
-    #: from the table's own fitted ``|offset| / radius``) the chain
-    #: serves unflagged when the field is below the rated band.
-    derated_iron_fraction: float = 0.075
-    #: Compensable tilt cone; beyond it the small-tilt inversion is
-    #: extrapolating and the honest answer is a refusal [deg].
-    max_tilt_deg: float = 20.0
-    #: Relative corrected-magnitude residual against the location model
-    #: that latches the field-residual monitor.
-    residual_threshold: float = 0.06
-    #: Steps the residual must persist before latching (one-step
-    #: glitches are quantisation, not faults).
-    residual_persistence: int = 1
 
 
 @dataclass(frozen=True)
@@ -374,6 +368,8 @@ class CompensationChain:
 
     One instance per scenario run — the residual monitor, anomaly gate
     and staleness watchdog are stateful across the mission's steps.
+    ``strict`` makes every tripped guard raise instead of flagging the
+    step.
     """
 
     def __init__(
@@ -384,14 +380,14 @@ class CompensationChain:
         store: Optional[CalibrationStore] = None,
         tilt_enabled: bool = False,
         anomaly_enabled: bool = False,
-        config: ChainConfig = ChainConfig(),
+        strict: bool = False,
     ):
         self.field_model = field_model
         self.declination_deg = declination_deg
         self.thermal = thermal
         self.store = store
         self.tilt_enabled = tilt_enabled
-        self.config = config
+        self.strict = strict
         self.gate = AnomalyGate() if anomaly_enabled else None
         self._residual_streak = 0
         self.residual_latched = False
@@ -399,7 +395,7 @@ class CompensationChain:
     # -- guard helpers ---------------------------------------------------------
 
     def _refuse(self, kind: type, message: str) -> None:
-        if self.config.strict:
+        if self.strict:
             raise kind(message)
 
     # -- stages ----------------------------------------------------------------
@@ -412,10 +408,9 @@ class CompensationChain:
         thermal = self.thermal
         if thermal is None:
             return sensed_c, measurement.field_estimate_a_per_m
-        cfg = self.config
         t_used = sensed_c
-        low = thermal.t_min_c - cfg.temperature_margin_c
-        high = thermal.t_max_c + cfg.temperature_margin_c
+        low = thermal.t_min_c - TEMPERATURE_MARGIN_C
+        high = thermal.t_max_c + TEMPERATURE_MARGIN_C
         if not low <= sensed_c <= high:
             self._refuse(
                 EnvelopeError,
@@ -428,7 +423,7 @@ class CompensationChain:
         residual_k = thermal.duration_residual_kelvin(
             measurement.measurement_time_s, sensed_c
         )
-        if abs(residual_k) > cfg.temperature_implausible_k:
+        if abs(residual_k) > TEMPERATURE_IMPLAUSIBLE_K:
             implied = thermal.implied_temperature_c(
                 measurement.measurement_time_s
             )
@@ -467,11 +462,11 @@ class CompensationChain:
             flags.append(F_CAL_CRC)
             notes.append("calibration CRC mismatch; table bypassed")
             return measurement.heading_deg, field_a_per_m
-        if store.age_missions > self.config.max_calibration_age_missions:
+        if store.age_missions > MAX_CALIBRATION_AGE_MISSIONS:
             self._refuse(
                 EnvelopeError,
                 f"calibration table is {store.age_missions} missions old "
-                f"(budget {self.config.max_calibration_age_missions}) — "
+                f"(budget {MAX_CALIBRATION_AGE_MISSIONS}) — "
                 "the platform's iron signature may have changed",
             )
             flags.append(F_CAL_STALE)
@@ -479,11 +474,11 @@ class CompensationChain:
             # Stale is a warning, not a bypass: the table is still the
             # best correction available, but every heading through it is
             # flagged until a refit.
-        if store.fit_residual_deg > self.config.max_fit_residual_deg:
+        if store.fit_residual_deg > MAX_FIT_RESIDUAL_DEG:
             self._refuse(
                 EnvelopeError,
                 f"calibration fit residual {store.fit_residual_deg:.2f}° "
-                f"exceeds the {self.config.max_fit_residual_deg:.2f}° "
+                f"exceeds the {MAX_FIT_RESIDUAL_DEG:.2f}° "
                 "budget — the ellipse model could not reproduce its own "
                 "calibration rotation, so its corrections are not "
                 "trustworthy here",
@@ -496,18 +491,17 @@ class CompensationChain:
             # Like staleness: apply the best available correction, but
             # never serve it unflagged.
         model = store.model
-        cfg = self.config
         horizontal_ut = self.field_model.horizontal * 1e6
         iron_fraction = (
             math.hypot(model.offset_x, model.offset_y) / model.radius
             if model.radius > 0.0
             else 0.0
         )
-        if horizontal_ut < cfg.qualified_field_floor_ut:
+        if horizontal_ut < QUALIFIED_FIELD_FLOOR_UT:
             self._refuse(
                 EnvelopeError,
                 f"horizontal field {horizontal_ut:.1f} µT is below the "
-                f"{cfg.qualified_field_floor_ut:.0f} µT floor of the "
+                f"{QUALIFIED_FIELD_FLOOR_UT:.0f} µT floor of the "
                 "iron-calibrated instrument's qualified envelope",
             )
             flags.append(F_FIELD_BAND)
@@ -516,15 +510,15 @@ class CompensationChain:
                 "qualified floor"
             )
         elif (
-            horizontal_ut < cfg.rated_field_min_ut
-            and iron_fraction > cfg.derated_iron_fraction
+            horizontal_ut < RATED_FIELD_MIN_UT
+            and iron_fraction > DERATED_IRON_FRACTION
         ):
             self._refuse(
                 EnvelopeError,
                 f"platform iron is {iron_fraction:.0%} of the "
                 f"{horizontal_ut:.1f} µT horizontal field — over the "
-                f"{cfg.derated_iron_fraction:.1%} derated budget below "
-                f"the rated {cfg.rated_field_min_ut:.0f} µT band",
+                f"{DERATED_IRON_FRACTION:.1%} derated budget below "
+                f"the rated {RATED_FIELD_MIN_UT:.0f} µT band",
             )
             flags.append(F_FIELD_BAND)
             notes.append(
@@ -548,15 +542,11 @@ class CompensationChain:
     ) -> float:
         if not self.tilt_enabled:
             return heading_deg
-        cfg = self.config
-        if (
-            abs(pitch_deg) > cfg.max_tilt_deg
-            or abs(roll_deg) > cfg.max_tilt_deg
-        ):
+        if abs(pitch_deg) > MAX_TILT_DEG or abs(roll_deg) > MAX_TILT_DEG:
             self._refuse(
                 EnvelopeError,
                 f"sensed tilt ({pitch_deg:.1f}°, {roll_deg:.1f}°) outside "
-                f"the ±{cfg.max_tilt_deg:.0f}° compensable cone",
+                f"the ±{MAX_TILT_DEG:.0f}° compensable cone",
             )
             flags.append(F_TILT_ENVELOPE)
             notes.append("tilt outside compensable cone")
@@ -607,11 +597,11 @@ class CompensationChain:
         if expected <= 0.0:
             return
         residual = (field_a_per_m - expected) / expected
-        if abs(residual) > self.config.residual_threshold:
+        if abs(residual) > RESIDUAL_THRESHOLD:
             self._residual_streak += 1
         else:
             self._residual_streak = 0
-        if self._residual_streak >= self.config.residual_persistence:
+        if self._residual_streak >= RESIDUAL_PERSISTENCE:
             self.residual_latched = True
         if self.residual_latched:
             self._refuse(

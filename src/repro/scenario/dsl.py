@@ -99,10 +99,6 @@ class TiltProfile:
             return 0.0, 0.0
         return self.pitch_deg, self.roll_deg
 
-    @property
-    def magnitude_deg(self) -> float:
-        return math.hypot(self.pitch_deg, self.roll_deg)
-
 
 @dataclass(frozen=True)
 class IronDistortion:

@@ -70,7 +70,6 @@ from ..units import (
 )
 from .compensation import (
     CalibrationStore,
-    ChainConfig,
     CompensationChain,
     thermal_calibration_for,
 )
@@ -254,7 +253,6 @@ class ScenarioRunner:
         scenario: Scenario,
         base_config: Optional[CompassConfig] = None,
         strict: bool = False,
-        chain_config: Optional[ChainConfig] = None,
         record_path: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -262,11 +260,7 @@ class ScenarioRunner:
         self.base_config = (
             CompassConfig() if base_config is None else base_config
         )
-        self.chain_config = (
-            ChainConfig(strict=strict)
-            if chain_config is None
-            else chain_config
-        )
+        self.strict = strict
         self.metrics = metrics
         # Environment fault seams (replaced by repro.faults.environment).
         self.telemetry = TelemetrySource()
@@ -536,7 +530,7 @@ class ScenarioRunner:
             store=store,
             tilt_enabled=policy.tilt,
             anomaly_enabled=policy.anomaly_gate,
-            config=self.chain_config,
+            strict=self.strict,
         )
 
     # -- the run ---------------------------------------------------------------

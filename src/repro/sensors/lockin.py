@@ -48,10 +48,6 @@ class DemodulationResult:
     def magnitude(self) -> float:
         return math.hypot(self.in_phase, self.quadrature)
 
-    @property
-    def phase_deg(self) -> float:
-        return math.degrees(math.atan2(self.quadrature, self.in_phase))
-
 
 class LockInDemodulator:
     """Quadrature lock-in at a harmonic of the excitation frequency.
@@ -118,10 +114,6 @@ class LockInDemodulator:
         rotation = math.atan2(-raw.quadrature, raw.in_phase)
         self._phase_offset_rad += rotation
         return rotation
-
-    @property
-    def phase_offset_deg(self) -> float:
-        return math.degrees(self._phase_offset_rad)
 
 
 class SynchronousFieldReadout:

@@ -24,6 +24,8 @@ import numpy as np
 
 from ..core.compass import CompassConfig, IntegratedCompass
 from ..core.heading import HeadingMeasurement
+from ..errors import ConfigurationError
+from ..observe import Observability
 from .breaker import CircuitBreaker
 
 #: Dispatch overhead per attempt, as a fraction of the measurement time:
@@ -32,7 +34,18 @@ OVERHEAD_FRACTION_RANGE = (0.05, 0.25)
 
 
 def replica_config(base: CompassConfig, noise_seed: int) -> CompassConfig:
-    """The base compass configuration re-seeded for one replica."""
+    """The base compass configuration re-seeded for one replica.
+
+    Every replica and array element reports into its owner's observer,
+    so an ``observe`` nested in the base configuration would be
+    replaced unseen; it is refused before any compass is built.
+    """
+    if base.observe != Observability():
+        raise ConfigurationError(
+            "a replica or array element reports through its owner's "
+            "observer: set observe on the ServiceConfig, ArrayConfig or "
+            "FleetConfig, not on the compass configuration inside it"
+        )
     return dataclasses.replace(
         base,
         front_end=dataclasses.replace(base.front_end, noise_seed=noise_seed),

@@ -68,7 +68,10 @@ from .backoff import BackoffPolicy, BackoffSchedule
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker
 from .clock import Clock, SimulatedClock
 from .replica import CompassReplica
-from .voting import VoteResult, vote_headings
+from .voting import VOTE_OUTLIER_DEG, VoteResult, vote_headings
+
+#: Per-attempt reply budget [s]; slower replies are abandoned.
+ATTEMPT_TIMEOUT_S = 0.02
 
 
 class ServiceVerdict(enum.Enum):
@@ -91,14 +94,10 @@ class ServiceConfig:
         Minimum vote-eligible headings K required to answer at all.
     deadline_s:
         Per-request wall budget on the service clock [s].
-    attempt_timeout_s:
-        Per-attempt reply budget [s]; slower replies are abandoned.
     max_attempts_per_replica:
         Attempt budget per replica per request (first try + retries).
     backoff, breaker:
         Retry-delay and circuit-breaker policies.
-    vote_outlier_deg, vote_mad_scale:
-        Outlier-rejection floor and MAD multiplier of the vote.
     seed:
         Root seed; replica noise, latency jitter and backoff jitter are
         all spawned from it, so a service run is reproducible.
@@ -116,12 +115,9 @@ class ServiceConfig:
     replicas: int = 3
     quorum: int = 2
     deadline_s: float = 0.5
-    attempt_timeout_s: float = 0.02
     max_attempts_per_replica: int = 3
     backoff: BackoffPolicy = BackoffPolicy()
     breaker: BreakerConfig = BreakerConfig()
-    vote_outlier_deg: float = 5.0
-    vote_mad_scale: float = 3.0
     seed: int = 0
     compass: CompassConfig = CompassConfig(health=HealthConfig(enabled=True))
     observe: Observability = Observability()
@@ -133,8 +129,8 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"quorum {self.quorum} must be in 1..{self.replicas}"
             )
-        if self.deadline_s <= 0.0 or self.attempt_timeout_s <= 0.0:
-            raise ConfigurationError("deadline and timeout must be positive")
+        if self.deadline_s <= 0.0:
+            raise ConfigurationError("deadline must be positive")
         if self.max_attempts_per_replica < 1:
             raise ConfigurationError("need at least one attempt per replica")
 
@@ -542,14 +538,11 @@ class HeadingService:
         attempts: List[AttemptRecord],
         deadline: float,
     ) -> None:
-        cfg = self.config
         latency = replica.draw_latency()
         # The reply budget is the attempt timeout, further truncated by
         # the request deadline: a reply the deadline would have cut off
         # is as lost as a timed-out one.
-        budget = min(
-            cfg.attempt_timeout_s, max(0.0, deadline - self.clock.now())
-        )
+        budget = min(ATTEMPT_TIMEOUT_S, max(0.0, deadline - self.clock.now()))
         charged = min(latency, budget)
         with self.observer.span(
             f"{STAGE_ATTEMPT}.{replica.index}.{slot.attempts}",
@@ -703,11 +696,7 @@ class HeadingService:
                 f"(healthy {len(healthy)}, degraded {len(degraded)}{tally})"
             )
 
-        vote = vote_headings(
-            [m.heading_deg for _, m in voters],
-            outlier_threshold_deg=cfg.vote_outlier_deg,
-            mad_scale=cfg.vote_mad_scale,
-        )
+        vote = vote_headings([m.heading_deg for _, m in voters])
         if len(vote.inliers) < cfg.quorum:
             raise QuorumError(
                 f"{prefix}only {len(vote.inliers)} of {len(voters)} headings "
@@ -721,7 +710,7 @@ class HeadingService:
             )
         # A MAD-widened threshold means the pool itself disagrees: the
         # vote rejected nothing because the spread hid the outliers.
-        spread = vote.threshold_deg > cfg.vote_outlier_deg
+        spread = vote.threshold_deg > VOTE_OUTLIER_DEG
         if spread:
             flags.append(
                 f"vote-spread: threshold widened to {vote.threshold_deg:.2f} "

@@ -30,6 +30,13 @@ from typing import List, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..units import angular_difference_deg, wrap_degrees
 
+#: Outlier-rejection floor of the vote [deg]: counter-quantisation
+#: disagreement (a few tenths of a degree) never ejects an honest vote.
+VOTE_OUTLIER_DEG = 5.0
+#: MAD multiplier that widens the threshold when the whole pool
+#: legitimately disagrees (e.g. a weak polar field).
+VOTE_MAD_SCALE = 3.0
+
 
 def circular_mean_deg(headings_deg: Sequence[float]) -> float:
     """Direction of the unit-vector sum [deg in [0, 360)]."""
@@ -112,14 +119,10 @@ class VoteResult:
         return not self.outliers
 
 
-def vote_headings(
-    headings_deg: Sequence[float],
-    outlier_threshold_deg: float = 5.0,
-    mad_scale: float = 3.0,
-) -> VoteResult:
+def vote_headings(headings_deg: Sequence[float]) -> VoteResult:
     """Robust vote over replica headings.
 
-    The rejection threshold is ``max(outlier_threshold_deg, mad_scale ×
+    The rejection threshold is ``max(VOTE_OUTLIER_DEG, VOTE_MAD_SCALE ×
     MAD)``: the floor keeps counter-quantisation disagreement (a few
     tenths of a degree) from ever ejecting an honest replica, the MAD
     term lets the threshold widen when the whole pool legitimately
@@ -127,13 +130,9 @@ def vote_headings(
     """
     if not headings_deg:
         raise ConfigurationError("cannot vote over zero headings")
-    if outlier_threshold_deg <= 0.0:
-        raise ConfigurationError("outlier threshold must be positive")
-    if mad_scale < 0.0:
-        raise ConfigurationError("MAD scale must be >= 0")
     median = circular_median_deg(headings_deg)
     mad = circular_mad_deg(headings_deg, median)
-    threshold = max(outlier_threshold_deg, mad_scale * mad)
+    threshold = max(VOTE_OUTLIER_DEG, VOTE_MAD_SCALE * mad)
     inliers: List[int] = []
     outliers: List[int] = []
     for index, heading in enumerate(headings_deg):
@@ -156,6 +155,8 @@ def vote_headings(
 
 
 __all__ = [
+    "VOTE_MAD_SCALE",
+    "VOTE_OUTLIER_DEG",
     "VoteResult",
     "circular_mad_deg",
     "circular_mean_deg",

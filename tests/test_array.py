@@ -327,6 +327,20 @@ class TestObservability:
         fusions = array.observer.metrics.get(M_ARRAY_FUSIONS)
         assert fusions.value(status="refused") == 1
 
+    def test_nested_element_observe_is_refused(self, tmp_path):
+        # Elements report through the array's observer, so an observe
+        # nested in the element configuration would be dropped unseen.
+        path = tmp_path / "array.rplog"
+        element = CompassConfig(
+            health=HealthConfig(enabled=True),
+            observe=Observability.on(replay_path=str(path)),
+        )
+        with pytest.raises(ConfigurationError, match="ArrayConfig"):
+            ArrayCompass(
+                ArrayConfig(geometry=ArrayGeometry.square(), element=element)
+            )
+        assert not path.exists()
+
     def test_shared_excitation_cache_is_hit_across_elements(self):
         array = ArrayCompass(
             ArrayConfig(

@@ -35,6 +35,7 @@ from repro.fleet import (
     stable_hash,
 )
 from repro.fleet.admission import QueueItem
+from repro.observe import Observability
 from repro.service.clock import SimulatedClock
 
 
@@ -404,6 +405,21 @@ def _run_fleet(config, scenario):
 
 
 class TestHeadingFleet:
+    def test_nested_compass_observe_is_refused(self, tmp_path):
+        # Shard replicas report through the fleet's observer, so an
+        # observe nested in the compass configuration would be dropped.
+        path = tmp_path / "fleet.rplog"
+        service = FleetConfig().service
+        compass = dataclasses.replace(
+            service.compass, observe=Observability.on(replay_path=str(path))
+        )
+        config = _small_config(
+            service=dataclasses.replace(service, compass=compass)
+        )
+        with pytest.raises(ConfigurationError, match="FleetConfig"):
+            HeadingFleet(config, scheduler=Kernel())
+        assert not path.exists()
+
     def test_measured_then_cached_bit_identical(self):
         async def scenario(fleet):
             first = await fleet.submit("device-1", 45.0)

@@ -27,6 +27,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
+    DEFAULT_FIELD_QUANTUM_UT,
+    DEFAULT_HEADING_QUANTUM_DEG,
     BoundedShardQueue,
     FleetConfig,
     HeadingFleet,
@@ -267,13 +269,12 @@ class TestGoldenVectorConformance:
     def test_the_golden_grid_is_exact(self):
         # Every golden input must lie *on* the fleet's measurement grid,
         # or cached responses would answer a different question.
-        config = FleetConfig()
         for vector in VECTORS:
             _, snapped_heading = quantize_heading(
-                vector["true_heading_deg"], config.heading_quantum_deg
+                vector["true_heading_deg"], DEFAULT_HEADING_QUANTUM_DEG
             )
             _, snapped_field = quantize_field(
-                vector["field_ut"] * 1e-6, config.field_quantum_ut
+                vector["field_ut"] * 1e-6, DEFAULT_FIELD_QUANTUM_UT
             )
             assert snapped_heading == vector["true_heading_deg"]
             assert snapped_field == vector["field_ut"] * 1e-6

@@ -15,6 +15,7 @@ import numpy as np
 from repro.faults import REGISTRY, ChaosSoak, SoakConfig
 from repro.faults.chaos import ReplicaStorm
 from repro.fleet import FleetConfig, FleetSoak, FleetSoakConfig
+from repro.fleet.soak import MAX_CHAOTIC_SHARDS
 from repro.service import HeadingService, ServiceConfig
 
 
@@ -78,4 +79,4 @@ def test_fleet_soak_caps_replicas_per_shard_and_stormy_shards():
     )
     assert peak_replicas <= (config.fleet.service.replicas - 1) // 2
     # Four shards, but the storm holds at most two at once.
-    assert peak_shards == config.max_chaotic_shards == 2
+    assert peak_shards == MAX_CHAOTIC_SHARDS == 2

@@ -43,7 +43,6 @@ from repro.scenario import (
     SCENARIOS,
     AnomalySpec,
     CalibrationStore,
-    ChainConfig,
     CompensationChain,
     IronDistortion,
     Scenario,
@@ -177,7 +176,7 @@ def chain(strict=False, **kwargs):
     defaults = dict(
         field_model=BENCH_FIELD,
         declination_deg=0.0,
-        config=ChainConfig(strict=strict),
+        strict=strict,
     )
     defaults.update(kwargs)
     return CompensationChain(**defaults)

@@ -41,6 +41,7 @@ from repro.service import (
     circular_median_deg,
     vote_headings,
 )
+from repro.service.voting import VOTE_OUTLIER_DEG
 
 # The golden scalar measurement at the design point (see test_health).
 GOLDEN_HEADING = (123.0, 123.40234375)
@@ -507,7 +508,7 @@ class TestVoteSpread:
 
     def test_quantisation_disagreement_does_not_widen(self):
         response = _service().measure_heading(GOLDEN_HEADING[0])
-        assert response.vote.threshold_deg == 5.0
+        assert response.vote.threshold_deg == VOTE_OUTLIER_DEG
         assert response.authoritative and response.flags == ()
 
 
@@ -550,6 +551,18 @@ class TestServiceObservability:
         assert requests.value(verdict="quorum-degraded") == 1
         transitions = metrics.get(M_BREAKER_TRANSITIONS)
         assert transitions.value(replica="replica-0", to="open") == 1
+
+    def test_nested_compass_observe_is_refused(self, tmp_path):
+        # Replicas report through the service's observer, so an observe
+        # nested in the compass configuration would be dropped unseen.
+        path = tmp_path / "svc.rplog"
+        compass = dataclasses.replace(
+            ServiceConfig().compass,
+            observe=Observability.on(replay_path=str(path)),
+        )
+        with pytest.raises(ConfigurationError, match="ServiceConfig"):
+            _service(compass=compass)
+        assert not path.exists()
 
     def test_strict_replicas_under_the_service(self):
         # The service's default compass config keeps health supervision
