@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,10 +64,10 @@ class EdgeBlock:
     The per-window values the back end reads (the counter's high ticks,
     duty cycles and set/reset tallies) are computed for every row in
     one vectorised pass per window, the first time any row asks, and
-    kept for the block's lifetime; a one-row block walks its row once
-    per window instead.  Either way the arithmetic is the per-edge
-    loop's own, so a row reads exactly what walking its edges one by
-    one would give.
+    kept for the block's lifetime as lists of Python numbers; a one-row
+    block walks its row once per window instead.  Either way the
+    arithmetic is the per-edge loop's own, so a row reads exactly what
+    walking its edges one by one would give.
     """
 
     __slots__ = ("times", "values", "initial", "counts", "window", "_high", "_memo")
@@ -137,7 +137,7 @@ class EdgeBlock:
                 events = np.add.reduce(inside, axis=1)
                 inside &= self.high[:, 1:]
                 sets = np.add.reduce(inside, axis=1)
-                self._memo[key] = (sets, events - sets)
+                self._memo[key] = (sets.tolist(), (events - sets).tolist())
         return self._memo[key]
 
     def _pass(self, window: Tuple[float, float], tick: Optional[float]) -> None:
@@ -180,19 +180,28 @@ class EdgeBlock:
         segments = np.where(self.high, layers[:, :, 1:] - layers[:, :, :-1], 0.0)
         totals = np.add.accumulate(segments, axis=2)[:, :, -1]
         for total, (t_start, t_end) in zip(totals, windows):
-            self._memo[("duty", (t_start, t_end))] = total / (t_end - t_start)
+            self._memo[("duty", (t_start, t_end))] = (
+                total / (t_end - t_start)
+            ).tolist()
         if tick is not None:
-            self._memo[("high-ticks", window, tick)] = totals[-1]
+            self._memo[("high-ticks", window, tick)] = totals[-1].tolist()
 
     def _walk(self, window: Tuple[float, float], tick: Optional[float]) -> None:
         """:meth:`_pass` and :meth:`tally` of a one-row block, in one walk
-        over its edges with the same arithmetic."""
+        over its edges with the same arithmetic.
+
+        Like :meth:`_pass`, the walk also fills the duty over the block's
+        own observation window, so a measurement walks each row once.
+        """
         t_start, t_end = window
+        o_start, o_end = self.window
+        own = window != self.window and ("duty", self.window) not in self._memo
         count = self.times.shape[1] if self.counts is None else int(self.counts[0])
-        high_time = 0.0
+        high_time = own_time = 0.0
         high_ticks = sets = resets = index_prev = 0
         value = int(self.initial[0])
         t_prev = t_start
+        own_prev = o_start
         for time, edge_value in zip(
             self.times[0, :count].tolist(), self.values[0, :count].tolist()
         ):
@@ -213,15 +222,43 @@ class EdgeBlock:
             if value == 1:
                 high_time += clamped - t_prev
             t_prev = clamped
+            if own:
+                clamped = o_start if o_start > time else time
+                if o_end < clamped:
+                    clamped = o_end
+                if value == 1:
+                    own_time += clamped - own_prev
+                own_prev = clamped
             value = edge_value
         if value == 1:
             high_time += t_end - t_prev
+            own_time += o_end - own_prev
             if tick is not None:
                 high_ticks += math.ceil((t_end - t_start) / tick - 1e-12) - index_prev
         self._memo[("duty", window)] = (high_time / (t_end - t_start),)
         self._memo[("tally", window)] = ((sets,), (resets,))
         if tick is not None:
             self._memo[("high-ticks", window, tick)] = (high_ticks,)
+        if own:
+            self._memo[("duty", self.window)] = (own_time / (o_end - o_start),)
+
+
+def read_rows(
+    detectors: Sequence["DetectorOutput"], read: Callable[[EdgeBlock], Sequence]
+) -> List:
+    """``read(block)[row]`` for each detector output, in order.
+
+    The rows of one call usually share a few blocks, so ``read`` runs
+    once per run of rows from the same block rather than once per row.
+    """
+    values = []
+    block = column = None
+    for detector in detectors:
+        if detector.block is not block:
+            block = detector.block
+            column = read(block)
+        values.append(column[detector.row])
+    return values
 
 
 class DetectorOutput:

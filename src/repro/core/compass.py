@@ -10,10 +10,9 @@ compute the arctangent, update the display.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from ..analog import fastpath
 from ..analog.excitation import DEFAULT_TRACE_CACHE, ExcitationTraceCache
 from ..analog.frontend import AnalogFrontEnd, FrontEndConfig
 from ..analog.mux import MeasurementSchedule
-from ..analog.pulse_detector import DetectorOutput
+from ..analog.pulse_detector import DetectorOutput, read_rows
 from ..digital.backend import DigitalBackEnd
 from ..digital.counter import CounterConfig
 from ..digital.display import DisplayFrame, DisplayMode
@@ -40,6 +39,7 @@ from ..observe import (
     build_observer,
 )
 from ..observe.trace import (
+    NULL_SPAN,
     STAGE_BATCH,
     STAGE_CHANNEL,
     STAGE_COMPARATOR,
@@ -223,8 +223,10 @@ class IntegratedCompass:
         """The measurement engine: ``N`` axis-field rows → ``N`` records.
 
         A scalar measurement is a one-row batch, so the grid, watchdog,
-        noise-draw block, power gating, spans, recorder callbacks,
-        metrics and assembly happen here once for both paths.
+        noise-draw block, power gating, spans and assembly (one
+        back-end pass and one health review for all rows, then the rows'
+        records, recorder callbacks and metrics in order; see
+        :meth:`assemble_measurement`) happen here once for both paths.
         ``path="scalar"`` roots the spans at ``measure``, draws noise as
         each amplifier runs (a channel that fails first draws nothing)
         and keeps the single-axis degrade.  ``path="batch"``
@@ -273,26 +275,20 @@ class IntegratedCompass:
             finally:
                 self.front_end.disable()
 
-            measurements = []
-            for row in range(rows):
+            if failures:
+                # Only a one-row scalar call degrades to one axis.
                 if recorder is not None:
-                    recorder.on_inputs(float(h_x[row]), float(h_y[row]))
-                with (
-                    contextlib.nullcontext(root)
-                    if scalar
-                    else observer.span(STAGE_MEASURE, path=path, row=row)
-                ) as span:
-                    if failures:
-                        measurement = self._single_axis_fallback(
-                            failures, outputs, count_window
-                        )
-                        span.set(heading_deg=measurement.heading_deg, fallback=True)
-                    else:
-                        measurement = self.assemble_measurement(
-                            outputs["x"][row], outputs["y"][row], count_window, path
-                        )
-                        span.set(heading_deg=measurement.heading_deg)
-                measurements.append(measurement)
+                    recorder.on_inputs(float(h_x[0]), float(h_y[0]))
+                measurement = self._single_axis_fallback(
+                    failures, outputs, count_window
+                )
+                root.set(heading_deg=measurement.heading_deg, fallback=True)
+                return [measurement]
+            measurements = self.assemble_measurement(
+                h_x, h_y, outputs["x"], outputs["y"], count_window, path
+            )
+            if scalar:
+                root.set(heading_deg=measurements[0].heading_deg)
         return measurements
 
     def _channel_rows(
@@ -426,91 +422,148 @@ class IntegratedCompass:
 
     def assemble_measurement(
         self,
-        detector_x: DetectorOutput,
-        detector_y: DetectorOutput,
+        h_x: np.ndarray,
+        h_y: np.ndarray,
+        detectors_x: Sequence[DetectorOutput],
+        detectors_y: Sequence[DetectorOutput],
         count_window: Tuple[float, float],
         path: str = "scalar",
-    ) -> HeadingMeasurement:
-        """Digital back-end pass: detector outputs → heading record.
+    ) -> List[HeadingMeasurement]:
+        """Digital back-end pass: every row's detector outputs → heading records.
 
         Shared by the scalar path and :class:`repro.batch.BatchCompass`,
         so both assemble measurements through identical arithmetic;
-        ``path`` only labels the spans/metrics this call emits.
+        ``path`` only labels the spans/metrics this call emits, and
+        ``h_x``/``h_y`` (the rows' axis fields) are only staged for a
+        replay recorder.  One back-end pass and one health review cover
+        every row; then the rows are served in order.  Each gets its
+        ``measure`` span (a scalar call's root span), the back end's
+        per-row accounting, its record, the supervisor's update, the
+        recorder callback and its metrics.  A row that fails raises
+        after every row before it was served; in degrade mode a row
+        that fails a health check serves the stale fallback instead and
+        the call goes on.
         """
-        result = self.back_end.process_measurement(
-            detector_x,
-            detector_y,
-            window_x=count_window,
-            window_y=count_window,
+        back_end = self.back_end
+        supervisor = self.supervisor
+        observer = self.observer
+        recorder = observer.recorder
+        metrics = observer.metrics
+        results, error = back_end.process_measurement(
+            detectors_x, detectors_y, window_x=count_window, window_y=count_window
         )
         # The counter pair also encodes the field *magnitude*:
         # |count| = ticks · |H| / Ha.  The arctangent discards it, but it
         # is free diagnostic information (see repro.core.anomaly).  Each
         # count is normalised by its *own* channel's tick total — the
         # windows may legitimately differ.
-        x_ticks = result.x_result.total_ticks
-        y_ticks = result.y_result.total_ticks
-        if x_ticks == 0 or y_ticks == 0:
-            raise ConfigurationError(
-                "degenerate counting window: zero counter ticks on channel "
-                f"{'x' if x_ticks == 0 else 'y'}; widen the window or slow "
-                "the measurement schedule"
-            )
         amplitude = self.config.front_end.excitation.current_amplitude
         h_amp = self.config.sensor.excitation_coil_constant * amplitude
-        field_estimate = math.hypot(
-            result.x_count * h_amp / x_ticks,
-            result.y_count * h_amp / y_ticks,
-        )
-        health = None
-        if self.supervisor.enabled:
-            try:
-                health = self.supervisor.review(
-                    result, detector_x, detector_y, count_window, field_estimate
+        field_estimates = []
+        for result in results:
+            x_ticks = result.x_result.total_ticks
+            y_ticks = result.y_result.total_ticks
+            if x_ticks == 0 or y_ticks == 0:
+                break
+            field_estimates.append(
+                math.hypot(
+                    result.x_count * h_amp / x_ticks, result.y_count * h_amp / y_ticks
                 )
-            except FaultError as fault:
-                # strict mode re-raises inside; degrade mode substitutes
-                # the last-known-good heading with staleness metadata.
-                stale = self.supervisor.stale_fallback(fault)
-                self.supervisor.observe(stale)
-                if self.observer.recorder is not None:
-                    self.observer.recorder.on_fallback(
-                        path,
-                        {"x": detector_x, "y": detector_y},
-                        count_window,
-                        stale,
+            )
+        served = len(field_estimates)
+        # The row that ends the call, if any: one the back end computed
+        # but no field estimate exists for, or one the back end failed on.
+        ending = None
+        if served < len(results):
+            ending = results[served]
+            error = ConfigurationError(
+                "degenerate counting window: zero counter ticks on channel "
+                f"{'x' if ending.x_result.total_ticks == 0 else 'y'}; widen "
+                "the window or slow the measurement schedule"
+            )
+        verdicts = None
+        if supervisor.enabled:
+            verdicts = supervisor.review(
+                results[:served],
+                detectors_x,
+                detectors_y,
+                count_window,
+                field_estimates,
+            )
+        duration = back_end.controller.measurement_duration()
+        duty_x = read_rows(detectors_x[:served], lambda block: block.duty(block.window))
+        duty_y = read_rows(detectors_y[:served], lambda block: block.duty(block.window))
+
+        measurements = []
+        for row in range(served + (error is not None)):
+            if recorder is not None:
+                recorder.on_inputs(float(h_x[row]), float(h_y[row]))
+            with (
+                NULL_SPAN
+                if path == "scalar"
+                else observer.span(STAGE_MEASURE, path=path, row=row)
+            ) as span:
+                if row == served:
+                    back_end.serve(ending)
+                    try:
+                        raise error
+                    finally:
+                        # The traceback holds this frame: drop its
+                        # reference to the exception (no cycle).
+                        del error
+                result = results[row]
+                back_end.serve(result)
+                health = None if verdicts is None else verdicts[row]
+                if isinstance(health, str):
+                    # strict mode raises the fault; degrade mode
+                    # substitutes the last-known-good heading with
+                    # staleness metadata.
+                    measurement = supervisor.stale_fallback(health)
+                    supervisor.observe(measurement)
+                    if recorder is not None:
+                        recorder.on_fallback(
+                            path,
+                            {"x": detectors_x[row], "y": detectors_y[row]},
+                            count_window,
+                            measurement,
+                        )
+                    if metrics is not None:
+                        _record_measurement(metrics, measurement, path)
+                else:
+                    measurement = HeadingMeasurement(
+                        heading_deg=result.heading_deg,
+                        x_count=result.x_count,
+                        y_count=result.y_count,
+                        duty_x=duty_x[row],
+                        duty_y=duty_y[row],
+                        measurement_time_s=duration,
+                        cordic_cycles=result.cordic_cycles,
+                        field_estimate_a_per_m=field_estimates[row],
+                        health=health,
                     )
-                if self.observer.metrics is not None:
-                    _record_measurement(self.observer.metrics, stale, path)
-                return stale
-        measurement = HeadingMeasurement(
-            heading_deg=result.heading_deg,
-            x_count=result.x_count,
-            y_count=result.y_count,
-            duty_x=detector_x.duty_cycle(),
-            duty_y=detector_y.duty_cycle(),
-            measurement_time_s=self.back_end.controller.measurement_duration(),
-            cordic_cycles=result.cordic_cycles,
-            field_estimate_a_per_m=field_estimate,
-            health=health,
-        )
-        if self.supervisor.enabled:
-            self.supervisor.observe(measurement)
-        if self.observer.recorder is not None:
-            self.observer.recorder.on_measurement(
-                path, detector_x, detector_y, count_window, result, measurement
-            )
-        metrics = self.observer.metrics
-        if metrics is not None:
-            _record_measurement(metrics, measurement, path)
-            ticks = metrics.counter(
-                M_COUNTER_TICKS,
-                "clock ticks integrated by the up-down counter",
-                ("path", "channel"),
-            )
-            ticks.inc(x_ticks, path=path, channel="x")
-            ticks.inc(y_ticks, path=path, channel="y")
-        return measurement
+                    if verdicts is not None:
+                        supervisor.observe(measurement)
+                    if recorder is not None:
+                        recorder.on_measurement(
+                            path,
+                            detectors_x[row],
+                            detectors_y[row],
+                            count_window,
+                            result,
+                            measurement,
+                        )
+                    if metrics is not None:
+                        _record_measurement(metrics, measurement, path)
+                        ticks = metrics.counter(
+                            M_COUNTER_TICKS,
+                            "clock ticks integrated by the up-down counter",
+                            ("path", "channel"),
+                        )
+                        ticks.inc(result.x_result.total_ticks, path=path, channel="x")
+                        ticks.inc(result.y_result.total_ticks, path=path, channel="y")
+                span.set(heading_deg=measurement.heading_deg)
+            measurements.append(measurement)
+        return measurements
 
     def measure_heading(
         self,

@@ -39,9 +39,9 @@ import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from ..analog.pulse_detector import DetectorOutput
+from ..analog.pulse_detector import DetectorOutput, read_rows
 from ..digital.atan_rom import build_rom
 from ..errors import DegradedOperationError, FaultError, ProtocolError
 from ..observe import M_HEALTH_CHECKS, M_HEALTH_FALLBACKS
@@ -184,11 +184,31 @@ class HealthReport:
 #: equal.
 HEALTHY = HealthReport(status="ok")
 
+#: One row's review outcome: its health report, or the message of the
+#: :class:`~repro.errors.FaultError` a hard violation raises.  The fault
+#: is built when the row is served, so no frame that stored it is on
+#: its traceback.
+Verdict = Union[HealthReport, str]
+
+#: The checks of one review, in the order they run (tick window, count
+#: against duty cycle and pulse activity once per channel).
+CHECKS = (
+    "tick-window",
+    "tick-window",
+    "count-duty",
+    "count-duty",
+    "pulse-activity",
+    "pulse-activity",
+    "rom-bist",
+    "field-band",
+)
+
 
 def _edges_in_window(
     detector: DetectorOutput, window: Tuple[float, float]
 ) -> Tuple[int, int]:
-    """(set events, reset events) strictly inside ``window``."""
+    """(set events, reset events) strictly inside ``window``: one row of
+    the tally :meth:`HealthSupervisor.review` reads for every row."""
     sets, resets = detector.block.tally((window[0], window[1]))
     return int(sets[detector.row]), int(resets[detector.row])
 
@@ -227,20 +247,6 @@ class HealthSupervisor:
         """Forget the last-known-good history (e.g. after relocation)."""
         self._last_good = None
         self._stale_measurements = 0
-
-    def _count_check(self, check: str, outcome: str) -> None:
-        """Account one health-check evaluation in the compass metrics.
-
-        ``outcome`` is ``"ok"`` (passed), ``"flag"`` (soft violation) or
-        ``"fault"`` (hard violation, about to raise).
-        """
-        metrics = self._compass.observer.metrics
-        if metrics is not None:
-            metrics.counter(
-                M_HEALTH_CHECKS,
-                "health-check evaluations, by check and outcome",
-                ("check", "outcome"),
-            ).inc(check=check, outcome=outcome)
 
     def _count_fallback(self, kind: str) -> None:
         metrics = self._compass.observer.metrics
@@ -294,150 +300,179 @@ class HealthSupervisor:
 
     def review(
         self,
-        result: "BackEndResult",
-        detector_x: DetectorOutput,
-        detector_y: DetectorOutput,
+        results: Sequence["BackEndResult"],
+        detectors_x: Sequence[DetectorOutput],
+        detectors_y: Sequence[DetectorOutput],
         count_window: Tuple[float, float],
-        field_estimate_a_per_m: float,
-    ) -> HealthReport:
-        """Run every plausibility check against one measurement.
+        field_estimates: Sequence[float],
+    ) -> List[Verdict]:
+        """Run every plausibility check against each row of one call.
 
-        Returns :data:`HEALTHY` when all checks pass, a degraded report
-        carrying flags for soft violations, and raises
-        :class:`FaultError` on a hard violation (the caller decides
-        whether to degrade further).
+        Returns one verdict per row, in row order: :data:`HEALTHY` when
+        all checks pass, a degraded report carrying flags for soft
+        violations, or, on a hard violation, the message of the
+        :class:`FaultError` it raises (the caller hands it to
+        :meth:`stale_fallback`).  The review stops after a fault that
+        ends the call: any fault in strict mode, or in degrade mode one
+        with no good heading before it to fall back on.
+
+        The window, the ROM signature and the thresholds are the same
+        for every row, so they are evaluated once; each row's duty
+        cycle and set/reset tally come from its detector's block.
         """
         cfg = self.config
-        counter = self._compass.back_end.counter
+        compass = self._compass
+        rows = len(results)
         t0, t1 = count_window
-        flags: List[str] = []
-
+        window = (t0, t1)
         # 1. tick-count window: the counter's reported window length must
         #    match the schedule.
-        expected_ticks = (t1 - t0) * counter.config.clock_hz
-        for channel, count_result in (("x", result.x_result), ("y", result.y_result)):
-            if abs(count_result.total_ticks - expected_ticks) > (
-                cfg.tick_window_tolerance + 1.0
-            ):
-                self._count_check("tick-window", "fault")
-                raise FaultError(
-                    f"health check: channel {channel} counted "
-                    f"{count_result.total_ticks} ticks where the schedule "
-                    f"promised {expected_ticks:.0f} ± "
-                    f"{cfg.tick_window_tolerance}"
-                )
-            self._count_check("tick-window", "ok")
+        expected_ticks = (t1 - t0) * compass.back_end.counter.config.clock_hz
+        tick_slack = cfg.tick_window_tolerance + 1.0
+        # 2.-3. each row's (duty cycle, set events, reset events).
+        def counting_window(block):
+            return list(zip(block.duty(window), *block.tally(window)))
 
-        # 2. count/duty cross-consistency: the digital count must agree
-        #    with the analogue duty cycle up to clock quantisation.
-        #    Check 3 reuses the (sets, resets) tally taken here.
-        edge_tally: Dict[str, Tuple[int, int]] = {}
-        for channel, count_result, detector in (
-            ("x", result.x_result, detector_x),
-            ("y", result.y_result, detector_y),
-        ):
-            duty = detector.duty_cycle(count_window)
-            expected_count = count_result.total_ticks * (2.0 * duty - 1.0)
-            sets, resets = _edges_in_window(detector, count_window)
-            edge_tally[channel] = (sets, resets)
-            tolerance = (sets + resets + 2) + cfg.duty_margin_ticks
-            if abs(count_result.count - expected_count) > tolerance:
-                self._count_check("count-duty", "fault")
-                raise FaultError(
-                    f"health check: channel {channel} count "
-                    f"{count_result.count} disagrees with the detector duty "
-                    f"cycle (expected {expected_count:.0f} ± {tolerance}); "
-                    "counter datapath fault suspected"
-                )
-            self._count_check("count-duty", "ok")
-
-        # 3. pulse activity: one set and one reset per excitation period.
-        expected_events = self._compass.config.schedule.count_periods
-        for channel in ("x", "y"):
-            sets, resets = edge_tally[channel]
-            if (
-                abs(sets - expected_events) > cfg.edge_tolerance
-                or abs(resets - expected_events) > cfg.edge_tolerance
-            ):
-                self._count_check("pulse-activity", "fault")
-                raise FaultError(
-                    f"health check: channel {channel} pulse activity "
-                    f"({sets} set / {resets} reset events) deviates from the "
-                    f"{expected_events}-per-window expectation; stuck "
-                    "comparator or collapsing pulse pair suspected"
-                )
-            self._count_check("pulse-activity", "ok")
-
+        channels = (
+            ("x", read_rows(detectors_x[:rows], counting_window)),
+            ("y", read_rows(detectors_y[:rows], counting_window)),
+        )
+        expected_events = compass.config.schedule.count_periods
         # 4. CORDIC ROM integrity (ROM signature BIST).
-        if tuple(self._compass.back_end.cordic.rom) != self._rom_golden:
-            self._count_check("rom-bist", "fault")
-            raise FaultError(
-                "health check: CORDIC arctangent ROM differs from the "
-                "golden atan(2^-i) table; ROM corruption detected"
-            )
-        self._count_check("rom-bist", "ok")
-
+        rom_intact = tuple(compass.back_end.cordic.rom) == self._rom_golden
         # 5. field plausibility: |B| inside the worldwide band (§1).
-        #    Only an impossibly *large* estimate is a hard fault: nothing
-        #    but a gain/datapath fault can make the instrument read far
-        #    above the strongest horizontal field on Earth.  A *weak*
-        #    estimate is merely flagged — near the geomagnetic poles the
-        #    horizontal component legitimately collapses, and the unusable
-        #    end of that regime is already policed by the back-end's
-        #    minimum-count trust threshold.
-        field_t = field_estimate_a_per_m * MU_0
-        hard_max = cfg.soft_max_t * cfg.hard_band_factor
-        if field_t > hard_max:
-            self._count_check("field-band", "fault")
-            raise FaultError(
-                f"health check: field estimate {field_t * 1e6:.1f} µT is "
-                f"far above the plausible {hard_max * 1e6:.1f} µT ceiling; "
-                "channel gain fault suspected"
-            )
-        if field_t < cfg.soft_min_t:
-            flags.append(
-                f"field-out-of-band: {field_t * 1e6:.1f} µT below "
-                f"{cfg.soft_min_t * 1e6:.1f} µT (shielding or gain drift)"
-            )
-        elif field_t > cfg.soft_max_t:
-            flags.append(
-                f"field-out-of-band: {field_t * 1e6:.1f} µT above "
-                f"{cfg.soft_max_t * 1e6:.1f} µT (magnetised object or gain "
-                "drift)"
-            )
-        elif field_t > cfg.rated_max_t:
-            flags.append(
-                f"field-above-rating: {field_t * 1e6:.1f} µT above the "
-                f"{cfg.rated_max_t * 1e6:.1f} µT the 1° rating covers "
-                "(magnetised object or excitation drive loss)"
-            )
-        self._count_check("field-band", "flag" if flags else "ok")
+        soft_min, soft_max, rated_max = cfg.soft_min_t, cfg.soft_max_t, cfg.rated_max_t
+        hard_max = soft_max * cfg.hard_band_factor
 
-        if flags:
-            return HealthReport(status="degraded", flags=tuple(flags))
-        return HEALTHY
+        def hard_checks(row: int, result: "BackEndResult", field_t: float):
+            """(checks passed, fault message or None) of one row."""
+            passed = 0
+            for channel, count_result in (
+                ("x", result.x_result),
+                ("y", result.y_result),
+            ):
+                if abs(count_result.total_ticks - expected_ticks) > tick_slack:
+                    return passed, (
+                        f"health check: channel {channel} counted "
+                        f"{count_result.total_ticks} ticks where the schedule "
+                        f"promised {expected_ticks:.0f} ± "
+                        f"{cfg.tick_window_tolerance}"
+                    )
+                passed += 1
+            # 2. count/duty cross-consistency: the digital count must
+            #    agree with the analogue duty cycle up to clock
+            #    quantisation.
+            for (channel, values), count_result in zip(
+                channels, (result.x_result, result.y_result)
+            ):
+                duty, sets, resets = values[row]
+                expected_count = count_result.total_ticks * (2.0 * duty - 1.0)
+                tolerance = (sets + resets + 2) + cfg.duty_margin_ticks
+                if abs(count_result.count - expected_count) > tolerance:
+                    return passed, (
+                        f"health check: channel {channel} count "
+                        f"{count_result.count} disagrees with the detector duty "
+                        f"cycle (expected {expected_count:.0f} ± {tolerance}); "
+                        "counter datapath fault suspected"
+                    )
+                passed += 1
+            # 3. pulse activity: one set and one reset per excitation period.
+            for channel, values in channels:
+                _, sets, resets = values[row]
+                if (
+                    abs(sets - expected_events) > cfg.edge_tolerance
+                    or abs(resets - expected_events) > cfg.edge_tolerance
+                ):
+                    return passed, (
+                        f"health check: channel {channel} pulse activity "
+                        f"({sets} set / {resets} reset events) deviates "
+                        f"from the {expected_events}-per-window expectation; "
+                        "stuck comparator or collapsing pulse pair suspected"
+                    )
+                passed += 1
+            if not rom_intact:
+                return passed, (
+                    "health check: CORDIC arctangent ROM differs from the "
+                    "golden atan(2^-i) table; ROM corruption detected"
+                )
+            passed += 1
+            # Only an impossibly *large* estimate is a hard fault: nothing
+            # but a gain/datapath fault can make the instrument read far
+            # above the strongest horizontal field on Earth.  A *weak*
+            # estimate is merely flagged — near the geomagnetic poles the
+            # horizontal component legitimately collapses, and the
+            # unusable end of that regime is already policed by the
+            # back-end's minimum-count trust threshold.
+            if field_t > hard_max:
+                return passed, (
+                    f"health check: field estimate {field_t * 1e6:.1f} µT is "
+                    f"far above the plausible {hard_max * 1e6:.1f} µT ceiling; "
+                    "channel gain fault suspected"
+                )
+            return passed, None
+
+        metrics = compass.observer.metrics
+        verdicts: List[Verdict] = []
+        good = self._last_good is not None
+        for row, (result, field_estimate) in enumerate(zip(results, field_estimates)):
+            field_t = field_estimate * MU_0
+            passed, verdict = hard_checks(row, result, field_t)
+            outcome = "fault"
+            if verdict is None:
+                flag = None
+                if field_t < soft_min:
+                    flag = (
+                        f"field-out-of-band: {field_t * 1e6:.1f} µT below "
+                        f"{soft_min * 1e6:.1f} µT (shielding or gain drift)"
+                    )
+                elif field_t > soft_max:
+                    flag = (
+                        f"field-out-of-band: {field_t * 1e6:.1f} µT above "
+                        f"{soft_max * 1e6:.1f} µT (magnetised object or "
+                        "gain drift)"
+                    )
+                elif field_t > rated_max:
+                    flag = (
+                        f"field-above-rating: {field_t * 1e6:.1f} µT above the "
+                        f"{rated_max * 1e6:.1f} µT the 1° rating covers "
+                        "(magnetised object or excitation drive loss)"
+                    )
+                if flag is None:
+                    verdict, outcome, good = HEALTHY, "ok", True
+                else:
+                    verdict = HealthReport(status="degraded", flags=(flag,))
+                    outcome = "flag"
+            verdicts.append(verdict)
+            if metrics is not None:
+                # Every check up to the last one evaluated passed.
+                checks = metrics.counter(
+                    M_HEALTH_CHECKS,
+                    "health-check evaluations, by check and outcome",
+                    ("check", "outcome"),
+                )
+                for check in CHECKS[:passed]:
+                    checks.inc(check=check, outcome="ok")
+                checks.inc(check=CHECKS[passed], outcome=outcome)
+            if outcome == "fault" and (not cfg.degrade or not good):
+                break
+        return verdicts
 
     # -- degradation paths -----------------------------------------------------
 
-    def stale_fallback(self, fault: FaultError) -> "HeadingMeasurement":
+    def stale_fallback(self, fault: str) -> "HeadingMeasurement":
         """Last-known-good fallback after a hard check failure.
 
-        Strict mode (or no history) re-raises; degrade mode returns the
-        last good measurement re-flagged with staleness metadata.
+        ``fault`` is the failed check's message.  Strict mode (or no
+        history) raises the :class:`FaultError`; degrade mode returns
+        the last good measurement re-flagged with staleness metadata.
         """
         if not self.config.degrade:
-            try:
-                raise fault
-            finally:
-                # The traceback holds this frame: drop the frame's
-                # reference back to the exception, or the pair (and the
-                # compass its frames hold) waits for the cyclic collector.
-                del fault
+            raise FaultError(fault)
         if self._last_good is None:
             raise DegradedOperationError(
                 "health check failed and no last-known-good heading exists "
                 f"to fall back on: {fault}"
-            ) from fault
+            ) from FaultError(fault)
         self._stale_measurements += 1
         self._count_fallback("last-known-good")
         stale = self._stale_measurements
@@ -468,8 +503,9 @@ class HealthSupervisor:
         from .heading import HeadingMeasurement
 
         if not self.config.degrade:
-            # Strict mode: the channel failure propagates (without
-            # leaving a frame-exception cycle, as in stale_fallback).
+            # Strict mode: the channel failure propagates.  The
+            # traceback holds this frame, so drop its reference to the
+            # exception, or the pair waits for the cyclic collector.
             try:
                 raise cause
             finally:

@@ -65,7 +65,7 @@ _STATE_ENABLES: Dict[ControllerState, EnableSignals] = {
 HISTORY_MEASUREMENTS = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateDwell:
     """One visited state and how long the FSM stayed there [s]."""
 
@@ -119,9 +119,12 @@ class CompassController:
             ControllerState.COUNT_Y: count,
             ControllerState.COMPUTE: cordic_iterations / clock_hz,
         }
-        self._duration = sum(
-            self._durations[state] for state in self.measurement_sequence
+        #: The dwells of one measurement; every measurement repeats them.
+        self._dwells: Tuple[StateDwell, ...] = tuple(
+            StateDwell(state, self._durations[state])
+            for state in self.measurement_sequence
         )
+        self._duration = sum(dwell.duration for dwell in self._dwells)
         #: The most recent measurements' dwells, oldest first.
         self.history: Deque[StateDwell] = deque(
             maxlen=HISTORY_MEASUREMENTS * len(self.measurement_sequence)
@@ -146,19 +149,15 @@ class CompassController:
 
         Returns the dwells of this measurement; the last
         :data:`HISTORY_MEASUREMENTS` measurements' dwells are kept on
-        :attr:`history` for duty-cycle analysis across a session.
+        :attr:`history` for duty-cycle analysis across a session.  The
+        walk is synchronous, so it starts and ends in IDLE.
         """
         if self.state is not ControllerState.IDLE:
             raise ProtocolError(
                 f"measurement started while controller in {self.state}"
             )
-        dwells: List[StateDwell] = []
-        for state in self.measurement_sequence:
-            self.state = state
-            dwells.append(StateDwell(state, self._durations[state]))
-        self.state = ControllerState.IDLE
-        self.history.extend(dwells)
-        return dwells
+        self.history.extend(self._dwells)
+        return list(self._dwells)
 
     def measurement_duration(self) -> float:
         """Active time of one measurement [s]."""

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, ProtocolError
+from ..errors import ConfigurationError, ProtocolError, ReproError, only_row
 from ..units import CORDIC_ITERATIONS, heading_error_deg
 from .atan_rom import ANGLE_FRAC_BITS, build_rom, max_representable_angle_deg
-from .fixed_point import from_fixed, require_fits, truncating_shift_right
+from .fixed_point import from_fixed, require_fits, signed_max, truncating_shift_right
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,8 @@ class CordicArctan:
     ) -> CordicResult:
         """``atan(y/x)`` for non-negative integer inputs, bit-accurate.
 
+        A one-row :meth:`arctan_rows`.
+
         Raises
         ------
         ProtocolError
@@ -127,7 +129,65 @@ class CordicArctan:
             )
         if y == 0 and x == 0:
             raise ProtocolError("arctan(0/0): no field measured on either axis")
+        return only_row(self.arctan_rows(((y, x),), record_steps))
 
+    def arctan_rows(
+        self, pairs: Sequence[Tuple[int, int]], record_steps: bool = False
+    ) -> Tuple[List[CordicResult], Optional[ReproError]]:
+        """``atan(y/x)`` of every ``(y, x)`` row, bit-accurate.
+
+        Each pair is non-negative and not ``(0, 0)``; the back end's
+        minimum-count threshold guarantees both.  Returns the results of
+        the rows before the first row whose registers overflow, and that
+        row's :class:`ProtocolError` (``None`` when every row fits).
+
+        The register range is checked once per call.  A rotation only
+        subtracts from ``y_reg`` and keeps it non-negative, and only adds
+        to ``x_reg``, so the two inputs and the final ``x_reg`` bound
+        every value either register takes.  A row beyond the range runs
+        again through the per-iteration check, so its error names the
+        register and value that overflowed first.  The per-iteration
+        loop also records the steps, when asked.
+        """
+        scale = self.input_scale_bits
+        rom = self.rom
+        iterations = range(self.iterations)
+        results: List[CordicResult] = []
+        peaks: List[int] = []
+        for y, x in pairs:
+            if record_steps:
+                try:
+                    results.append(self._rotate_checked(y, x, True))
+                except ProtocolError as error:
+                    return results, error.with_traceback(None)
+                continue
+            y_reg = y << scale
+            x_reg = x << scale
+            peaks.append(y_reg)
+            res = 0
+            for i in iterations:
+                if y_reg >= x_reg >> i:
+                    y_reg, x_reg = y_reg - (x_reg >> i), x_reg + (y_reg >> i)
+                    res += rom[i]
+            peaks.append(x_reg)
+            results.append(
+                CordicResult(
+                    angle_deg=from_fixed(res, self.angle_frac_bits),
+                    angle_fixed=res,
+                    cycles=self.iterations,
+                    steps=(),
+                )
+            )
+        if peaks and max(peaks) > signed_max(self.register_width):
+            for row, (y, x) in enumerate(pairs):
+                try:
+                    self._rotate_checked(y, x, False)
+                except ProtocolError as error:
+                    return results[:row], error.with_traceback(None)
+        return results, None
+
+    def _rotate_checked(self, y: int, x: int, record_steps: bool) -> CordicResult:
+        """The Figure 8 loop with every register checked as it is written."""
         width = self.register_width
         y_reg = require_fits(y << self.input_scale_bits, width, "y_reg")
         x_reg = require_fits(x << self.input_scale_bits, width, "x_reg")

@@ -17,20 +17,22 @@ The model is exact rather than tick-looped: the number of clock ticks that
 fall inside each latch-high interval is a floor-difference, so counts are
 bit-identical to sampling 4.2 million times per second without doing so.
 The detector's :class:`~repro.analog.pulse_detector.EdgeBlock` computes
-those floor-differences for all its rows in one pass per window; each
-:meth:`UpDownCounter.count_window` call reads its row.
+those floor-differences for all its rows in one pass per window;
+:meth:`UpDownCounter.count_rows` reads every row of a measurement call
+from it, and :meth:`UpDownCounter.count_window` is its one-row form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..analog.pulse_detector import DetectorOutput
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError, only_row
 from ..units import COUNTER_CLOCK_HZ
-from .fixed_point import fits_signed, wrap_signed
+from .fixed_point import fits_signed, signed_max, signed_min, wrap_signed
 
 
 @dataclass(frozen=True)
@@ -116,50 +118,86 @@ class UpDownCounter:
         last = math.ceil((t_end - t_origin) / tick - 1e-12)
         return max(0, last - first)
 
+    def count_rows(
+        self,
+        detectors: Sequence[DetectorOutput],
+        window: Optional[Tuple[float, float]] = None,
+    ) -> Tuple[List[CountResult], Optional[ReproError]]:
+        """Integrate each detector output over a window, in row order.
+
+        Parameters
+        ----------
+        detectors:
+            The pulse-position latch signals, one per row.
+        window:
+            (start, end) [s]; defaults to each detector's own window.
+            The counter is assumed clock-aligned to the window start
+            (the control logic releases the counter reset
+            synchronously).
+
+        Returns the counts of the rows before the first row that cannot
+        be counted, and that row's error (``None`` when every row
+        counts).  A strict counter fails a row whose count overflows the
+        register; the range is checked once for the whole call.
+        """
+        if not self._enabled:
+            raise ConfigurationError("counter is powered down")
+        tick = self.config.tick
+        width = self.config.width_bits
+        results: List[CountResult] = []
+        block = None
+        for detector in detectors:
+            if detector.block is not block:
+                block = detector.block
+                t_start, t_end = block.window if window is None else window
+                if t_end <= t_start:
+                    return results, ConfigurationError("empty counting window")
+                total_ticks = self._ticks_in(t_start, t_end, t_start)
+                high = block.high_ticks((t_start, t_end), tick)
+            high_ticks = int(high[detector.row])
+            results.append(
+                CountResult(
+                    count=2 * high_ticks - total_ticks,
+                    total_ticks=total_ticks,
+                    high_ticks=high_ticks,
+                    overflowed=False,
+                )
+            )
+        if results:
+            counts = [result.count for result in results]
+            if min(counts) < signed_min(width) or max(counts) > signed_max(width):
+                return self._overflowed(results)
+        return results, None
+
+    def _overflowed(
+        self, results: List[CountResult]
+    ) -> Tuple[List[CountResult], Optional[ReproError]]:
+        """The rows of a call that overflowed the register somewhere: a
+        strict counter stops at the first overflowing row, a wrapping
+        one wraps and flags each."""
+        width = self.config.width_bits
+        checked = []
+        for result in results:
+            if not fits_signed(result.count, width):
+                if self.config.strict_overflow:
+                    return checked, ConfigurationError(
+                        f"counter overflow: {result.count} does not fit "
+                        f"{width} bits"
+                    )
+                result = dataclasses.replace(
+                    result, count=wrap_signed(result.count, width), overflowed=True
+                )
+            checked.append(result)
+        return checked, None
+
     def count_window(
         self,
         detector: DetectorOutput,
         window: Optional[Tuple[float, float]] = None,
     ) -> CountResult:
-        """Integrate the detector output over a window.
-
-        Parameters
-        ----------
-        detector:
-            The pulse-position latch signal.
-        window:
-            (start, end) [s]; defaults to the detector's own window.  The
-        counter is assumed clock-aligned to the window start (the control
-        logic releases the counter reset synchronously).
-        """
-        if not self._enabled:
-            raise ConfigurationError("counter is powered down")
-        if window is None:
-            window = detector.window
-        t_start, t_end = window
-        if t_end <= t_start:
-            raise ConfigurationError("empty counting window")
-
-        total_ticks = self._ticks_in(t_start, t_end, t_start)
-        high_ticks = int(
-            detector.block.high_ticks((t_start, t_end), self.config.tick)[detector.row]
-        )
-
-        count = 2 * high_ticks - total_ticks
-        overflowed = not fits_signed(count, self.config.width_bits)
-        if overflowed:
-            if self.config.strict_overflow:
-                raise ConfigurationError(
-                    f"counter overflow: {count} does not fit "
-                    f"{self.config.width_bits} bits"
-                )
-            count = wrap_signed(count, self.config.width_bits)
-        return CountResult(
-            count=count,
-            total_ticks=total_ticks,
-            high_ticks=high_ticks,
-            overflowed=overflowed,
-        )
+        """Integrate one detector output over a window: a one-row
+        :meth:`count_rows` that raises the row's error."""
+        return only_row(self.count_rows((detector,), window))
 
     # -- analytic helpers ---------------------------------------------------------
 

@@ -8,6 +8,10 @@ violations of hardware constraints.
 
 from __future__ import annotations
 
+from typing import List, Optional, Tuple, TypeVar
+
+T = TypeVar("T")
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -208,3 +212,23 @@ class SLOViolationError(ServiceError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+def only_row(outcome: Tuple[List[T], Optional[ReproError]]) -> T:
+    """The result of a one-row pass, or its error raised.
+
+    The digital datapath works on every row of a measurement call at
+    once and returns ``(results, error)``: the results of the rows
+    before the first failing row, and that row's error.  A one-row
+    caller wants the usual raise.  The error is never bound in the
+    caller's frame and is dropped from this one as it propagates, so
+    the traceback forms no reference cycle with it.
+    """
+    results, error = outcome
+    del outcome
+    if error is None:
+        return results[0]
+    try:
+        raise error
+    finally:
+        del error

@@ -381,15 +381,18 @@ def _inject_counter_stuck_bit(
         raise ConfigurationError(
             f"counter stuck-bit index {bit} outside the {width}-bit register"
         )
-    original = counter.count_window
+    original = counter.count_rows
 
-    def count_window(detector, window=None):
-        result = original(detector, window)
+    def stuck(result):
         raw = result.count & ((1 << width) - 1)  # two's complement view
         raw |= 1 << bit
         return dataclasses.replace(result, count=wrap_signed(raw, width))
 
-    with _patched(counter, "count_window", count_window):
+    def count_rows(detectors, window=None):
+        results, error = original(detectors, window)
+        return [stuck(result) for result in results], error
+
+    with _patched(counter, "count_rows", count_rows):
         yield
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 from typing import IO, Iterator, List, Optional, Union
 
-from ..errors import DivergenceError, ReplayError
+from ..errors import DivergenceError, ReplayError, only_row
 from .format import (
     CordicCapture,
     CounterCapture,
@@ -163,11 +163,13 @@ class ReplayPlayer:
 
         detector_x = record.channels["x"].to_detector_output()
         detector_y = record.channels["y"].to_detector_output()
-        result = self.back_end.process_measurement(
-            detector_x,
-            detector_y,
-            window_x=record.window,
-            window_y=record.window,
+        result = only_row(
+            self.back_end.process_measurement(
+                [detector_x],
+                [detector_y],
+                window_x=record.window,
+                window_y=record.window,
+            )
         )
         x_ticks = result.x_result.total_ticks
         y_ticks = result.y_result.total_ticks

@@ -24,11 +24,12 @@ Two ways to arm it:
       compass.measure_heading(45.0)
       records = recorder.records
 
-The instrumented call sites live in
-:meth:`~repro.core.compass.IntegratedCompass.measure_components` /
-``assemble_measurement`` and the batch engine's per-row loop; the
-digital back-end records its per-iteration CORDIC state whenever a
-recorder (or tracer) is attached.
+The instrumented call sites live in the compass's measurement engine:
+the loop of
+:meth:`~repro.core.compass.IntegratedCompass.assemble_measurement` that
+serves a call's rows in order, for the scalar and the batch path alike,
+and the scalar single-axis fallback; the digital back-end records its
+per-iteration CORDIC state whenever a recorder (or tracer) is attached.
 """
 
 from __future__ import annotations

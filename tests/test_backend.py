@@ -4,7 +4,7 @@ import pytest
 
 from repro.analog.pulse_detector import DetectorOutput, LogicEdge
 from repro.digital.backend import DigitalBackEnd
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, only_row
 
 
 def square_detector(duty, period=125e-6, n_periods=8, t0=0.0):
@@ -21,12 +21,17 @@ def square_detector(duty, period=125e-6, n_periods=8, t0=0.0):
     )
 
 
+def process_one(backend, detector_x, detector_y, **windows):
+    """The back end over one row: its result, or its error raised."""
+    return only_row(backend.process_measurement([detector_x], [detector_y], **windows))
+
+
 class TestProcessMeasurement:
     def test_heading_from_duty_pair(self):
         backend = DigitalBackEnd()
         # duty 0.75 on x (positive h_x), 0.5 on y (zero h_y) → heading 0.
-        result = backend.process_measurement(
-            square_detector(0.75), square_detector(0.5)
+        result = process_one(
+            backend, square_detector(0.75), square_detector(0.5)
         )
         assert result.heading_deg == pytest.approx(0.0, abs=1.0) or \
             result.heading_deg == pytest.approx(360.0, abs=1.0)
@@ -36,15 +41,15 @@ class TestProcessMeasurement:
     def test_45_degree_heading(self):
         backend = DigitalBackEnd()
         # Equal positive x and negative y components.
-        result = backend.process_measurement(
-            square_detector(0.7), square_detector(0.3)
+        result = process_one(
+            backend, square_detector(0.7), square_detector(0.3)
         )
         assert result.heading_deg == pytest.approx(45.0, abs=1.0)
 
     def test_cordic_cycles_reported(self):
         backend = DigitalBackEnd()
-        result = backend.process_measurement(
-            square_detector(0.7), square_detector(0.4)
+        result = process_one(
+            backend, square_detector(0.7), square_detector(0.4)
         )
         assert result.cordic_cycles == 8
 
@@ -55,19 +60,19 @@ class TestProcessMeasurement:
         tick = 1.0 / backend.counter.config.clock_hz
         aligned = square_detector(0.5, period=512 * tick, n_periods=8)
         with pytest.raises(ProtocolError, match="too weak"):
-            backend.process_measurement(aligned, aligned)
+            process_one(backend, aligned, aligned)
 
     def test_counter_gated_after_measurement(self):
         backend = DigitalBackEnd()
-        backend.process_measurement(square_detector(0.7), square_detector(0.4))
+        process_one(backend, square_detector(0.7), square_detector(0.4))
         assert not backend.counter.enabled  # §4 power gating
 
     def test_explicit_windows(self):
         backend = DigitalBackEnd()
         det = square_detector(0.75, n_periods=10)
         # Count only the last 8 periods.
-        result = backend.process_measurement(
-            det, square_detector(0.5, n_periods=10),
+        result = process_one(
+            backend, det, square_detector(0.5, n_periods=10),
             window_x=(2 * 125e-6, 10 * 125e-6),
             window_y=(2 * 125e-6, 10 * 125e-6),
         )
@@ -77,7 +82,7 @@ class TestProcessMeasurement:
 class TestDisplayIntegration:
     def test_display_shows_last_heading(self):
         backend = DigitalBackEnd()
-        backend.process_measurement(square_detector(0.7), square_detector(0.3))
+        process_one(backend, square_detector(0.7), square_detector(0.3))
         frame = backend.render_display()
         # 45° sits on the N/E boundary; the driver tie-breaks eastward.
         assert frame.text == "E045"

@@ -248,18 +248,22 @@ class TestZeroTickGuard:
         good = CountResult(count=100, total_ticks=1000, high_ticks=550, overflowed=False)
         empty = CountResult(count=100, total_ticks=0, high_ticks=0, overflowed=False)
 
-        def fake_process(detector_x, detector_y, window_x=None, window_y=None):
+        def fake_process(detectors_x, detectors_y, window_x=None, window_y=None):
             from repro.digital.backend import BackEndResult
 
-            return BackEndResult(
-                x_count=100,
-                y_count=100,
-                heading_deg=45.0,
-                cordic_cycles=8,
-                x_result=good,
-                y_result=empty,
-            )
+            return [
+                BackEndResult(
+                    x_count=100,
+                    y_count=100,
+                    heading_deg=45.0,
+                    cordic_cycles=8,
+                    x_result=good,
+                    y_result=empty,
+                )
+            ], None
 
         monkeypatch.setattr(compass.back_end, "process_measurement", fake_process)
         with pytest.raises(ConfigurationError, match="zero counter ticks on channel y"):
-            compass.assemble_measurement(None, None, (0.0, 1.0))
+            compass.assemble_measurement(
+                np.zeros(1), np.zeros(1), [None], [None], (0.0, 1.0)
+            )

@@ -271,3 +271,21 @@ class TestNoPerEdgeObjects:
         before = LogicEdge.constructed
         assert len(output.edges) == 2 * grid.n_periods
         assert LogicEdge.constructed == before + 2 * grid.n_periods
+
+
+class TestOneWalkPerRow:
+    def test_one_measurement_walks_each_channel_once(self, monkeypatch):
+        # A one-row block serves the counter's window and its own
+        # observation window (duty_x/duty_y) from a single edge walk.
+        walked = []
+        walk = EdgeBlock._walk
+
+        def counting_walk(block, window, tick):
+            walked.append(block)
+            walk(block, window, tick)
+
+        compass = IntegratedCompass()
+        monkeypatch.setattr(EdgeBlock, "_walk", counting_walk)
+        compass.measure_heading(123.0)
+        assert len(walked) == 2
+        assert walked[0] is not walked[1]

@@ -202,11 +202,14 @@ class TestFaultLocalisation:
         class SkewedCounter(counter_mod.UpDownCounter):
             """Mis-counts every tick after the 2000th — persistently."""
 
-            def count_window(self, detector, window=None):
-                result = super().count_window(detector, window)
-                if result.total_ticks > 2000:
-                    result = dataclasses.replace(result, count=result.count + 3)
-                return result
+            def count_rows(self, detectors, window=None):
+                results, error = super().count_rows(detectors, window)
+                return [
+                    dataclasses.replace(result, count=result.count + 3)
+                    if result.total_ticks > 2000
+                    else result
+                    for result in results
+                ], error
 
         suspect = reader.header.build_backend()
         suspect.counter = SkewedCounter(suspect.counter.config)
