@@ -11,7 +11,7 @@ builds each distinct excitation trace once for every stepped measurement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -23,18 +23,8 @@ from ..units import EXCITATION_CURRENT_PP
 from .vi_converter import VIConverter, VIConverterParameters
 from .waveform import OscillatorParameters, TriangularWaveformGenerator
 
-
-def overridden(obj, *method_names: str) -> bool:
-    """True when any of ``method_names`` is shadowed on the *instance*.
-
-    Methods live on the class; the fault injectors in
-    :mod:`repro.faults.model` arm themselves by planting a wrapper in the
-    instance ``__dict__``.  An armed fault therefore shows up here — and
-    must run on every call, so neither the closed-form fast path nor the
-    excitation-trace cache may stand in for the method it wraps.
-    """
-    d = vars(obj)
-    return any(name in d for name in method_names)
+if TYPE_CHECKING:
+    from .frontend import ArmedFaults
 
 
 @dataclass(frozen=True)
@@ -112,15 +102,11 @@ class ExcitationSource:
         return self._enabled
 
     @property
-    def fault_armed(self) -> bool:
-        """True when a wrapper shadows a method the current is built from:
-        :meth:`current`, the oscillator's ``generate`` or a converter's
-        ``drive``."""
-        return (
-            overridden(self, "current")
-            or overridden(self.oscillator, "generate")
-            or any(overridden(c, "drive") for c in self.converters.values())
-        )
+    def parts(self) -> Tuple[object, ...]:
+        """The source and the blocks its current is built from: a fault
+        wrapping :meth:`current`, the oscillator's ``generate`` or a
+        converter's ``drive`` wraps a method of one of these."""
+        return (self, self.oscillator, *self.converters.values())
 
     def select_channel(self, channel: str) -> None:
         """Enable exactly one converter — the multiplexing of §2.
@@ -203,8 +189,9 @@ class ExcitationTraceCache:
     Each entry holds the current (its ``t``/``v`` arrays read-only, since
     every caller shares them) and a :class:`TimeGradient` on its time
     axis.  A lookup computes the trace without storing it when the source
-    or the channel's converter is powered down or a fault wrapper is
-    armed on the source (:attr:`ExcitationSource.fault_armed`): those
+    or the channel's converter is powered down or the caller's armed
+    record (:class:`~repro.analog.frontend.ArmedFaults`) holds a fault
+    wrapping one of the source's :attr:`~ExcitationSource.parts`: those
     traces are not functions of the key.
     """
 
@@ -244,17 +231,19 @@ class ExcitationTraceCache:
         channel: str,
         load_resistance: float,
         metrics: Optional[MetricsRegistry] = None,
+        armed: Optional["ArmedFaults"] = None,
     ) -> ExcitationTrace:
         """The excitation trace/gradient, computing it on a miss.
 
         ``metrics`` (the caller's registry, if any) counts the lookup in
         ``excitation_cache_total`` by event: hit, miss or bypass.
+        ``armed`` is the faults armed on the source's compass.
         """
         converter = source.converters.get(channel)
         if (
             converter is None
             or not (source.enabled and converter.enabled)
-            or source.fault_armed
+            or (armed and armed.wraps(*source.parts))
         ):
             event = "bypass"
             current = source.current(grid, channel, load_resistance)

@@ -35,9 +35,9 @@ close enough to a counter tick for that to matter is resolved to the
 stepped edge exactly, so the counts are the stepped engine's.  It
 *refuses* (returns ``None``) whenever the closed form would not
 reproduce the stepped engine: noise in the budget, a non-tanh core,
-soft-start or nonlinear excitation, an armed analog-layer fault
-injector, an external field that pushes a crossing out of the guarded
-validity envelope, or an edge it cannot resolve.  The caller then runs
+soft-start or nonlinear excitation, an armed fault wrapping a method of
+the signal chain, an external field that pushes a crossing out of the
+guarded validity envelope, or an edge it cannot resolve.  The caller then runs
 the stepped engine, so the fast path never changes *what* is measured —
 only how fast (see ``docs/fastpath.md`` for the error budget and the
 certificate).
@@ -56,7 +56,6 @@ from ..observe import M_FASTPATH, MetricsRegistry
 from ..physics.magnetics import TanhCore
 from ..simulation.engine import TimeGrid
 from ..simulation.signals import TimeGradient
-from .excitation import overridden
 from .pulse_detector import DetectorOutput, EdgeBlock
 
 #: Refuse when the comparator level is above this fraction of the pulse
@@ -164,7 +163,13 @@ def ineligibility_reason(front_end, sensor) -> Optional[str]:
     """Device-level reasons the closed form cannot be used (or ``None``).
 
     Field-dependent (per-measurement) validity is checked separately by
-    the solver itself; this covers configuration and armed faults.
+    the solver itself; this covers configuration and armed faults.  A
+    fault armed on the compass (``front_end.armed_faults``) refuses the
+    channel when it wraps a method of the channel's sensor, the
+    amplifier, the detector, a comparator or the excitation source's
+    parts: the closed form never calls those methods, so it cannot
+    reproduce what the wrapper does.  A patched value (a sensor fault's
+    ``params``) is read by the solver itself and stays on the fast path.
     """
     if not front_end.amplifier.budget.is_noiseless:
         return "noise-budget"
@@ -177,16 +182,15 @@ def ineligibility_reason(front_end, sensor) -> Optional[str]:
         cp = converter.params
         if not cp.linearised and cp.cubic_distortion != 0.0:
             return "nonlinear-converter"
+    armed = front_end.armed_faults
     detector = front_end.detector
-    # Each scalar method is a one-row view of its batch kernel, so the
-    # kernel is the one name per block a fault can wrap.
-    if (
-        overridden(sensor, "simulate_batch")
-        or overridden(front_end.amplifier, "amplify_batch")
-        or overridden(detector, "detect_batch")
-        or overridden(detector.comparator_positive, "falling_edges_batch")
-        or overridden(detector.comparator_negative, "falling_edges_batch")
-        or excitation.fault_armed
+    if armed and armed.wraps(
+        sensor,
+        front_end.amplifier,
+        detector,
+        detector.comparator_positive,
+        detector.comparator_negative,
+        *excitation.parts,
     ):
         return "armed-fault"
     return None
@@ -576,9 +580,11 @@ def _solve(
             resolved = rows.size
 
     window = (grid.t_start, grid.t_start + float(grid.n_samples - 1) * grid.dt)
-    block = EdgeBlock(
-        times, _latch_values(grid.n_periods), np.zeros(h0.size, dtype=np.int8), window
-    )
+    initial = np.zeros(h0.size, dtype=np.int8)
+    # Read-only: compasses sharing one solve share the block.
+    times.flags.writeable = False
+    initial.flags.writeable = False
+    block = EdgeBlock(times, _latch_values(grid.n_periods), initial, window)
     return block.rows(), resolved
 
 

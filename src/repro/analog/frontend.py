@@ -15,6 +15,7 @@ pulse-position method was chosen for (§2.1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,6 +43,51 @@ class ChannelMeasurement:
     @property
     def duty_cycle(self) -> float:
         return self.detector_output.duty_cycle()
+
+
+class ArmedFaults:
+    """The fault patches armed on one compass, counted.
+
+    The fault registry's arming seam (:func:`repro.faults.model.arming`)
+    fills it: each instance attribute a registered fault patches adds one
+    count under its object and name while armed, and the patch's exit —
+    by exception too — takes it off again.  An unfaulted compass's
+    record is empty, which is the one check the fast path and the
+    excitation-trace cache make in the common case.  A patched *method*
+    (a callable value) is a wrapper neither of them may stand in for; a
+    patched value (a sensor's ``params``, the CORDIC ``rom``) is read
+    where it lives.
+    """
+
+    __slots__ = ("_patches",)
+
+    def __init__(self) -> None:
+        #: ``(id(object), attribute, is a method wrapper)`` → live patches.
+        self._patches: Counter = Counter()
+
+    def __bool__(self) -> bool:
+        return bool(self._patches)
+
+    def count(self, obj: object, attribute: str) -> int:
+        """How many armed patches of ``obj.attribute`` are live."""
+        return sum(
+            n for (key, name, _), n in self._patches.items()
+            if key == id(obj) and name == attribute
+        )
+
+    def wraps(self, *objects: object) -> bool:
+        """True when an armed fault wraps a method of any of ``objects``."""
+        keys = {id(obj) for obj in objects}
+        return any(wrapper and key in keys for key, _, wrapper in self._patches)
+
+    def arm(self, obj: object, attribute: str, value: object) -> None:
+        self._patches[id(obj), attribute, callable(value)] += 1
+
+    def disarm(self, obj: object, attribute: str, value: object) -> None:
+        key = (id(obj), attribute, callable(value))
+        self._patches[key] -= 1
+        if not self._patches[key]:
+            del self._patches[key]
 
 
 @dataclass(frozen=True)
@@ -86,6 +132,8 @@ class AnalogFrontEnd:
         #: reasons, resolved edges), kept by the compass's measurement
         #: engine.
         self.fastpath_stats = FastPathStats()
+        #: The compass's armed fault patches (:class:`ArmedFaults`).
+        self.armed_faults = ArmedFaults()
 
     # -- power gating ---------------------------------------------------------
 

@@ -104,6 +104,7 @@ class EdgeBlock:
             high = np.empty((len(self), self.times.shape[1] + 1), dtype=bool)
             np.equal(self.initial, 1, out=high[:, 0])
             np.equal(self.values, 1, out=high[:, 1:])
+            high.flags.writeable = False
             self._high = high
         return self._high
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analog import fastpath
 from ..analog.excitation import DEFAULT_TRACE_CACHE, ExcitationTraceCache
-from ..analog.frontend import AnalogFrontEnd, FrontEndConfig
+from ..analog.frontend import AnalogFrontEnd, ArmedFaults, FrontEndConfig
 from ..analog.mux import MeasurementSchedule
 from ..analog.pulse_detector import DetectorOutput, read_rows
 from ..digital.backend import DigitalBackEnd
@@ -56,6 +56,11 @@ from ..simulation.engine import TimeGrid
 from ..units import CORDIC_ITERATIONS
 from .heading import HeadingMeasurement
 from .health import HealthConfig, HealthSupervisor
+
+#: A shared solve memo (:meth:`IntegratedCompass.share_solves`): channel
+#: → (the rows' field bytes, the certified detector outputs, the edges
+#: the certificate resolved).
+SolveMemo = Dict[str, Tuple[bytes, Tuple[DetectorOutput, ...], int]]
 
 #: Rows per numpy pass of the stepped chain.  Small chunks keep every
 #: intermediate ``(chunk, n_samples)`` matrix inside the CPU caches (a
@@ -146,6 +151,8 @@ class IntegratedCompass:
                 self.front_end.excitation.oscillator.params.frequency_hz
             ),
         )
+        #: See :meth:`share_solves`; ``None`` solves alone.
+        self._shared_solves: Optional[SolveMemo] = None
         # Observability resolves once here.
         self.attach_observer(build_observer(config.observe))
         if self.observer.recorder is not None:
@@ -175,6 +182,27 @@ class IntegratedCompass:
         self.observer = observer
         self.back_end.observer = observer
         self.front_end.fastpath_stats.metrics = observer.metrics
+
+    def share_solves(self, memo: Optional[SolveMemo]) -> None:
+        """Share the fast path's certified solves through ``memo``.
+
+        The owner of a set of compasses that are equal by construction
+        (a :class:`~repro.service.HeadingService`'s replicas, built by
+        ``replica_config`` and differing only in the noise seed, which
+        the noiseless fast path never reads) hands every one of them
+        the same memo, so a request solves each channel once.  Only an
+        eligible, unarmed compass reads or writes it
+        (:meth:`_closed_form_rows`); everything after the solve — the
+        assembly, health, spans and metrics — stays its own.  ``None``
+        (the default) solves alone.
+        """
+        self._shared_solves = memo
+
+    @property
+    def armed_faults(self) -> ArmedFaults:
+        """The faults armed on this compass (kept on its front end, where
+        the fast path and the excitation-trace cache read it)."""
+        return self.front_end.armed_faults
 
     # -- measurement ----------------------------------------------------------
 
@@ -331,7 +359,12 @@ class IntegratedCompass:
             load = sensor.params.series_resistance
             with observer.span(STAGE_EXCITATION, channel=channel) as span:
                 trace = cache.entry(
-                    front_end.excitation, grid, channel, load, observer.metrics
+                    front_end.excitation,
+                    grid,
+                    channel,
+                    load,
+                    observer.metrics,
+                    front_end.armed_faults,
                 )
                 current = trace.current
                 span.set(
@@ -374,6 +407,12 @@ class IntegratedCompass:
         Every row is accounted in ``front_end.fastpath_stats``: used, or
         fallen back under its reason.  The certificate's lattice is the
         counter's: ticks from the count-window start, to its end.
+
+        With a shared memo (:meth:`share_solves`) and no fault armed, a
+        solve of the same channel and the same field rows is reused —
+        the same read-only block and its resolved-edge count, accounted
+        as if solved here — and a fresh solve is stored.  The ``fastpath``
+        span says which (``shared``).
         """
         front_end = self.front_end
         stats = front_end.fastpath_stats
@@ -383,15 +422,28 @@ class IntegratedCompass:
         if reason is not None:
             stats.record_fallback(reason, rows)
             return None
-        lattice = fastpath.CountLattice(
-            *self._count_window(grid), self.back_end.counter.config.tick
-        )
+        memo = None if front_end.armed_faults else self._shared_solves
+        key = None if memo is None else h.tobytes()
+        entry = None if memo is None else memo.get(channel)
+        shared = entry is not None and entry[0] == key
+        solved: Optional[List[DetectorOutput]]
         with self.observer.span(STAGE_FASTPATH, channel=channel) as span:
-            resolved = stats.resolved
-            solved = fastpath.solve_channel_batch(
-                front_end, sensor, channel, h, grid, lattice, stats
-            )
-            span.set(solved=solved is not None, resolved=stats.resolved - resolved)
+            if shared:
+                _, outputs, resolved = entry
+                stats.resolved += resolved
+                solved = list(outputs)
+            else:
+                lattice = fastpath.CountLattice(
+                    *self._count_window(grid), self.back_end.counter.config.tick
+                )
+                resolved = stats.resolved
+                solved = fastpath.solve_channel_batch(
+                    front_end, sensor, channel, h, grid, lattice, stats
+                )
+                resolved = stats.resolved - resolved
+                if solved is not None and memo is not None:
+                    memo[channel] = (key, tuple(solved), resolved)
+            span.set(solved=solved is not None, resolved=resolved, shared=shared)
         if solved is not None:
             stats.record_use(rows)
         return solved

@@ -31,6 +31,7 @@ The registry pins severities on the *documented* sides of such windows;
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 from dataclasses import dataclass
 from typing import (
@@ -46,6 +47,7 @@ from typing import (
 
 import numpy as np
 
+from ..analog.frontend import ArmedFaults
 from ..core.compass import IntegratedCompass
 from ..digital.fixed_point import wrap_signed
 from ..errors import ConfigurationError
@@ -200,9 +202,14 @@ class FaultRegistry:
     def inject(
         self, name: str, target: object, severity: float
     ) -> ContextManager[None]:
-        """Context manager applying fault ``name`` to a live target."""
+        """Context manager applying fault ``name`` to a live target.
+
+        The fault is armed through :func:`arming`, so while it is live
+        every attribute it patches is counted on the target's armed
+        record (a compass's :attr:`~IntegratedCompass.armed_faults`).
+        """
         self.get(name)  # raise on unknown names
-        return self._injectors[name](target, severity)
+        return arming(target, self._injectors[name](target, severity))
 
     def __len__(self) -> int:
         return len(self._specs)
@@ -223,12 +230,45 @@ def registered_faults() -> List[FaultSpec]:
 # -- injection helpers ---------------------------------------------------------
 
 
+#: The armed record the fault being armed reports into, if any.
+_ARMING: contextvars.ContextVar[Optional[ArmedFaults]] = contextvars.ContextVar(
+    "arming", default=None
+)
+
+
+@contextlib.contextmanager
+def arming(target: object, fault: ContextManager[None]) -> Iterator[None]:
+    """Enter ``fault`` as a fault armed on ``target``.
+
+    Every :func:`_patched` the fault enters while it arms is counted on
+    ``target``'s armed record (its ``armed_faults``, when it has one)
+    until that patch exits, by exception too.  This is how a fault says
+    that it is armed: the fast path and the excitation-trace cache read
+    the record instead of inspecting the target.  A test double arms
+    itself the same way: ``arming(compass, _patched(obj, name, value))``.
+    """
+    with contextlib.ExitStack() as stack:
+        token = _ARMING.set(getattr(target, "armed_faults", None))
+        try:
+            stack.enter_context(fault)
+        finally:
+            _ARMING.reset(token)
+        yield
+
+
 @contextlib.contextmanager
 def _patched(obj: object, attribute: str, value: object) -> Iterator[None]:
-    """Set an instance attribute, restoring the previous state on exit."""
+    """Set an instance attribute, restoring the previous state on exit.
+
+    Entered while a fault arms (:func:`arming`), the patch is counted on
+    the armed record for as long as it is in place.
+    """
+    record = _ARMING.get()
     sentinel = object()
     previous = obj.__dict__.get(attribute, sentinel)
     setattr(obj, attribute, value)
+    if record is not None:
+        record.arm(obj, attribute, value)
     try:
         yield
     finally:
@@ -239,6 +279,8 @@ def _patched(obj: object, attribute: str, value: object) -> Iterator[None]:
                 pass
         else:
             setattr(obj, attribute, previous)
+        if record is not None:
+            record.disarm(obj, attribute, value)
 
 
 def _scale_sensor_pickup(sensor: object, scale: float) -> ContextManager[None]:

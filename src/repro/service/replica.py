@@ -9,6 +9,14 @@ registry's reversible monkey-hooks patch *instances*, so a chaos
 campaign arming a fault on replica 1 leaves replicas 0 and 2 untouched
 by construction.
 
+What the replicas do share is the certified fast-path solve: the
+service hands every replica compass one solve memo
+(:meth:`~repro.core.compass.IntegratedCompass.share_solves`), so under
+a noiseless budget — where the seed is never read — a request solves
+each channel once.  Only a replica with no fault armed reads or writes
+it; an armed replica solves alone, and each keeps its own assembly,
+health state, breaker, spans and metrics.
+
 The replica also models its service latency: the physical measurement
 time (settle + count + CORDIC) plus a seeded dispatch-overhead draw,
 scaled by :attr:`latency_scale` — the chaos harness's hook for slow-

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.compass import CompassConfig
+from ..core.compass import CompassConfig, SolveMemo
 from ..core.health import HealthConfig
 from ..core.heading import HeadingMeasurement
 from ..errors import (
@@ -194,6 +194,10 @@ class HeadingService:
         noise_seeds = root.spawn(config.replicas)
         latency_streams = root.spawn(config.replicas)
         self._backoff_rng = np.random.default_rng(root.spawn(1)[0])
+        # The replicas are equal by construction but for the noise seed,
+        # so an unarmed replica reuses the request's certified solve
+        # (IntegratedCompass.share_solves).
+        solves: SolveMemo = {}
         self.replicas: List[CompassReplica] = []
         for index in range(config.replicas):
             name = f"replica-{index}"
@@ -211,6 +215,7 @@ class HeadingService:
             )
             # One span tree and one metrics registry for every replica.
             replica.compass.attach_observer(self.observer)
+            replica.compass.share_solves(solves)
             self.replicas.append(replica)
 
     # -- observability ---------------------------------------------------------

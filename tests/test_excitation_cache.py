@@ -27,6 +27,7 @@ from repro.analog.waveform import OscillatorParameters
 from repro.array import ArrayCompass
 from repro.batch import BatchCompass
 from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.faults.model import _patched, arming
 from repro.observe import M_CACHE_EVENTS, Observability
 from repro.simulation.engine import TimeGrid
 from repro.simulation.signals import TimeGradient, Trace
@@ -119,34 +120,36 @@ class TestBound:
 
 
 class TestArmedFault:
+    """A test double arms itself through the fault registry's seam."""
+
+    @staticmethod
+    def weakened(compass, calls):
+        """Arm a 10 % weaker oscillator on ``compass``, logging each call."""
+        oscillator = compass.front_end.excitation.oscillator
+        original = oscillator.generate
+
+        def generate(grid):
+            calls.append(grid)
+            triangle = original(grid)
+            return Trace(triangle.t, 0.9 * triangle.v)
+
+        return arming(compass, _patched(oscillator, "generate", generate))
+
     def test_shadowed_generate_runs_and_is_never_stored(self):
         cache = ExcitationTraceCache()
         compass = IntegratedCompass(STEPPED)
         baseline = counts(compass, cache)
         (clean,) = cache._entries.values()
 
-        def arm(target):
-            oscillator = target.front_end.excitation.oscillator
-            original = oscillator.generate
-            calls = []
-
-            def weakened(grid):
-                calls.append(grid)
-                triangle = original(grid)
-                return Trace(triangle.t, 0.9 * triangle.v)
-
-            oscillator.generate = weakened
-            return calls
-
-        calls = arm(compass)
-        wrapped = counts(compass, cache)
+        calls = []
+        with self.weakened(compass, calls):
+            wrapped = counts(compass, cache)
         assert calls
         cold = IntegratedCompass(STEPPED)
-        arm(cold)
-        assert wrapped == counts(cold, ExcitationTraceCache())
+        with self.weakened(cold, []):
+            assert wrapped == counts(cold, ExcitationTraceCache())
         assert wrapped != baseline
 
-        del compass.front_end.excitation.oscillator.generate
         assert counts(compass, cache) == baseline
         assert list(cache._entries.values()) == [clean]
         assert cache.misses == 1
@@ -157,13 +160,13 @@ class TestArmedFault:
         )
         front_end = compass.front_end
         sensor = compass.sensors.sensor_x
-        assert not front_end.excitation.fault_armed
+        assert not compass.armed_faults
         assert fastpath.ineligibility_reason(front_end, sensor) is None
-        front_end.excitation.oscillator.generate = (
-            front_end.excitation.oscillator.generate
-        )
-        assert front_end.excitation.fault_armed
-        assert fastpath.ineligibility_reason(front_end, sensor) == "armed-fault"
+        with self.weakened(compass, []):
+            assert compass.armed_faults.wraps(*front_end.excitation.parts)
+            assert fastpath.ineligibility_reason(front_end, sensor) == "armed-fault"
+        assert not compass.armed_faults
+        assert fastpath.ineligibility_reason(front_end, sensor) is None
 
 
 class TestDefaultCache:

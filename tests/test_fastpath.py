@@ -264,8 +264,8 @@ class TestFrontEndRouting:
 
     @staticmethod
     def _count_waveforms(monkeypatch):
-        # Class-level spies: an instance-level override would read as an
-        # armed fault and force the stepped engine.
+        # Class-level spies count every sensor's calls.  A spy is no
+        # armed fault: only the registry's arming seam arms one.
         calls = []
         for name in ("simulate", "simulate_batch"):
             original = getattr(FluxgateSensor, name)
