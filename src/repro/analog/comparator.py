@@ -28,6 +28,9 @@ from ..physics.noise import NoiseBudget, NoiseGenerator, NOISELESS
 from ..simulation.scratch import ScratchPool
 from ..simulation.signals import Trace
 
+#: Pickup-amplifier voltage gain [V/V] (``FrontEndConfig.amplifier_gain``).
+AMPLIFIER_GAIN = 100.0
+
 
 @dataclass(frozen=True)
 class ComparatorParameters:
@@ -272,7 +275,7 @@ class PickupAmplifier:
 
     def __init__(
         self,
-        gain: float = 100.0,
+        gain: float = AMPLIFIER_GAIN,
         budget: NoiseBudget = NOISELESS,
         seed: int = 0,
         bandwidth_hz: float = 1.0e6,

@@ -27,7 +27,7 @@ from ..simulation.signals import Trace
 from .excitation import ExcitationSettings, ExcitationSource
 from .fastpath import FastPathStats
 from .mux import SensorMultiplexer
-from .comparator import PickupAmplifier
+from .comparator import AMPLIFIER_GAIN, PickupAmplifier
 from .pulse_detector import DetectorOutput, DetectorParameters, PulsePositionDetector
 
 
@@ -103,11 +103,12 @@ class FrontEndConfig:
     back to the stepped engine whenever the closed form would not apply.
     ``fastpath=False`` pins the stepped engine (tests and benchmark
     references); it never changes a measurement, only its cost.
+    ``amplifier_gain`` is fixed at :data:`AMPLIFIER_GAIN` (``init=False``).
     """
 
     excitation: ExcitationSettings = field(default_factory=ExcitationSettings)
     detector: DetectorParameters = field(default_factory=DetectorParameters)
-    amplifier_gain: float = 100.0
+    amplifier_gain: float = field(default=AMPLIFIER_GAIN, init=False)
     noise: NoiseBudget = NOISELESS
     noise_seed: int = 0
     fastpath: bool = True
@@ -120,11 +121,7 @@ class AnalogFrontEnd:
         config = FrontEndConfig() if config is None else config
         self.config = config
         self.excitation = ExcitationSource(config.excitation)
-        self.amplifier = PickupAmplifier(
-            gain=config.amplifier_gain,
-            budget=config.noise,
-            seed=config.noise_seed,
-        )
+        self.amplifier = PickupAmplifier(budget=config.noise, seed=config.noise_seed)
         self.detector = PulsePositionDetector(config.detector)
         self.multiplexer = SensorMultiplexer()
         self._enabled = True

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, Optional
 
 from ..errors import ConfigurationError
@@ -51,14 +51,15 @@ class DetectorSettings:
     ----------
     min_field_t, max_field_t:
         Accepted horizontal-magnitude band [T].  Defaults: the paper's
-        worldwide 25…65 µT with a ±30 % margin for horizontal-component
-        variation with latitude.
+        worldwide 25…65 µT widened by −50 %/+30 % (12.5…84.5 µT) for
+        horizontal-component variation with latitude.
     max_magnitude_jump:
         Relative magnitude change between consecutive measurements above
         which (combined with a heading jump) the reading is flagged
         unstable.
     max_heading_jump_deg:
-        Heading change that counts as a jump for the stability check.
+        Heading change that counts as a jump for the stability check
+        (fixed: ``init=False``).
     history_limit:
         Maximum number of :class:`AnomalyReport` records retained in
         :attr:`FieldAnomalyDetector.history`.  A mission-length stream
@@ -72,14 +73,14 @@ class DetectorSettings:
     min_field_t: float = EARTH_FIELD_MIN_T * 0.5
     max_field_t: float = EARTH_FIELD_MAX_T * 1.3
     max_magnitude_jump: float = 0.25
-    max_heading_jump_deg: float = 30.0
+    max_heading_jump_deg: float = field(default=30.0, init=False)
     history_limit: int = 256
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_field_t < self.max_field_t:
             raise ConfigurationError("field band must satisfy 0 < min < max")
-        if self.max_magnitude_jump <= 0.0 or self.max_heading_jump_deg <= 0.0:
-            raise ConfigurationError("jump thresholds must be positive")
+        if self.max_magnitude_jump <= 0.0:
+            raise ConfigurationError("max_magnitude_jump must be positive")
         if self.history_limit < 1:
             raise ConfigurationError("history_limit must be >= 1")
 

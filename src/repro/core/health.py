@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..analog.pulse_detector import DetectorOutput, read_rows
@@ -71,6 +71,9 @@ RATED_FIELD_MARGIN = 0.05
 class HealthConfig:
     """Supervisor configuration knobs.
 
+    Only ``enabled``, ``degrade`` and ``watchdog_periods`` are settable;
+    the rest is the paper's fixed design point (``init=False``).
+
     Attributes
     ----------
     enabled:
@@ -88,7 +91,8 @@ class HealthConfig:
         The §1 worldwide horizontal-field band [T].
     band_margin:
         Relative margin on the band before a measurement is *flagged*
-        (soft limit; matches :mod:`repro.core.anomaly`'s defaults).
+        (soft limits 12.5 µT and 97.5 µT; the lower one is also
+        :mod:`repro.core.anomaly`'s floor, whose ceiling is 84.5 µT).
     hard_band_factor:
         Factor beyond the soft *upper* limit at which the field estimate
         stops being a flag and becomes a hard fault (a broken channel,
@@ -114,13 +118,13 @@ class HealthConfig:
 
     enabled: bool = True
     degrade: bool = False
-    min_field_t: float = EARTH_FIELD_MIN_T
-    max_field_t: float = EARTH_FIELD_MAX_T
-    band_margin: float = 0.5
-    hard_band_factor: float = 2.0
-    tick_window_tolerance: int = 2
-    duty_margin_ticks: int = 4
-    edge_tolerance: int = 2
+    min_field_t: float = field(default=EARTH_FIELD_MIN_T, init=False)
+    max_field_t: float = field(default=EARTH_FIELD_MAX_T, init=False)
+    band_margin: float = field(default=0.5, init=False)
+    hard_band_factor: float = field(default=2.0, init=False)
+    tick_window_tolerance: int = field(default=2, init=False)
+    duty_margin_ticks: int = field(default=4, init=False)
+    edge_tolerance: int = field(default=2, init=False)
     watchdog_periods: int = 64
 
     @property

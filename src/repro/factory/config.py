@@ -8,8 +8,8 @@ Two frozen dataclasses configure a production run end to end:
   severity each drawn fault gets.
 * :class:`LotConfig` — the *lot and its test program*: lot size, mint
   seed, the staged program (any permutation/subset of
-  :data:`STAGE_NAMES`), the per-stage knobs (BIST heading, calibration
-  grid, accuracy gate), and the field-audit oracle that decides whether
+  :data:`STAGE_NAMES`), the per-stage knobs (calibration grid size and
+  path, accuracy gate), and the field-audit oracle that decides whether
   a defective unit that slipped through would actually serve a
   silent-wrong heading in the field.
 
@@ -54,7 +54,7 @@ class DefectDistribution:
         is added, up to :attr:`max_faults_per_unit` (geometric tail —
         clustered defects are real but rare).
     max_faults_per_unit:
-        Hard cap on faults per unit.
+        Hard cap on faults per unit (fixed: ``init=False``).
     layer_mix:
         Relative weights per fault-registry layer; a drawn fault first
         picks a layer by weight, then a registered fault uniformly
@@ -67,7 +67,7 @@ class DefectDistribution:
 
     rate: float = 0.06
     multi_fault_rate: float = 0.10
-    max_faults_per_unit: int = 2
+    max_faults_per_unit: int = field(default=2, init=False)
     layer_mix: Tuple[Tuple[str, float], ...] = (
         ("sensor", 3.0),
         ("analog", 2.0),
@@ -84,8 +84,6 @@ class DefectDistribution:
             raise ConfigurationError(
                 f"multi-fault rate {self.multi_fault_rate} not in [0, 1]"
             )
-        if self.max_faults_per_unit < 1:
-            raise ConfigurationError("max_faults_per_unit must be >= 1")
         if not self.layer_mix:
             raise ConfigurationError("layer_mix cannot be empty")
         seen = set()
@@ -109,6 +107,9 @@ class DefectDistribution:
 @dataclass(frozen=True)
 class LotConfig:
     """One production lot and the staged test program it runs through.
+
+    The BIST heading, calibration start, oracle grid and test clock are
+    fixed (``init=False``); :meth:`to_dict` still echoes them.
 
     Attributes
     ----------
@@ -165,15 +166,15 @@ class LotConfig:
     defects: DefectDistribution = field(default_factory=DefectDistribution)
     stages: Tuple[str, ...] = STAGE_NAMES
     field_magnitude_t: float = 50.0e-6
-    bist_heading_deg: float = 123.0
+    bist_heading_deg: float = field(default=123.0, init=False)
     calibration_headings: int = 12
-    calibration_start_deg: float = 0.5
+    calibration_start_deg: float = field(default=0.5, init=False)
     calibration_path: str = "batch"
     gate_tolerance_deg: float = 0.85
     product_tolerance_deg: float = 1.0
-    oracle_headings: int = 24
-    oracle_start_deg: float = 8.0
-    tck_hz: float = 1.0e6
+    oracle_headings: int = field(default=24, init=False)
+    oracle_start_deg: float = field(default=8.0, init=False)
+    tck_hz: float = field(default=1.0e6, init=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -195,16 +196,12 @@ class LotConfig:
             raise ConfigurationError(
                 "calibration needs >= 6 headings (ellipse fit)"
             )
-        if self.oracle_headings < 1:
-            raise ConfigurationError("the oracle needs at least one heading")
         if not 0.0 < self.gate_tolerance_deg <= self.product_tolerance_deg:
             raise ConfigurationError(
                 f"calibration gate {self.gate_tolerance_deg} deg must sit in "
                 f"(0, product tolerance {self.product_tolerance_deg} deg] — "
                 "a gate looser than the spec ships out-of-spec units"
             )
-        if self.tck_hz <= 0.0:
-            raise ConfigurationError("tck_hz must be positive")
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the full configuration (report provenance)."""

@@ -43,7 +43,7 @@ FLEET_COMPASS = CompassConfig(health=HealthConfig(enabled=True))
 
 @dataclass(frozen=True)
 class FleetSLO:
-    """The promises the fleet is gated on.
+    """The promises the fleet is gated on: fixed values (``init=False``).
 
     Attributes
     ----------
@@ -60,15 +60,9 @@ class FleetSLO:
         one count that must be zero at every load level.
     """
 
-    p99_latency_s: float = 0.30
-    availability_floor: float = 0.99
-    tolerance_deg: float = TARGET_ACCURACY_DEG
-
-    def __post_init__(self) -> None:
-        if self.p99_latency_s <= 0.0:
-            raise ConfigurationError("p99 SLO must be positive")
-        if not 0.0 <= self.availability_floor <= 1.0:
-            raise ConfigurationError("availability floor must be in [0, 1]")
+    p99_latency_s: float = field(default=0.30, init=False)
+    availability_floor: float = field(default=0.99, init=False)
+    tolerance_deg: float = field(default=TARGET_ACCURACY_DEG, init=False)
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,8 @@ class BrownoutConfig:
     Levels: 0 normal, 1 observability sampling shed, 2 quorum
     step-down.  ``enter_*`` thresholds are on the queue-occupancy EWMA
     (0..1); each ``exit_*`` must sit below its ``enter_*`` so the
-    controller cannot flap on a boundary load.
+    controller cannot flap on a boundary load.  ``sample_every`` (the
+    L1 observability sampling period) is fixed (``init=False``).
     """
 
     enter_l1: float = 0.50
@@ -87,7 +82,7 @@ class BrownoutConfig:
     exit_l2: float = 0.45
     alpha: float = 0.08
     min_dwell_s: float = 0.25
-    sample_every: int = 8
+    sample_every: int = field(default=8, init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.exit_l1 < self.enter_l1 <= 1.0:
@@ -98,8 +93,6 @@ class BrownoutConfig:
             raise ConfigurationError("enter_l1 must not exceed enter_l2")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("EWMA alpha must be in (0, 1]")
-        if self.sample_every < 1:
-            raise ConfigurationError("sample_every must be >= 1")
 
 
 class BrownoutController:
@@ -147,7 +140,8 @@ class FleetConfig:
         :class:`~repro.service.HeadingService` pool on its own service
         clock, so shards progress in parallel simulated time.
     vnodes:
-        Virtual nodes per shard on the consistent-hash ring.
+        Virtual nodes per shard on the consistent-hash ring (fixed:
+        ``init=False``, like ``brownout`` and ``slo``).
     service:
         Per-shard service configuration; each shard gets it re-seeded
         from the fleet seed.
@@ -175,7 +169,7 @@ class FleetConfig:
     """
 
     shards: int = 4
-    vnodes: int = 64
+    vnodes: int = field(default=64, init=False)
     service: ServiceConfig = field(
         default_factory=lambda: ServiceConfig(compass=FLEET_COMPASS)
     )
@@ -186,8 +180,8 @@ class FleetConfig:
     cache_enabled: bool = True
     coalesce_enabled: bool = True
     guard_every: int = 0
-    brownout: BrownoutConfig = BrownoutConfig()
-    slo: FleetSLO = FleetSLO()
+    brownout: BrownoutConfig = field(default=BrownoutConfig(), init=False)
+    slo: FleetSLO = field(default=FleetSLO(), init=False)
     observe: Observability = Observability()
 
     def __post_init__(self) -> None:

@@ -72,7 +72,7 @@ class FleetSoakConfig:
         Master switch for the fault storm; its rates are the
         :mod:`repro.faults.chaos` constants.
     chaos_interval_s:
-        Virtual-time period of the chaos stepper.
+        Virtual-time period of the chaos stepper (fixed: ``init=False``).
     faults:
         Registered measurement-fault names to draw from; default all.
     hot_fraction, hot_scenes, devices:
@@ -89,7 +89,7 @@ class FleetSoakConfig:
     )
     seed: int = 0
     chaos: bool = True
-    chaos_interval_s: float = 0.05
+    chaos_interval_s: float = field(default=0.05, init=False)
     faults: Optional[Sequence[str]] = None
     hot_fraction: float = 0.5
     hot_scenes: int = 8
@@ -105,8 +105,6 @@ class FleetSoakConfig:
                 raise ConfigurationError(
                     "phase multipliers and durations must be positive"
                 )
-        if self.chaos_interval_s <= 0.0:
-            raise ConfigurationError("chaos interval must be positive")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,19 @@ The contract call sites rely on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .metrics import MetricsRegistry
-from .trace import JSONLSink, NULL_SPAN, RingBufferSink, Tracer, VCDSink
+from .trace import (
+    NULL_SPAN,
+    RING_CAPACITY,
+    VCD_TIMESCALE_NS,
+    JSONLSink,
+    RingBufferSink,
+    Tracer,
+    VCDSink,
+)
 
 # -- metric taxonomy -----------------------------------------------------------
 # Every metric the instrumented stack emits, in one place; the labels per
@@ -92,6 +100,8 @@ RESIDUAL_BUCKETS_FRACTION = (
 class Observability:
     """Opt-in switchboard for tracing + metrics on one compass.
 
+    ``ring_capacity`` and ``vcd_timescale_ns`` are fixed (``init=False``).
+
     Attributes
     ----------
     enabled:
@@ -118,10 +128,10 @@ class Observability:
     enabled: bool = False
     tracing: bool = True
     metrics: bool = True
-    ring_capacity: int = 256
+    ring_capacity: int = field(default=RING_CAPACITY, init=False)
     jsonl_path: Optional[str] = None
     vcd_path: Optional[str] = None
-    vcd_timescale_ns: float = 1000.0
+    vcd_timescale_ns: float = field(default=VCD_TIMESCALE_NS, init=False)
     replay_path: Optional[str] = None
 
     @classmethod
@@ -188,13 +198,11 @@ def build_observer(config: Observability) -> Observer:
         return DISABLED
     tracer = None
     if config.tracing:
-        sinks: list = [RingBufferSink(config.ring_capacity)]
+        sinks: list = [RingBufferSink()]
         if config.jsonl_path is not None:
             sinks.append(JSONLSink(config.jsonl_path))
         if config.vcd_path is not None:
-            sinks.append(
-                VCDSink(config.vcd_path, timescale_ns=config.vcd_timescale_ns)
-            )
+            sinks.append(VCDSink(config.vcd_path))
         tracer = Tracer(sinks=sinks)
     metrics = MetricsRegistry() if config.metrics else None
     recorder = None

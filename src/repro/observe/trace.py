@@ -53,6 +53,11 @@ STAGE_ATTEMPT = "service.attempt"  # service.attempt.<replica>.<n>
 STAGE_FLEET_REQUEST = "fleet.request"    # one fleet front-door request
 STAGE_FLEET_DISPATCH = "fleet.dispatch"  # fleet.dispatch.<shard>
 
+#: Root spans a :class:`RingBufferSink` keeps (``Observability.ring_capacity``).
+RING_CAPACITY = 256
+#: Nanoseconds per VCD time unit (``Observability.vcd_timescale_ns``).
+VCD_TIMESCALE_NS = 1000.0
+
 AttributeValue = Union[str, int, float, bool, None]
 
 
@@ -176,7 +181,7 @@ class RingBufferSink(SpanSink):
     fan-out.
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int = RING_CAPACITY):
         if capacity < 1:
             raise ConfigurationError("ring buffer capacity must be >= 1")
         self.capacity = capacity
@@ -234,7 +239,7 @@ class VCDSink(SpanSink):
     def __init__(
         self,
         path: Optional[str] = None,
-        timescale_ns: float = 1000.0,
+        timescale_ns: float = VCD_TIMESCALE_NS,
         module: str = "observe",
     ):
         self.path = path

@@ -95,9 +95,10 @@ class ServiceConfig:
     deadline_s:
         Per-request wall budget on the service clock [s].
     max_attempts_per_replica:
-        Attempt budget per replica per request (first try + retries).
+        Attempt budget per replica per request (first try + retries;
+        fixed: ``init=False``).
     backoff, breaker:
-        Retry-delay and circuit-breaker policies.
+        Retry-delay and circuit-breaker policies (``backoff`` is fixed).
     seed:
         Root seed; replica noise, latency jitter and backoff jitter are
         all spawned from it, so a service run is reproducible.
@@ -115,8 +116,8 @@ class ServiceConfig:
     replicas: int = 3
     quorum: int = 2
     deadline_s: float = 0.5
-    max_attempts_per_replica: int = 3
-    backoff: BackoffPolicy = BackoffPolicy()
+    max_attempts_per_replica: int = field(default=3, init=False)
+    backoff: BackoffPolicy = field(default=BackoffPolicy(), init=False)
     breaker: BreakerConfig = BreakerConfig()
     seed: int = 0
     compass: CompassConfig = CompassConfig(health=HealthConfig(enabled=True))
@@ -131,8 +132,6 @@ class ServiceConfig:
             )
         if self.deadline_s <= 0.0:
             raise ConfigurationError("deadline must be positive")
-        if self.max_attempts_per_replica < 1:
-            raise ConfigurationError("need at least one attempt per replica")
 
 
 @dataclass(frozen=True)

@@ -376,8 +376,6 @@ class TestBrownoutController:
             BrownoutConfig(enter_l1=0.2, exit_l1=0.3)
         with pytest.raises(ConfigurationError):
             BrownoutConfig(alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            BrownoutConfig(sample_every=0)
 
 
 # -- the fleet facade ----------------------------------------------------------

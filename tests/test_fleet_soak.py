@@ -164,8 +164,6 @@ class TestConfigValidation:
             FleetSoakConfig(phases=())
         with pytest.raises(ConfigurationError):
             FleetSoakConfig(phases=((1.0, -1.0),))
-        with pytest.raises(ConfigurationError):
-            FleetSoakConfig(chaos_interval_s=0.0)
 
     def test_only_measurement_faults_can_be_armed(self):
         config = FleetSoakConfig(faults=["scan.tap_tms_stuck"])

@@ -18,11 +18,21 @@ import math
 
 import pytest
 
+from repro.analog.frontend import FrontEndConfig
 from repro.batch import BatchCompass
+from repro.core.anomaly import DetectorSettings
 from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.core.health import HealthConfig
 from repro.errors import DivergenceError, ReplayError
+from repro.factory.config import DefectDistribution, LotConfig
 from repro.faults import FaultCampaign, Outcome, classify_replay_record
+from repro.fleet.config import BrownoutConfig, FleetConfig, FleetSLO
+from repro.fleet.soak import FleetSoakConfig
 from repro.observe import DISABLED, Observability
+from repro.physics.noise import TYPICAL_1997_CMOS
+from repro.sensors.parameters import PRESETS
+from repro.service import ServiceConfig
+from repro.service.backoff import BackoffPolicy
 from repro.replay import (
     KIND_FALLBACK,
     KIND_MEASURED,
@@ -40,6 +50,84 @@ from repro.replay import (
 
 HEADINGS = (10.0, 45.0, 123.0, 222.25, 300.0, 359.5)
 FIELD_T = 50.0e-6
+
+#: Fingerprints of a golden-log header and its neighbours.  Fixed
+#: (``init=False``) config values still render in the hashed ``repr``,
+#: so fixing a setting must leave every one of these where it is.
+PINNED_FINGERPRINTS = [
+    pytest.param(CompassConfig(), "62376a0cec30ce1e", id="default"),
+    pytest.param(
+        CompassConfig(sensor=PRESETS["ideal"]), "62376a0cec30ce1e", id="ideal"
+    ),
+    pytest.param(
+        CompassConfig(sensor=PRESETS["kaw95"]), "9b0406789b3da2e5", id="kaw95"
+    ),
+    pytest.param(
+        CompassConfig(sensor=PRESETS["discrete"]),
+        "374e35171ecd98fb",
+        id="discrete",
+    ),
+    pytest.param(
+        CompassConfig(core_model="piecewise"), "7d76c4a39519ab65", id="piecewise"
+    ),
+    pytest.param(
+        CompassConfig(core_model="jiles-atherton"),
+        "fccf3ee565b50bc6",
+        id="jiles-atherton",
+    ),
+    pytest.param(
+        CompassConfig(health=HealthConfig(degrade=True)),
+        "397a821eadcb49bf",
+        id="health-degrade",
+    ),
+    pytest.param(
+        CompassConfig(health=HealthConfig(enabled=False)),
+        "172111fafcf014df",
+        id="health-disabled",
+    ),
+    pytest.param(
+        CompassConfig(
+            front_end=FrontEndConfig(noise=TYPICAL_1997_CMOS, noise_seed=3)
+        ),
+        "f502a82bc5f84a31",
+        id="noisy-seed-3",
+    ),
+    pytest.param(
+        CompassConfig(cordic_iterations=12), "e919499d097a3c7f", id="cordic-12"
+    ),
+]
+
+#: Every fixed config value, ``(class, field, value)``: the design point
+#: no caller sets.
+FIXED_VALUES = [
+    (HealthConfig, "min_field_t", 25.0e-6),
+    (HealthConfig, "max_field_t", 65.0e-6),
+    (HealthConfig, "band_margin", 0.5),
+    (HealthConfig, "hard_band_factor", 2.0),
+    (HealthConfig, "tick_window_tolerance", 2),
+    (HealthConfig, "duty_margin_ticks", 4),
+    (HealthConfig, "edge_tolerance", 2),
+    (FrontEndConfig, "amplifier_gain", 100.0),
+    (Observability, "ring_capacity", 256),
+    (Observability, "vcd_timescale_ns", 1000.0),
+    (LotConfig, "bist_heading_deg", 123.0),
+    (LotConfig, "calibration_start_deg", 0.5),
+    (LotConfig, "oracle_headings", 24),
+    (LotConfig, "oracle_start_deg", 8.0),
+    (LotConfig, "tck_hz", 1.0e6),
+    (DefectDistribution, "max_faults_per_unit", 2),
+    (DetectorSettings, "max_heading_jump_deg", 30.0),
+    (ServiceConfig, "backoff", BackoffPolicy()),
+    (ServiceConfig, "max_attempts_per_replica", 3),
+    (FleetConfig, "vnodes", 64),
+    (FleetConfig, "brownout", BrownoutConfig()),
+    (FleetConfig, "slo", FleetSLO()),
+    (FleetSLO, "p99_latency_s", 0.30),
+    (FleetSLO, "availability_floor", 0.99),
+    (FleetSLO, "tolerance_deg", 1.0),
+    (FleetSoakConfig, "chaos_interval_s", 0.05),
+    (BrownoutConfig, "sample_every", 8),
+]
 
 
 def record_scalar(headings=HEADINGS, config=None):
@@ -126,6 +214,24 @@ class TestRecorder:
         assert config_fingerprint(base) != config_fingerprint(
             dataclasses.replace(base, cordic_iterations=12)
         )
+
+
+class TestFixedConfig:
+    @pytest.mark.parametrize("config, fingerprint", PINNED_FINGERPRINTS)
+    def test_fingerprint_is_pinned(self, config, fingerprint):
+        assert config_fingerprint(config) == fingerprint
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        FIXED_VALUES,
+        ids=[f"{cls.__name__}.{name}" for cls, name, _ in FIXED_VALUES],
+    )
+    def test_fixed_value_is_not_settable(self, cls, name, value):
+        with pytest.raises(TypeError):
+            cls(**{name: value})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cls(), **{name: value})
+        assert getattr(cls(), name) == value
 
 
 class TestFileLogs:

@@ -221,8 +221,6 @@ class TestServiceConfig:
     def test_positive_budgets(self):
         with pytest.raises(ConfigurationError):
             ServiceConfig(deadline_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(max_attempts_per_replica=0)
 
 
 class TestCleanPath:
