@@ -64,7 +64,7 @@ def test_prec1_digital_precision_scales(benchmark):
     assert results[(32, 14)].rms_error < results[(8, 8)].rms_error
     assert results[(32, 14)].max_error < 0.25
     # The paper's 8/8 point meets its own budget.
-    assert results[(8, 8)].meets(1.0)
+    assert results[(8, 8)].in_spec
 
 
 def test_prec1_analog_bottleneck(benchmark):

@@ -16,6 +16,7 @@ from pathlib import Path
 from conftest import emit
 from repro.faults import ChaosSoak, SoakConfig
 from repro.report import write_report
+from repro.units import TARGET_ACCURACY_DEG
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
@@ -60,9 +61,7 @@ def test_svc1_chaos_soak_record(benchmark):
 
     assert report.silent_wrong == 0
     assert report.availability >= config.availability_floor
-    assert report.worst_error_deg <= config.tolerance_deg
-    assert report.invariants_ok(
-        config.availability_floor, config.tolerance_deg
-    )
+    assert report.worst_error_deg <= TARGET_ACCURACY_DEG
+    assert report.invariants_ok(config.availability_floor)
     record = report.to_dict()
     assert "latency_p999_ms" in record and "verdicts" in record

@@ -40,5 +40,5 @@ def test_acc1_system_accuracy(benchmark):
     rows.append(f"samples     : {stats.n_samples}")
     emit("ACC1 full-system heading sweep", rows)
 
-    assert stats.meets(1.0)
+    assert stats.in_spec
     assert stats.rms_error < 0.5

@@ -251,10 +251,11 @@ class Comparator:
 class PickupAmplifier:
     """Gain stage between the pickup coil and the comparators.
 
+    The voltage gain is the fixed :data:`AMPLIFIER_GAIN` (the
+    :attr:`gain` attribute).
+
     Parameters
     ----------
-    gain:
-        Voltage gain [V/V].
     budget:
         Noise budget; white + flicker noise is injected input-referred.
         Every :meth:`amplify` call draws a *fresh* noise realization from
@@ -275,16 +276,13 @@ class PickupAmplifier:
 
     def __init__(
         self,
-        gain: float = AMPLIFIER_GAIN,
         budget: NoiseBudget = NOISELESS,
         seed: int = 0,
         bandwidth_hz: float = 1.0e6,
     ):
-        if gain <= 0.0:
-            raise ConfigurationError("amplifier gain must be positive")
         if bandwidth_hz is not None and bandwidth_hz <= 0.0:
             raise ConfigurationError("bandwidth must be positive or None")
-        self.gain = gain
+        self.gain = AMPLIFIER_GAIN
         self.budget = budget
         self.bandwidth_hz = bandwidth_hz
         self._seed = seed

@@ -192,7 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fp = compass.front_end.fastpath_stats
     print(f"fastpath: used {fp.used}/{fp.attempted}, "
           f"resolved {fp.resolved} edges, fallbacks {fp.fallbacks or '{}'}")
-    return 0 if stats.meets(1.0) else 1
+    return 0 if stats.in_spec else 1
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
@@ -397,9 +397,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     print(report.summary())
     if args.json:
         _write_json(args.json, report.to_dict())
-    return _verdict(
-        report.invariants_ok(config.availability_floor, config.tolerance_deg)
-    )
+    return _verdict(report.invariants_ok(config.availability_floor))
 
 
 def _cmd_fleet_sim(args: argparse.Namespace) -> int:
@@ -526,7 +524,6 @@ def _cmd_factory(args: argparse.Namespace) -> int:
             severity_law=args.severity_law,
         ),
         stages=tuple(args.stages.split(",")),
-        calibration_path=args.path,
     )
     units = None
     if args.coupon:
@@ -985,8 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", default="btest,bist,calibration,env",
                    help="comma-separated test program "
                         "(default btest,bist,calibration,env)")
-    p.add_argument("--path", default="batch", choices=["batch", "scalar"],
-                   help="calibration sweep engine (default batch)")
     p.add_argument("--coupon", action="append", metavar="FAULT[:SEV]",
                    help="append a seeded-defect coupon unit with this "
                         "registered fault (repeatable; severity defaults "

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import trust
 from ..errors import ConfigurationError
 from .heading import HeadingMeasurement
 
@@ -49,9 +50,10 @@ class ErrorStats:
             [m.error_against(h) for h, m in zip(headings_deg, measurements)]
         )
 
-    def meets(self, budget_deg: float) -> bool:
-        """Whether the worst error is within an accuracy budget."""
-        return self.max_error <= budget_deg
+    @property
+    def in_spec(self) -> bool:
+        """Whether the worst error meets the 1° spec (:func:`repro.trust.in_spec`)."""
+        return trust.in_spec(self.max_error)
 
 
 def quantisation_floor_deg(count_full_scale: int) -> float:

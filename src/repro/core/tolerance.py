@@ -89,7 +89,7 @@ class ToleranceSample:
 
     @property
     def passes(self) -> bool:
-        return self.stats.meets(1.0)
+        return self.stats.in_spec
 
 
 def perturbed_config(

@@ -8,8 +8,8 @@ Two frozen dataclasses configure a production run end to end:
   severity each drawn fault gets.
 * :class:`LotConfig` — the *lot and its test program*: lot size, mint
   seed, the staged program (any permutation/subset of
-  :data:`STAGE_NAMES`), the per-stage knobs (calibration grid size and
-  path, accuracy gate), and the field-audit oracle that decides whether
+  :data:`STAGE_NAMES`), the per-stage knobs (calibration grid size,
+  accuracy gate), and the field-audit oracle that decides whether
   a defective unit that slipped through would actually serve a
   silent-wrong heading in the field.
 
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..errors import ConfigurationError
+from ..units import TARGET_ACCURACY_DEG
 
 #: The canonical stage order: interconnect boundary scan on the bare
 #: assembly, power-on BIST through the health supervisor, the
@@ -108,8 +109,9 @@ class DefectDistribution:
 class LotConfig:
     """One production lot and the staged test program it runs through.
 
-    The BIST heading, calibration start, oracle grid and test clock are
-    fixed (``init=False``); :meth:`to_dict` still echoes them.
+    The BIST heading, calibration start and path, product spec, oracle
+    grid and test clock are fixed (``init=False``); :meth:`to_dict`
+    still echoes them.
 
     Attributes
     ----------
@@ -136,19 +138,18 @@ class LotConfig:
         The full-circle turn-table grid for the calibration stage; at
         least 6 headings (the ellipse fit needs them).
     calibration_path:
-        ``"batch"`` runs the sweep through
-        :class:`~repro.batch.BatchCompass` (the production setting —
-        this is what makes a 10k lot finish in seconds); ``"scalar"``
-        loops ``measure_heading`` and must produce a bit-identical
-        report.
+        Always ``"batch"``: the sweep runs through
+        :class:`~repro.batch.BatchCompass` (what makes a 10k lot finish
+        in seconds).
     gate_tolerance_deg:
         The calibration stage's max-error pass gate.  Guardbanded below
-        :attr:`product_tolerance_deg` so a unit marginally inside the
+        the 1° product spec so a unit marginally inside the
         product spec on the factory grid cannot be marginally outside
         it in the field.
     product_tolerance_deg:
-        The shipped product's accuracy spec (the paper's 1°); the
-        escape oracle classifies field headings against this.
+        Echo of the shipped product's accuracy spec,
+        :data:`~repro.units.TARGET_ACCURACY_DEG`; the escape oracle
+        classifies field headings through :mod:`repro.trust`.
     oracle_headings, oracle_start_deg:
         The dense field-audit grid (offset from the calibration grid so
         escapes cannot hide between factory test points).  The oracle
@@ -169,9 +170,9 @@ class LotConfig:
     bist_heading_deg: float = field(default=123.0, init=False)
     calibration_headings: int = 12
     calibration_start_deg: float = field(default=0.5, init=False)
-    calibration_path: str = "batch"
+    calibration_path: str = field(default="batch", init=False)
     gate_tolerance_deg: float = 0.85
-    product_tolerance_deg: float = 1.0
+    product_tolerance_deg: float = field(default=TARGET_ACCURACY_DEG, init=False)
     oracle_headings: int = field(default=24, init=False)
     oracle_start_deg: float = field(default=8.0, init=False)
     tck_hz: float = field(default=1.0e6, init=False)
@@ -188,18 +189,14 @@ class LotConfig:
                 raise ConfigurationError(
                     f"unknown stage {stage!r}; use a subset of {STAGE_NAMES}"
                 )
-        if self.calibration_path not in ("batch", "scalar"):
-            raise ConfigurationError(
-                f"unknown calibration path {self.calibration_path!r}"
-            )
         if self.calibration_headings < 6:
             raise ConfigurationError(
                 "calibration needs >= 6 headings (ellipse fit)"
             )
-        if not 0.0 < self.gate_tolerance_deg <= self.product_tolerance_deg:
+        if not 0.0 < self.gate_tolerance_deg <= TARGET_ACCURACY_DEG:
             raise ConfigurationError(
                 f"calibration gate {self.gate_tolerance_deg} deg must sit in "
-                f"(0, product tolerance {self.product_tolerance_deg} deg] — "
+                f"(0, product tolerance {TARGET_ACCURACY_DEG} deg] — "
                 "a gate looser than the spec ships out-of-spec units"
             )
 

@@ -17,7 +17,7 @@
   change the escape set.
 * **The field-audit oracle** — a defective unit that passes the whole
   program gets a dense off-grid heading sweep classified against the
-  *product* tolerance through the same trust rule
+  1° product spec through the same trust rule
   (:func:`~repro.trust.served_outcome`) the fault campaign uses.  Only
   an unflagged out-of-spec heading makes an ``"escape"``; in-spec,
   flagged, and fails-loud are ``"pass-latent"``.
@@ -35,7 +35,7 @@ from ..core.heading import headings_evenly_spaced
 from ..observe import M_FACTORY_STAGE, M_FACTORY_UNITS
 from ..observe.metrics import MetricsRegistry
 from ..trust import Outcome, served_outcome
-from ..units import heading_error_deg
+from ..units import TARGET_ACCURACY_DEG, heading_error_deg
 from .config import LotConfig
 from .defects import Defect, Signature, mint_units, signature
 from .report import LotReport, OracleResult, StageReport, UnitRecord
@@ -85,9 +85,7 @@ def run_field_oracle(
     flagged = 0
     for truth, m in zip(headings, measurements):
         error = heading_error_deg(m.heading_deg, truth)
-        outcome = served_outcome(
-            error, m.authoritative, config.product_tolerance_deg
-        )
+        outcome = served_outcome(error, m.authoritative)
         if outcome is Outcome.DEGRADED:
             flagged += 1
             continue
@@ -101,7 +99,7 @@ def run_field_oracle(
             worst_error_deg=worst_unflagged,
             detail=(
                 f"{silent}/{len(headings)} field headings unflagged beyond "
-                f"{config.product_tolerance_deg:g} deg "
+                f"{TARGET_ACCURACY_DEG:g} deg "
                 f"(worst {worst_unflagged:.3f} deg)"
             ),
         )
@@ -127,9 +125,7 @@ def run_field_oracle(
                     f"environment mission: {type(error).__name__}: {error}"
                 ),
             )
-        outcome, error, detail = classify_scenario(
-            mission, config.product_tolerance_deg
-        )
+        outcome, error, detail = classify_scenario(mission)
         if outcome is Outcome.SILENT_WRONG:
             return OracleResult(
                 verdict="silent-wrong",
@@ -150,7 +146,7 @@ def run_field_oracle(
         worst_error_deg=worst_unflagged,
         detail=(
             f"worst unflagged error {worst_unflagged:.3f} deg within the "
-            f"{config.product_tolerance_deg:g} deg product spec"
+            f"{TARGET_ACCURACY_DEG:g} deg product spec"
         ),
     )
 

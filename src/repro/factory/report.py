@@ -21,7 +21,7 @@ the property suite asserts and CI ratchets on.
 ``to_dict``/``to_json`` are canonical: deterministic float arithmetic
 in, sorted keys out, wall-clock time deliberately excluded (kept on
 :attr:`LotReport.wall_s` for benchmarks), so a golden lot file is
-bit-identical across runs, machines, and scalar/batch paths.
+bit-identical across runs and machines.
 """
 
 from __future__ import annotations

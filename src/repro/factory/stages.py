@@ -218,15 +218,10 @@ def _sweep(
     headings: Tuple[float, ...],
     config: LotConfig,
 ) -> List[HeadingMeasurement]:
-    if config.calibration_path == "batch":
-        scene = BatchScene.from_headings(
-            compass.sensors, headings, config.field_magnitude_t
-        )
-        return BatchCompass(compass).measure_scene(scene)
-    return [
-        compass.measure_heading(heading, config.field_magnitude_t)
-        for heading in headings
-    ]
+    scene = BatchScene.from_headings(
+        compass.sensors, headings, config.field_magnitude_t
+    )
+    return BatchCompass(compass).measure_scene(scene)
 
 
 def run_calibration(

@@ -45,7 +45,7 @@ from ..observe import (
 )
 from ..soc.mcm import build_compass_mcm
 from ..trust import Outcome, served_outcome
-from ..units import TARGET_ACCURACY_DEG, heading_error_deg
+from ..units import heading_error_deg
 from .model import REGISTRY, FaultRegistry, FaultSpec
 
 #: Default heading grid: one per quadrant plus both wrap neighbourhoods.
@@ -58,7 +58,6 @@ def classify_heading(
     authoritative: bool,
     flags: Sequence[str] = (),
     status: str = "ok",
-    tolerance_deg: float = TARGET_ACCURACY_DEG,
 ) -> Tuple[Outcome, Optional[float], str]:
     """Classify one served heading against its truth.
 
@@ -69,7 +68,7 @@ def classify_heading(
     same code path as the live campaign cell it reproduces.
     """
     error = heading_error_deg(heading_deg, truth_deg)
-    outcome = served_outcome(error, authoritative, tolerance_deg)
+    outcome = served_outcome(error, authoritative)
     if outcome is Outcome.DEGRADED:
         detail = ",".join(flags) or status
         return outcome, error, f"flagged: {detail}"
@@ -79,7 +78,7 @@ def classify_heading(
 
 
 def classify_replay_record(
-    record, truth_deg: float, tolerance_deg: float = TARGET_ACCURACY_DEG
+    record, truth_deg: float
 ) -> Tuple[Outcome, Optional[float], str]:
     """Reproduce a campaign cell's classification from its replay record.
 
@@ -94,7 +93,6 @@ def classify_replay_record(
         health is None or health.status != "degraded",
         flags=() if health is None else tuple(health.flags),
         status="ok" if health is None else health.status,
-        tolerance_deg=tolerance_deg,
     )
 
 
@@ -169,9 +167,6 @@ class FaultCampaign:
         The fault population; defaults to the built-in registry.
     faults:
         Optional subset of fault names to run (default: all registered).
-    tolerance_deg:
-        Unflagged-error threshold separating *benign* from
-        *silent-wrong*; defaults to the paper's 1° accuracy spec.
     metrics:
         Optional :class:`~repro.observe.MetricsRegistry`; when given the
         campaign counts every classified cell by (path, outcome) and
@@ -191,7 +186,6 @@ class FaultCampaign:
         paths: Sequence[str] = ("scalar", "batch"),
         registry: FaultRegistry = REGISTRY,
         faults: Optional[Sequence[str]] = None,
-        tolerance_deg: float = TARGET_ACCURACY_DEG,
         metrics: Optional[MetricsRegistry] = None,
         record_logs: bool = False,
     ):
@@ -207,7 +201,6 @@ class FaultCampaign:
         self.paths = tuple(paths)
         self.registry = registry
         self.fault_names = list(faults) if faults is not None else registry.names()
-        self.tolerance_deg = tolerance_deg
         self.metrics = metrics
         self.record_logs = record_logs
         #: (fault, severity) → the scalar run's in-memory LogRecorder;
@@ -238,7 +231,6 @@ class FaultCampaign:
             flags=() if measurement.health is None else measurement.health.flags,
             status="ok" if measurement.health is None
             else measurement.health.status,
-            tolerance_deg=self.tolerance_deg,
         )
 
     def _run_headings(
@@ -325,7 +317,6 @@ class FaultCampaign:
             self.registry,
             spec.name,
             severity,
-            self.tolerance_deg,
         )
         return [
             self._cell(spec, severity, None, "scenario", outcome, error, detail)
@@ -350,7 +341,6 @@ class FaultCampaign:
                 truth,
                 fused.authoritative,
                 flags=fused.flags,
-                tolerance_deg=self.tolerance_deg,
             )
             detail += f" ({fused.n_used}/{array.n_elements} elements)"
             return outcome, error, detail

@@ -9,12 +9,12 @@ disarming registered faults (and grey-failure latency spikes) across at
 most a **minority** of replicas — the regime redundancy is designed
 for — and checks the service-level invariants:
 
-* **zero silent-wrong** — no response may be more than ``tolerance_deg``
-  from the truth while labelled ``authoritative``;
+* **zero silent-wrong** — no response may be out of the 1° spec
+  (:func:`repro.trust.in_spec`) while labelled ``authoritative``;
 * **availability floor** — at least ``availability_floor`` of requests
   must return a heading (failures must be loud, not frequent);
-* **bounded error** — every served heading stays within
-  ``tolerance_deg`` of the truth, quorum-degraded ones included.
+* **bounded error** — every served heading stays in spec,
+  quorum-degraded ones included.
 
 Everything (request headings, fields, fault choice, arm/disarm timing)
 derives from one seed through spawned SeedSequence streams, and the
@@ -38,7 +38,7 @@ from ..errors import ConfigurationError, ReproError
 from ..observe import M_BREAKER_TRANSITIONS, Observability
 from ..service import BreakerState, HeadingService, ServiceConfig
 from ..trust import Outcome, in_spec, served_outcome
-from ..units import TARGET_ACCURACY_DEG, heading_error_deg
+from ..units import heading_error_deg
 from .model import REGISTRY, FaultRegistry
 
 #: Per-step chance of arming one new fault, budget permitting.
@@ -70,8 +70,6 @@ class SoakConfig:
         Registered fault names to draw from; defaults to every
         measurement-probe fault in the registry (scan faults target a
         boundary-scan harness, not a live compass).
-    tolerance_deg:
-        The paper's 1° accuracy spec — the silent-wrong threshold.
     availability_floor:
         Minimum fraction of requests that must return a heading.
     """
@@ -82,7 +80,6 @@ class SoakConfig:
         observe=Observability.on(tracing=False)
     )
     faults: Optional[Sequence[str]] = None
-    tolerance_deg: float = TARGET_ACCURACY_DEG
     availability_floor: float = 0.99
 
     def __post_init__(self) -> None:
@@ -146,16 +143,12 @@ class SoakReport:
             return 0.0
         return float(np.percentile(np.array(self.latencies_s), q))
 
-    def invariants_ok(
-        self,
-        availability_floor: float,
-        tolerance_deg: float = TARGET_ACCURACY_DEG,
-    ) -> bool:
+    def invariants_ok(self, availability_floor: float) -> bool:
         """The three service-level soak invariants, conjoined."""
         return (
             self.silent_wrong == 0
             and self.availability >= availability_floor
-            and in_spec(self.worst_error_deg, tolerance_deg)
+            and in_spec(self.worst_error_deg)
         )
 
     def to_dict(self) -> Dict:
@@ -345,7 +338,6 @@ class ChaosSoak:
     def _score_response(
         self, response, truth: float, report: SoakReport
     ) -> None:
-        cfg = self.config
         report.served += 1
         report.verdicts[response.verdict.value] = (
             report.verdicts.get(response.verdict.value, 0) + 1
@@ -357,10 +349,10 @@ class ChaosSoak:
         report.latencies_s.append(response.elapsed_s)
         error = heading_error_deg(response.heading_deg, truth)
         report.worst_error_deg = max(report.worst_error_deg, error)
-        outcome = served_outcome(error, response.authoritative, cfg.tolerance_deg)
+        outcome = served_outcome(error, response.authoritative)
         if outcome is Outcome.SILENT_WRONG:
             report.silent_wrong += 1
-        elif not in_spec(error, cfg.tolerance_deg):
+        elif not in_spec(error):
             report.flagged_wrong += 1
 
     # -- the soak --------------------------------------------------------------

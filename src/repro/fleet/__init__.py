@@ -36,7 +36,6 @@ from .cache import (
     scene_key,
 )
 from .config import (
-    BrownoutConfig,
     BrownoutController,
     FLEET_COMPASS,
     FleetConfig,
@@ -71,7 +70,6 @@ from .soak import (
 __all__ = [
     "AsyncQueue",
     "BoundedShardQueue",
-    "BrownoutConfig",
     "BrownoutController",
     "CacheEntry",
     "DEFAULT_FIELD_QUANTUM_UT",

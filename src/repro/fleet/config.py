@@ -7,8 +7,9 @@ The overload ladder, from cheapest defence to deepest degradation:
 2. **queue-full / deadline eviction** — bound the waiting room, drop
    dead work (see :mod:`repro.fleet.admission`);
 3. **brownout L1** — shed *optional observability work*: latency
-   histograms, gauges and spans are sampled 1-in-``sample_every``
-   instead of per-request (counters stay exact);
+   histograms, gauges and spans are sampled 1-in-
+   :data:`BROWNOUT_SAMPLE_EVERY` instead of per-request (counters stay
+   exact);
 4. **brownout L2** — shed *optional confirmation work*: the vote pool
    steps down from N replicas toward the quorum K
    (``HeadingService.measure_heading(max_replicas=K)``), trading
@@ -31,7 +32,6 @@ from ..core.health import HealthConfig
 from ..errors import ConfigurationError
 from ..observe import Observability
 from ..service import ServiceConfig
-from ..units import TARGET_ACCURACY_DEG
 from .admission import TokenBucketConfig
 
 #: The fleet's default compass: strict health supervision (resilience
@@ -39,6 +39,25 @@ from .admission import TokenBucketConfig
 #: fast path, which is what makes thousands of simulated devices per
 #: second affordable.
 FLEET_COMPASS = CompassConfig(health=HealthConfig(enabled=True))
+
+# Brownout ladder thresholds.  Levels: 0 normal, 1 observability
+# sampling shed, 2 quorum step-down.  The enter/exit thresholds are on
+# the queue-occupancy EWMA (0..1); each exit sits below its enter so the
+# controller cannot flap on a boundary load.
+#: Occupancy EWMA at or above which level 0 climbs to level 1.
+BROWNOUT_ENTER_L1 = 0.50
+#: Occupancy EWMA at or above which level 1 climbs to level 2.
+BROWNOUT_ENTER_L2 = 0.75
+#: Occupancy EWMA at or below which level 1 falls back to level 0.
+BROWNOUT_EXIT_L1 = 0.15
+#: Occupancy EWMA at or below which level 2 falls back to level 1.
+BROWNOUT_EXIT_L2 = 0.45
+#: EWMA smoothing factor per occupancy sample.
+BROWNOUT_ALPHA = 0.08
+#: Minimum time between two level changes [s].
+BROWNOUT_MIN_DWELL_S = 0.25
+#: Level-1 observability sampling period: 1 request in this many.
+BROWNOUT_SAMPLE_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -54,52 +73,20 @@ class FleetSLO:
     availability_floor:
         Minimum served fraction at rated load (shed + failed count
         against it).
-    tolerance_deg:
-        The paper's 1° accuracy spec: a served error beyond this is
-        *wrong*, and wrong + ``AUTHORITATIVE`` is silent-wrong — the
-        one count that must be zero at every load level.
+
+    The third promise, zero silent-wrong at every load level, is the
+    1° spec of :mod:`repro.trust`.
     """
 
     p99_latency_s: float = field(default=0.30, init=False)
     availability_floor: float = field(default=0.99, init=False)
-    tolerance_deg: float = field(default=TARGET_ACCURACY_DEG, init=False)
-
-
-@dataclass(frozen=True)
-class BrownoutConfig:
-    """Hysteresis thresholds of the graceful-degradation ladder.
-
-    Levels: 0 normal, 1 observability sampling shed, 2 quorum
-    step-down.  ``enter_*`` thresholds are on the queue-occupancy EWMA
-    (0..1); each ``exit_*`` must sit below its ``enter_*`` so the
-    controller cannot flap on a boundary load.  ``sample_every`` (the
-    L1 observability sampling period) is fixed (``init=False``).
-    """
-
-    enter_l1: float = 0.50
-    enter_l2: float = 0.75
-    exit_l1: float = 0.15
-    exit_l2: float = 0.45
-    alpha: float = 0.08
-    min_dwell_s: float = 0.25
-    sample_every: int = field(default=8, init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.exit_l1 < self.enter_l1 <= 1.0:
-            raise ConfigurationError("need 0 < exit_l1 < enter_l1 <= 1")
-        if not self.exit_l2 < self.enter_l2 <= 1.0:
-            raise ConfigurationError("need exit_l2 < enter_l2 <= 1")
-        if not self.enter_l1 <= self.enter_l2:
-            raise ConfigurationError("enter_l1 must not exceed enter_l2")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError("EWMA alpha must be in (0, 1]")
 
 
 class BrownoutController:
-    """EWMA-with-hysteresis ladder over queue occupancy."""
+    """EWMA-with-hysteresis ladder over queue occupancy (the
+    ``BROWNOUT_*`` thresholds)."""
 
-    def __init__(self, config: BrownoutConfig, start_s: float = 0.0):
-        self.config = config
+    def __init__(self, start_s: float = 0.0):
         self.level = 0
         self.ewma = 0.0
         self._changed_at = start_s
@@ -108,19 +95,18 @@ class BrownoutController:
 
     def observe(self, occupancy: float, now: float) -> int:
         """Fold one occupancy sample in; returns the (new) level."""
-        cfg = self.config
-        self.ewma += cfg.alpha * (occupancy - self.ewma)
-        if now - self._changed_at < cfg.min_dwell_s:
+        self.ewma += BROWNOUT_ALPHA * (occupancy - self.ewma)
+        if now - self._changed_at < BROWNOUT_MIN_DWELL_S:
             return self.level
         target = self.level
-        if self.level == 0 and self.ewma >= cfg.enter_l1:
+        if self.level == 0 and self.ewma >= BROWNOUT_ENTER_L1:
             target = 1
         elif self.level == 1:
-            if self.ewma >= cfg.enter_l2:
+            if self.ewma >= BROWNOUT_ENTER_L2:
                 target = 2
-            elif self.ewma <= cfg.exit_l1:
+            elif self.ewma <= BROWNOUT_EXIT_L1:
                 target = 0
-        elif self.level == 2 and self.ewma <= cfg.exit_l2:
+        elif self.level == 2 and self.ewma <= BROWNOUT_EXIT_L2:
             target = 1
         if target != self.level:
             self.level = target
@@ -141,7 +127,7 @@ class FleetConfig:
         clock, so shards progress in parallel simulated time.
     vnodes:
         Virtual nodes per shard on the consistent-hash ring (fixed:
-        ``init=False``, like ``brownout`` and ``slo``).
+        ``init=False``, like ``slo``).
     service:
         Per-shard service configuration; each shard gets it re-seeded
         from the fleet seed.
@@ -160,8 +146,6 @@ class FleetConfig:
         on a clean reference service and compared **bit-exactly**
         against the cached entry (``0`` disables).  Requires the
         deterministic (noiseless) compass — the default.
-    brownout:
-        Graceful-degradation thresholds.
     slo:
         The gates the soak asserts.
     observe:
@@ -180,7 +164,6 @@ class FleetConfig:
     cache_enabled: bool = True
     coalesce_enabled: bool = True
     guard_every: int = 0
-    brownout: BrownoutConfig = field(default=BrownoutConfig(), init=False)
     slo: FleetSLO = field(default=FleetSLO(), init=False)
     observe: Observability = Observability()
 
@@ -196,7 +179,13 @@ class FleetConfig:
 
 
 __all__ = [
-    "BrownoutConfig",
+    "BROWNOUT_ALPHA",
+    "BROWNOUT_ENTER_L1",
+    "BROWNOUT_ENTER_L2",
+    "BROWNOUT_EXIT_L1",
+    "BROWNOUT_EXIT_L2",
+    "BROWNOUT_MIN_DWELL_S",
+    "BROWNOUT_SAMPLE_EVERY",
     "BrownoutController",
     "FLEET_COMPASS",
     "FleetConfig",

@@ -72,7 +72,7 @@ from .cache import (
     quantize_heading,
     scene_key,
 )
-from .config import BrownoutController, FleetConfig
+from .config import BROWNOUT_SAMPLE_EVERY, BrownoutController, FleetConfig
 from .hashing import HashRing
 from .kernel import Kernel, Scheduler
 from .shard import FleetShard
@@ -135,9 +135,7 @@ class HeadingFleet:
             HeadingCache(FLEET_CACHE_CAPACITY) if config.cache_enabled else None
         )
         self._inflight: Dict[str, Any] = {}
-        self.brownout = BrownoutController(
-            config.brownout, start_s=self.scheduler.now()
-        )
+        self.brownout = BrownoutController(start_s=self.scheduler.now())
         self._reference: Optional[HeadingService] = None
         self._workers: List[Any] = []
         self._started = False
@@ -182,12 +180,13 @@ class HeadingFleet:
         """Whether *optional* observability runs for this event.
 
         Brownout L1 is exactly this switch: counters stay exact, but
-        spans, gauges and histograms drop to 1-in-``sample_every``.
+        spans, gauges and histograms drop to 1-in-
+        :data:`~repro.fleet.config.BROWNOUT_SAMPLE_EVERY`.
         """
         if self.brownout.level == 0:
             return True
         self._obs_tick += 1
-        return self._obs_tick % self.config.brownout.sample_every == 0
+        return self._obs_tick % BROWNOUT_SAMPLE_EVERY == 0
 
     def _sense_brownout(self) -> int:
         occupancy = sum(s.occupancy for s in self.shards) / len(self.shards)

@@ -22,7 +22,7 @@ SLO gate cares about (silent vs flagged wrong answers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class OpenLoopGenerator:
         hot_scenes: int = 8,
         devices: int = 64,
         field_band_ut: Tuple[float, float] = (25.0, 65.0),
-        tolerance_deg: Optional[float] = None,
     ):
         if not phases:
             raise ConfigurationError("load schedule needs at least one phase")
@@ -118,11 +117,6 @@ class OpenLoopGenerator:
         self.seed = seed
         self.hot_fraction = hot_fraction
         self.devices = devices
-        self.tolerance_deg = (
-            fleet.config.slo.tolerance_deg
-            if tolerance_deg is None
-            else tolerance_deg
-        )
         self._rng = np.random.default_rng(seed)
         low, high = field_band_ut
         if not 0.0 < low < high:
@@ -174,12 +168,10 @@ class OpenLoopGenerator:
         )
         error_deg = heading_error_deg(response.heading_deg, true_heading_deg)
         record.worst_error_deg = max(record.worst_error_deg, error_deg)
-        outcome = served_outcome(
-            error_deg, response.authoritative, self.tolerance_deg
-        )
+        outcome = served_outcome(error_deg, response.authoritative)
         if outcome is Outcome.SILENT_WRONG:
             record.silent_wrong += 1
-        elif not in_spec(error_deg, self.tolerance_deg):
+        elif not in_spec(error_deg):
             record.flagged_wrong += 1
 
     async def run(self) -> List[PhaseRecord]:

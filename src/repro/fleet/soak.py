@@ -39,6 +39,7 @@ import numpy as np
 from ..errors import ConfigurationError, SLOViolationError
 from ..faults.chaos import ReplicaStorm, StormAction
 from ..faults.model import REGISTRY, FaultRegistry
+from ..units import TARGET_ACCURACY_DEG
 from .config import FleetConfig
 from .fleet import HeadingFleet
 from .kernel import Kernel
@@ -127,7 +128,6 @@ class FleetSoakReport:
     rated_rps: float
     slo_p99_s: float
     availability_floor: float
-    tolerance_deg: float
     phases: List[Dict[str, Any]] = field(default_factory=list)
     events: List[FleetSoakEvent] = field(default_factory=list)
     faults_armed: Dict[str, int] = field(default_factory=dict)
@@ -195,7 +195,7 @@ class FleetSoakReport:
             "slo": {
                 "p99_latency_ms": round(self.slo_p99_s * 1e3, 4),
                 "availability_floor": self.availability_floor,
-                "tolerance_deg": self.tolerance_deg,
+                "tolerance_deg": TARGET_ACCURACY_DEG,
             },
             "phases": self.phases,
             "events": [
@@ -356,7 +356,6 @@ class FleetSoak:
             rated_rps=cfg.rated_rps,
             slo_p99_s=cfg.fleet.slo.p99_latency_s,
             availability_floor=cfg.fleet.slo.availability_floor,
-            tolerance_deg=cfg.fleet.slo.tolerance_deg,
         )
         storms = [
             ReplicaStorm(shard.service, self.fault_names, self.registry)

@@ -239,11 +239,10 @@ class VCDSink(SpanSink):
     def __init__(
         self,
         path: Optional[str] = None,
-        timescale_ns: float = VCD_TIMESCALE_NS,
         module: str = "observe",
     ):
         self.path = path
-        self.writer = VCDWriter(timescale_ns=timescale_ns, module=module)
+        self.writer = VCDWriter(timescale_ns=VCD_TIMESCALE_NS, module=module)
         self._roots: List[Span] = []
 
     def emit(self, span: Span) -> None:

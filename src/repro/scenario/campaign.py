@@ -34,16 +34,12 @@ from ..errors import ConfigurationError, ReproError
 from ..faults.campaign import CampaignCell, CampaignResult
 from ..faults.model import REGISTRY, FaultRegistry, FaultSpec
 from ..observe import M_CAMPAIGN_CELLS, MetricsRegistry
-from ..trust import Outcome, served_outcome
-from ..units import TARGET_ACCURACY_DEG
+from ..trust import Outcome
 from .dsl import SCENARIOS, Scenario
 from .runner import ScenarioResult, ScenarioRunner
 
 
-def classify_scenario(
-    result: ScenarioResult,
-    tolerance_deg: float = TARGET_ACCURACY_DEG,
-) -> Tuple[Outcome, Optional[float], str]:
+def classify_scenario(result: ScenarioResult) -> Tuple[Outcome, Optional[float], str]:
     """Collapse a finished scenario run into one campaign outcome.
 
     The scenario-level verdict is pessimistic in exactly one direction:
@@ -51,11 +47,7 @@ def classify_scenario(
     because one confident lie mid-mission bends the dead-reckoned track
     no matter how honest the surrounding steps were.
     """
-    silent = [
-        s for s in result.steps
-        if served_outcome(abs(s.error_deg), s.authoritative, tolerance_deg)
-        is Outcome.SILENT_WRONG
-    ]
+    silent = [s for s in result.steps if s.silent_wrong]
     if silent:
         worst = max(abs(s.error_deg) for s in silent)
         return (
@@ -84,7 +76,6 @@ def fly_faulted(
     registry: FaultRegistry,
     fault: str,
     severity: float,
-    tolerance_deg: float = TARGET_ACCURACY_DEG,
 ) -> Tuple[Outcome, Optional[float], str]:
     """Fly ``runner`` with ``fault`` injected and classify the run; a
     typed :class:`~repro.errors.ReproError` is a loud detection."""
@@ -93,7 +84,7 @@ def fly_faulted(
             run = runner.run()
     except ReproError as exc:
         return Outcome.DETECTED, None, f"{type(exc).__name__}: {exc}"
-    return classify_scenario(run, tolerance_deg)
+    return classify_scenario(run)
 
 
 @dataclass
@@ -127,9 +118,6 @@ class ScenarioCampaign:
         The fault population; defaults to the ``environment`` layer of
         the built-in registry (scenario-probe faults only — measurement
         faults are the other campaign's business).
-    tolerance_deg:
-        The unflagged-error threshold separating benign from
-        silent-wrong; the paper's 1° spec by default.
     base_config:
         Compass design under campaign; the paper's design point by
         default.
@@ -144,7 +132,6 @@ class ScenarioCampaign:
         scenarios: Optional[Sequence[Scenario]] = None,
         registry: FaultRegistry = REGISTRY,
         faults: Optional[Sequence[str]] = None,
-        tolerance_deg: float = TARGET_ACCURACY_DEG,
         base_config: Optional[CompassConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -159,7 +146,6 @@ class ScenarioCampaign:
         self.scenarios = list(scenarios)
         self.registry = registry
         self.fault_names = registry.select("scenario", faults)
-        self.tolerance_deg = tolerance_deg
         self.base_config = base_config
         self.metrics = metrics
 
@@ -200,7 +186,7 @@ class ScenarioCampaign:
         self, scenario: Scenario, result: ScenarioCampaignResult
     ) -> Outcome:
         run = self._runner(scenario).run()
-        outcome, error, detail = classify_scenario(run, self.tolerance_deg)
+        outcome, error, detail = classify_scenario(run)
         # The clean contract: an anomaly-free scenario must be fully
         # benign; a scenario *designed* to trip its gate (an anomaly in
         # the DSL) must degrade, never lie.
@@ -231,7 +217,6 @@ class ScenarioCampaign:
             self.registry,
             spec.name,
             severity,
-            self.tolerance_deg,
         )
         allowed = spec.allowed_outcomes(severity)
         conforms = outcome.value in allowed

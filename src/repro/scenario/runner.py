@@ -62,12 +62,7 @@ from ..observe import (
 from ..physics.earth_field import FieldVector, field_at_location
 from ..physics.thermal import T_REFERENCE_C, compass_config_at_temperature
 from ..replay.recorder import LogRecorder
-from ..units import (
-    TARGET_ACCURACY_DEG,
-    angular_difference_deg,
-    tesla_to_a_per_m,
-    wrap_degrees,
-)
+from ..units import angular_difference_deg, tesla_to_a_per_m, wrap_degrees
 from .compensation import (
     CalibrationStore,
     CompensationChain,
@@ -125,13 +120,13 @@ class StepResult:
 
     @property
     def in_spec(self) -> bool:
-        return trust.in_spec(abs(self.error_deg), TARGET_ACCURACY_DEG)
+        return trust.in_spec(abs(self.error_deg))
 
     @property
     def silent_wrong(self) -> bool:
         """The one forbidden outcome: out of spec *and* unflagged."""
         return trust.served_outcome(
-            abs(self.error_deg), self.authoritative, TARGET_ACCURACY_DEG
+            abs(self.error_deg), self.authoritative
         ) is trust.Outcome.SILENT_WRONG
 
     def to_dict(self) -> Dict:

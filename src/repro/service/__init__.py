@@ -32,7 +32,7 @@ that arms registered faults on a minority of replicas while asserting
 the service keeps silent-wrong at zero and availability above a floor.
 """
 
-from .backoff import BackoffPolicy, BackoffSchedule
+from .backoff import BackoffSchedule
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker
 from .clock import Clock, SimulatedClock, SystemClock
 from .replica import CompassReplica, replica_config
@@ -53,7 +53,6 @@ from .voting import (
 
 __all__ = [
     "AttemptRecord",
-    "BackoffPolicy",
     "BackoffSchedule",
     "BreakerConfig",
     "BreakerState",

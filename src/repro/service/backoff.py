@@ -16,56 +16,35 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Shape of the retry-delay distribution.
-
-    Attributes
-    ----------
-    base_s:
-        First delay and the lower bound of every draw [s].
-    cap_s:
-        Upper bound on any single delay [s].
-    multiplier:
-        Growth factor of the decorrelated-jitter window.
-    """
-
-    base_s: float = 0.002
-    cap_s: float = 0.05
-    multiplier: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.base_s <= 0.0:
-            raise ConfigurationError("backoff base must be positive")
-        if self.cap_s < self.base_s:
-            raise ConfigurationError("backoff cap must be >= base")
-        if self.multiplier < 1.0:
-            raise ConfigurationError("backoff multiplier must be >= 1")
+#: First delay and the lower bound of every draw [s].
+BACKOFF_BASE_S = 0.002
+#: Upper bound on any single delay [s].
+BACKOFF_CAP_S = 0.05
+#: Growth factor of the decorrelated-jitter window.
+BACKOFF_MULTIPLIER = 3.0
 
 
 class BackoffSchedule:
     """The stateful per-request delay sequence for one retry loop."""
 
-    def __init__(self, policy: BackoffPolicy, rng: np.random.Generator):
-        self.policy = policy
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._previous = policy.base_s
+        self._previous = BACKOFF_BASE_S
 
     def next_delay(self) -> float:
         """Draw the next retry delay [s] (decorrelated jitter)."""
-        policy = self.policy
-        high = max(policy.base_s, self._previous * policy.multiplier)
-        delay = float(self._rng.uniform(policy.base_s, high))
-        delay = min(policy.cap_s, delay)
+        high = max(BACKOFF_BASE_S, self._previous * BACKOFF_MULTIPLIER)
+        delay = float(self._rng.uniform(BACKOFF_BASE_S, high))
+        delay = min(BACKOFF_CAP_S, delay)
         self._previous = delay
         return delay
 
 
-__all__ = ["BackoffPolicy", "BackoffSchedule"]
+__all__ = [
+    "BACKOFF_BASE_S",
+    "BACKOFF_CAP_S",
+    "BACKOFF_MULTIPLIER",
+    "BackoffSchedule",
+]

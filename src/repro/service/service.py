@@ -64,7 +64,7 @@ from ..observe import (
     build_observer,
 )
 from ..observe.trace import STAGE_ATTEMPT, STAGE_REQUEST
-from .backoff import BackoffPolicy, BackoffSchedule
+from .backoff import BackoffSchedule
 from .breaker import BreakerConfig, BreakerState, CircuitBreaker
 from .clock import Clock, SimulatedClock
 from .replica import CompassReplica
@@ -97,8 +97,9 @@ class ServiceConfig:
     max_attempts_per_replica:
         Attempt budget per replica per request (first try + retries;
         fixed: ``init=False``).
-    backoff, breaker:
-        Retry-delay and circuit-breaker policies (``backoff`` is fixed).
+    breaker:
+        Circuit-breaker policy.  The retry delays follow the fixed
+        ``BACKOFF_*`` constants of :mod:`repro.service.backoff`.
     seed:
         Root seed; replica noise, latency jitter and backoff jitter are
         all spawned from it, so a service run is reproducible.
@@ -117,7 +118,6 @@ class ServiceConfig:
     quorum: int = 2
     deadline_s: float = 0.5
     max_attempts_per_replica: int = field(default=3, init=False)
-    backoff: BackoffPolicy = field(default=BackoffPolicy(), init=False)
     breaker: BreakerConfig = BreakerConfig()
     seed: int = 0
     compass: CompassConfig = CompassConfig(health=HealthConfig(enabled=True))
@@ -457,7 +457,7 @@ class HeadingService:
         start: float,
     ) -> ServiceResponse:
         cfg = self.config
-        backoff = BackoffSchedule(cfg.backoff, self._backoff_rng)
+        backoff = BackoffSchedule(self._backoff_rng)
 
         # Round-robin over replicas still owing a healthy vote, retrying
         # with backoff until every replica has answered, exhausted its

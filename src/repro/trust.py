@@ -1,15 +1,19 @@
 """The trust contract: is a served heading in spec, and was it trusted?
 
 The paper promises a heading "to 1° accuracy" (§2); a heading served as
-trusted (every answer type's ``authoritative``) more than the tolerance
-off the truth is **silent-wrong**, and this leaf module is the one place
-that decides it.  A refusal is a typed :class:`~repro.errors.ReproError`
-raise, which harnesses record as :attr:`Outcome.DETECTED`.
+trusted (every answer type's ``authoritative``) more than
+:data:`repro.units.TARGET_ACCURACY_DEG` off the truth is
+**silent-wrong**, and this module is the one place that decides it.
+It owns the spec as well as the rule: no caller passes a tolerance.  A
+refusal is a typed :class:`~repro.errors.ReproError` raise, which
+harnesses record as :attr:`Outcome.DETECTED`.
 """
 
 from __future__ import annotations
 
 import enum
+
+from .units import TARGET_ACCURACY_DEG
 
 
 class Outcome(enum.Enum):
@@ -21,14 +25,12 @@ class Outcome(enum.Enum):
     SILENT_WRONG = "silent-wrong"
 
 
-def in_spec(error_deg: float, tolerance_deg: float) -> bool:
-    """True when an absolute heading error meets the accuracy spec."""
-    return error_deg <= tolerance_deg
+def in_spec(error_deg: float) -> bool:
+    """True when an absolute heading error meets the 1° accuracy spec."""
+    return error_deg <= TARGET_ACCURACY_DEG
 
 
-def served_outcome(
-    error_deg: float, authoritative: bool, tolerance_deg: float
-) -> Outcome:
+def served_outcome(error_deg: float, authoritative: bool) -> Outcome:
     """Classify one served heading by its error and its trust label.
 
     A non-authoritative answer is honest about itself whatever its
@@ -38,7 +40,7 @@ def served_outcome(
     """
     if not authoritative:
         return Outcome.DEGRADED
-    if in_spec(error_deg, tolerance_deg):
+    if in_spec(error_deg):
         return Outcome.BENIGN
     return Outcome.SILENT_WRONG
 

@@ -29,9 +29,8 @@ class TestErrorStats:
             ErrorStats.from_errors([])
 
     def test_meets_budget(self):
-        stats = ErrorStats.from_errors([0.3, -0.8])
-        assert stats.meets(1.0)
-        assert not stats.meets(0.5)
+        assert ErrorStats.from_errors([0.3, -0.8]).in_spec
+        assert not ErrorStats.from_errors([0.3, -1.2]).in_spec
 
 
 class TestHeadingSweep:
@@ -47,7 +46,7 @@ class TestHeadingSweep:
         # keeps a smaller sweep of the same claim in the default tier.
         headings = headings_evenly_spaced(24, 0.5)
         stats = ErrorStats.from_sweep(headings, batch.sweep_headings(headings))
-        assert stats.meets(1.0)
+        assert stats.in_spec
 
     def test_error_signs_preserved(self, batch):
         headings = headings_evenly_spaced(8, 0.5)
@@ -69,7 +68,7 @@ class TestMagnitudeSweep:
         grouped = batch.sweep_magnitudes([25e-6, 65e-6], n_headings=8)
         for magnitude, measurements in grouped:
             stats = ErrorStats.from_sweep(headings, measurements)
-            assert stats.meets(1.0), f"failed at {magnitude*1e6:.0f} µT"
+            assert stats.in_spec, f"failed at {magnitude*1e6:.0f} µT"
 
     def test_empty_magnitudes_rejected(self, batch):
         with pytest.raises(ConfigurationError):
@@ -82,7 +81,7 @@ class TestMonteCarlo:
             CompassConfig(), n_trials=3, n_headings=6
         ).stats
         assert stats.n_samples == 18
-        assert stats.meets(1.0)
+        assert stats.in_spec
 
     def test_custom_perturbation(self):
         def perturb(config, trial):

@@ -13,6 +13,7 @@ from repro.errors import ConfigurationError
 from repro.faults import REGISTRY, ChaosSoak, SoakConfig
 from repro.report import write_report
 from repro.service import ServiceConfig
+from repro.units import TARGET_ACCURACY_DEG
 
 
 class TestSoakConfig:
@@ -51,7 +52,7 @@ class TestSmokeSoak:
         report = ChaosSoak(config).run()
         assert report.requests == 25
         assert report.silent_wrong == 0
-        assert report.worst_error_deg <= config.tolerance_deg
+        assert report.worst_error_deg <= TARGET_ACCURACY_DEG
         assert report.availability >= config.availability_floor
         assert report.invariants_ok(config.availability_floor)
 
@@ -106,6 +107,4 @@ class TestAcceptanceSoak:
     def test_invariants_are_seed_independent(self, seed):
         config = SoakConfig(requests=120, seed=seed)
         report = ChaosSoak(config).run()
-        assert report.invariants_ok(
-            config.availability_floor, config.tolerance_deg
-        )
+        assert report.invariants_ok(config.availability_floor)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analog.comparator import Comparator, ComparatorParameters, PickupAmplifier
+from repro.analog.comparator import (
+    AMPLIFIER_GAIN,
+    Comparator,
+    ComparatorParameters,
+    PickupAmplifier,
+)
 from repro.errors import ConfigurationError
 from repro.physics.noise import NOISELESS, NoiseBudget
 from repro.simulation.signals import Trace
@@ -70,37 +75,33 @@ class TestComparatorBehaviour:
 
 class TestPickupAmplifier:
     def test_gain(self):
-        amp = PickupAmplifier(gain=50.0)
+        amp = PickupAmplifier()
         tr = ramp_trace()
-        assert np.allclose(amp.amplify(tr).v, 50.0 * tr.v)
-
-    def test_invalid_gain(self):
-        with pytest.raises(ConfigurationError):
-            PickupAmplifier(gain=0.0)
+        assert amp.gain == AMPLIFIER_GAIN
+        assert np.allclose(amp.amplify(tr).v, AMPLIFIER_GAIN * tr.v)
 
     def test_noise_added_input_referred(self):
         budget = NoiseBudget(white_density=1e-6)
-        amp = PickupAmplifier(gain=100.0, budget=budget, seed=1)
+        amp = PickupAmplifier(budget=budget, seed=1, bandwidth_hz=None)
         t = np.arange(10000) * 1e-6
         silent = Trace(t, np.zeros_like(t))
         out = amp.amplify(silent)
         assert np.std(out.v) > 0.0
-        # Input-referred: output noise scales with gain.
-        amp2 = PickupAmplifier(gain=200.0, budget=budget, seed=1)
-        out2 = amp2.amplify(silent)
-        assert np.std(out2.v) == pytest.approx(2.0 * np.std(out.v), rel=1e-6)
+        # Input-referred: the output is the input noise times the gain.
+        noise = amp.noise_realization(t.size, silent.sample_rate, 0)
+        assert np.array_equal(out.v, AMPLIFIER_GAIN * noise)
 
     def test_noiseless_budget_is_pure_gain(self):
-        amp = PickupAmplifier(gain=10.0, budget=NOISELESS)
+        amp = PickupAmplifier(budget=NOISELESS)
         tr = ramp_trace()
-        assert np.array_equal(amp.amplify(tr).v, 10.0 * tr.v)
+        assert np.array_equal(amp.amplify(tr).v, AMPLIFIER_GAIN * tr.v)
 
     def test_seeded_noise_reproducible(self):
         budget = NoiseBudget(white_density=1e-6)
         t = np.arange(1000) * 1e-6
         silent = Trace(t, np.zeros_like(t))
-        a = PickupAmplifier(100.0, budget, seed=5).amplify(silent)
-        b = PickupAmplifier(100.0, budget, seed=5).amplify(silent)
+        a = PickupAmplifier(budget, seed=5).amplify(silent)
+        b = PickupAmplifier(budget, seed=5).amplify(silent)
         assert np.array_equal(a.v, b.v)
 
 
@@ -120,7 +121,7 @@ class TestNoiseStream:
 
     def test_successive_calls_draw_independent_noise(self):
         # Within one measurement these are the x and y channels.
-        amp = PickupAmplifier(100.0, NoiseBudget(white_density=1e-6), seed=3)
+        amp = PickupAmplifier(NoiseBudget(white_density=1e-6), seed=3)
         silent = self._silent()
         first = amp.amplify(silent)
         second = amp.amplify(silent)
@@ -130,16 +131,16 @@ class TestNoiseStream:
     def test_identically_seeded_streams_agree_draw_for_draw(self):
         budget = NoiseBudget(white_density=1e-6)
         silent = self._silent()
-        a = PickupAmplifier(100.0, budget, seed=5)
-        b = PickupAmplifier(100.0, budget, seed=5)
+        a = PickupAmplifier(budget, seed=5)
+        b = PickupAmplifier(budget, seed=5)
         for _ in range(3):
             assert np.array_equal(a.amplify(silent).v, b.amplify(silent).v)
 
     def test_noise_realizations_are_random_access(self):
         # The batch engine replays the stream out of order by index.
         budget = NoiseBudget(white_density=1e-6)
-        amp = PickupAmplifier(100.0, budget, seed=7)
-        other = PickupAmplifier(100.0, budget, seed=7)
+        amp = PickupAmplifier(budget, seed=7)
+        other = PickupAmplifier(budget, seed=7)
         direct = [amp.noise_realization(64, 1e6, i) for i in range(4)]
         replay = [other.noise_realization(64, 1e6, i) for i in (2, 0, 3, 1)]
         assert np.array_equal(direct[2], replay[0])
@@ -148,7 +149,7 @@ class TestNoiseStream:
         assert np.array_equal(direct[1], replay[3])
 
     def test_consume_noise_draws_reserves_a_block(self):
-        amp = PickupAmplifier(100.0, NoiseBudget(white_density=1e-6), seed=1)
+        amp = PickupAmplifier(NoiseBudget(white_density=1e-6), seed=1)
         assert amp.consume_noise_draws(4) == 0
         assert amp.consume_noise_draws(2) == 4
         assert amp.noise_draws == 6

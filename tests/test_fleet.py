@@ -19,7 +19,6 @@ from repro.faults import REGISTRY
 from repro.fleet import (
     AsyncQueue,
     BoundedShardQueue,
-    BrownoutConfig,
     BrownoutController,
     CacheEntry,
     FleetConfig,
@@ -33,6 +32,14 @@ from repro.fleet import (
     quantize_heading,
     scene_key,
     stable_hash,
+)
+from repro.fleet.config import (
+    BROWNOUT_ALPHA,
+    BROWNOUT_ENTER_L1,
+    BROWNOUT_ENTER_L2,
+    BROWNOUT_EXIT_L1,
+    BROWNOUT_EXIT_L2,
+    BROWNOUT_MIN_DWELL_S,
 )
 from repro.fleet.admission import QueueItem
 from repro.observe import Observability
@@ -346,36 +353,55 @@ class TestHeadingCache:
 
 
 class TestBrownoutController:
-    CONFIG = BrownoutConfig(
-        enter_l1=0.5, enter_l2=0.75, exit_l1=0.15, exit_l2=0.45,
-        alpha=1.0, min_dwell_s=0.0,
-    )
+    """The ladder at its fixed thresholds (EWMA α 0.08, 0.25 s dwell)."""
+
+    def test_thresholds(self):
+        assert (BROWNOUT_ALPHA, BROWNOUT_MIN_DWELL_S) == (0.08, 0.25)
+        assert 0.0 < BROWNOUT_EXIT_L1 < BROWNOUT_ENTER_L1 <= BROWNOUT_ENTER_L2
+        assert BROWNOUT_EXIT_L2 < BROWNOUT_ENTER_L2 <= 1.0
 
     def test_climbs_one_level_at_a_time(self):
-        controller = BrownoutController(self.CONFIG)
-        assert controller.observe(0.9, 0.0) == 1  # L0 can only reach L1
-        assert controller.observe(0.9, 0.1) == 2
-        assert controller.transitions == [(0.0, 1), (0.1, 2)]
+        controller = BrownoutController()
+        # Saturate the EWMA past enter_l2 while the start dwell holds L0.
+        for _ in range(40):
+            assert controller.observe(1.0, 0.0) == 0
+        assert controller.ewma >= BROWNOUT_ENTER_L2
+        assert controller.observe(1.0, 1.0) == 1  # L0 can only reach L1
+        assert controller.observe(1.0, 2.0) == 2
+        assert controller.transitions == [(1.0, 1), (2.0, 2)]
 
     def test_hysteresis_holds_between_exit_and_enter(self):
-        controller = BrownoutController(self.CONFIG)
-        controller.observe(0.6, 0.0)
+        controller = BrownoutController()
+        step = 2 * BROWNOUT_MIN_DWELL_S
+        now = 0.0
+        while controller.level == 0:
+            now += step
+            controller.observe(1.0, now)
         assert controller.level == 1
-        # 0.3 is below enter_l1 but above exit_l1: holds at L1.
-        assert controller.observe(0.3, 0.1) == 1
-        assert controller.observe(0.1, 0.2) == 0
+        held = 0
+        while True:
+            now += step
+            level = controller.observe(0.0, now)
+            if controller.ewma <= BROWNOUT_EXIT_L1:
+                assert level == 0
+                break
+            # Below enter_l1 but above exit_l1: holds at L1.
+            assert controller.ewma < BROWNOUT_ENTER_L1
+            assert level == 1
+            held += 1
+        assert held > 0
+        assert [level for _, level in controller.transitions] == [1, 0]
 
     def test_min_dwell_blocks_flapping(self):
-        config = dataclasses.replace(self.CONFIG, min_dwell_s=1.0)
-        controller = BrownoutController(config, start_s=0.0)
-        assert controller.observe(0.9, 0.5) == 0  # still dwelling at L0
-        assert controller.observe(0.9, 1.5) == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BrownoutConfig(enter_l1=0.2, exit_l1=0.3)
-        with pytest.raises(ConfigurationError):
-            BrownoutConfig(alpha=0.0)
+        controller = BrownoutController(start_s=0.0)
+        for i in range(40):
+            now = i * BROWNOUT_MIN_DWELL_S / 40
+            assert controller.observe(1.0, now) == 0  # still dwelling at L0
+        assert controller.ewma >= BROWNOUT_ENTER_L2
+        assert controller.observe(1.0, BROWNOUT_MIN_DWELL_S) == 1
+        # The next change waits a full dwell after the last one.
+        assert controller.observe(1.0, 1.5 * BROWNOUT_MIN_DWELL_S) == 1
+        assert controller.observe(1.0, 2.0 * BROWNOUT_MIN_DWELL_S) == 2
 
 
 # -- the fleet facade ----------------------------------------------------------

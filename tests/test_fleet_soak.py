@@ -117,7 +117,6 @@ class TestGates:
             rated_rps=300.0,
             slo_p99_s=0.30,
             availability_floor=0.99,
-            tolerance_deg=1.0,
             phases=[phase],
         )
 

@@ -158,7 +158,7 @@ class TestSimulatedVsAnalyticDuty:
 
         sensor = FluxgateSensor(IDEAL_TARGET)
         waves = sensor.simulate(current, h_ext)
-        amplified = PickupAmplifier(gain=100.0).amplify(waves.pickup_voltage)
+        amplified = PickupAmplifier().amplify(waves.pickup_voltage)
         duty = PulsePositionDetector().detect(amplified).duty_cycle()
         expected = sensor.expected_duty_cycle(AMPLITUDE, h_ext)
         assert duty == pytest.approx(expected, abs=2e-3)
@@ -172,7 +172,7 @@ class TestSimulatedVsAnalyticDuty:
 
         sensor = FluxgateSensor(IDEAL_TARGET, core_model="jiles-atherton")
         waves = sensor.simulate(current, 0.0)
-        amplified = PickupAmplifier(gain=100.0).amplify(waves.pickup_voltage)
+        amplified = PickupAmplifier().amplify(waves.pickup_voltage)
         duty = PulsePositionDetector().detect(amplified).duty_cycle()
         assert duty == pytest.approx(0.5, abs=0.02)
 

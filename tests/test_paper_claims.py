@@ -147,7 +147,7 @@ class TestSection4Claims:
         headings = headings_evenly_spaced(12, 0.5)
         grouped = BatchCompass().sweep_magnitudes([25e-6, 45e-6, 65e-6], 12)
         for _, measurements in grouped:
-            assert ErrorStats.from_sweep(headings, measurements).meets(1.0)
+            assert ErrorStats.from_sweep(headings, measurements).in_spec
 
     def test_arbitrary_precision_extension(self):
         """'The pulse count part and the arctan part can be modified easily
@@ -162,7 +162,7 @@ class TestSection6Claims:
         """'Simulations indicate that an accuracy within one degree is
         possible.'"""
         stats = _turntable_stats(IntegratedCompass(), 24)
-        assert stats.meets(1.0)
+        assert stats.in_spec
 
     def test_designed_to_broad_specifications(self):
         """'the system is designed to broad specifications so it can

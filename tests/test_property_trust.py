@@ -38,7 +38,7 @@ from repro.fleet import FleetConfig, HeadingFleet
 from repro.fleet.kernel import Kernel
 from repro.service import HeadingService, ServiceConfig
 from repro.trust import Outcome, served_outcome
-from repro.units import TARGET_ACCURACY_DEG, heading_error_deg
+from repro.units import heading_error_deg
 
 #: Clean warm-up heading: arms the last-known-good fallback before the
 #: fault, as in the fault campaign (a mid-service failure).
@@ -131,7 +131,7 @@ def _check_served_answer(cell, heading, field_ut, stack):
     if cap is not None:
         assert error <= cap, (stack, fault, severity, heading, field_ut)
         return
-    outcome = served_outcome(error, answer.authoritative, TARGET_ACCURACY_DEG)
+    outcome = served_outcome(error, answer.authoritative)
     assert outcome is not Outcome.SILENT_WRONG, (
         f"SILENT WRONG: {stack} {fault} sev={severity} heading={heading} "
         f"field={field_ut} uT served {answer.heading_deg} "
@@ -143,9 +143,7 @@ def _check_served_answer(cell, heading, field_ut, stack):
 def test_clean_stack_serves_benign(stack):
     answer = STACKS[stack](None, 0.0, 123.0, 50.0e-6)
     error = heading_error_deg(answer.heading_deg, 123.0)
-    assert served_outcome(
-        error, answer.authoritative, TARGET_ACCURACY_DEG
-    ) is Outcome.BENIGN
+    assert served_outcome(error, answer.authoritative) is Outcome.BENIGN
 
 
 def test_amplifier_offset_low_field_window_is_real():
@@ -153,9 +151,7 @@ def test_amplifier_offset_low_field_window_is_real():
     # change closes the window this fails: delete it and the entry.
     answer = _compass("analog.amplifier_offset", 5e-06, 231.0, 25.0e-6)
     error = heading_error_deg(answer.heading_deg, 231.0)
-    assert served_outcome(
-        error, answer.authoritative, TARGET_ACCURACY_DEG
-    ) is Outcome.SILENT_WRONG
+    assert served_outcome(error, answer.authoritative) is Outcome.SILENT_WRONG
 
 
 @settings(max_examples=60, deadline=None)

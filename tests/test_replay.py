@@ -26,13 +26,12 @@ from repro.core.health import HealthConfig
 from repro.errors import DivergenceError, ReplayError
 from repro.factory.config import DefectDistribution, LotConfig
 from repro.faults import FaultCampaign, Outcome, classify_replay_record
-from repro.fleet.config import BrownoutConfig, FleetConfig, FleetSLO
+from repro.fleet.config import FleetConfig, FleetSLO
 from repro.fleet.soak import FleetSoakConfig
 from repro.observe import DISABLED, Observability
 from repro.physics.noise import TYPICAL_1997_CMOS
 from repro.sensors.parameters import PRESETS
 from repro.service import ServiceConfig
-from repro.service.backoff import BackoffPolicy
 from repro.replay import (
     KIND_FALLBACK,
     KIND_MEASURED,
@@ -115,18 +114,16 @@ FIXED_VALUES = [
     (LotConfig, "oracle_headings", 24),
     (LotConfig, "oracle_start_deg", 8.0),
     (LotConfig, "tck_hz", 1.0e6),
+    (LotConfig, "product_tolerance_deg", 1.0),
+    (LotConfig, "calibration_path", "batch"),
     (DefectDistribution, "max_faults_per_unit", 2),
     (DetectorSettings, "max_heading_jump_deg", 30.0),
-    (ServiceConfig, "backoff", BackoffPolicy()),
     (ServiceConfig, "max_attempts_per_replica", 3),
     (FleetConfig, "vnodes", 64),
-    (FleetConfig, "brownout", BrownoutConfig()),
     (FleetConfig, "slo", FleetSLO()),
     (FleetSLO, "p99_latency_s", 0.30),
     (FleetSLO, "availability_floor", 0.99),
-    (FleetSLO, "tolerance_deg", 1.0),
     (FleetSoakConfig, "chaos_interval_s", 0.05),
-    (BrownoutConfig, "sample_every", 8),
 ]
 
 

@@ -27,7 +27,6 @@ from repro.observe import (
     Observability,
 )
 from repro.service import (
-    BackoffPolicy,
     BackoffSchedule,
     BreakerConfig,
     BreakerState,
@@ -40,6 +39,11 @@ from repro.service import (
     circular_mean_deg,
     circular_median_deg,
     vote_headings,
+)
+from repro.service.backoff import (
+    BACKOFF_BASE_S,
+    BACKOFF_CAP_S,
+    BACKOFF_MULTIPLIER,
 )
 from repro.service.voting import VOTE_OUTLIER_DEG
 
@@ -64,33 +68,26 @@ class TestSimulatedClock:
 
 
 class TestBackoff:
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(base_s=0.0)
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(base_s=0.1, cap_s=0.05)
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(multiplier=0.5)
-
     def test_delays_stay_within_bounds(self):
-        policy = BackoffPolicy(base_s=0.002, cap_s=0.05, multiplier=3.0)
-        schedule = BackoffSchedule(policy, np.random.default_rng(0))
+        schedule = BackoffSchedule(np.random.default_rng(0))
         delays = [schedule.next_delay() for _ in range(200)]
-        assert all(policy.base_s <= d <= policy.cap_s for d in delays)
+        assert all(BACKOFF_BASE_S <= d <= BACKOFF_CAP_S for d in delays)
 
     def test_deterministic_for_a_seed(self):
-        policy = BackoffPolicy()
-        a = BackoffSchedule(policy, np.random.default_rng(7))
-        b = BackoffSchedule(policy, np.random.default_rng(7))
+        a = BackoffSchedule(np.random.default_rng(7))
+        b = BackoffSchedule(np.random.default_rng(7))
         assert [a.next_delay() for _ in range(20)] == [
             b.next_delay() for _ in range(20)
         ]
 
     def test_decorrelated_growth_is_capped(self):
-        policy = BackoffPolicy(base_s=0.01, cap_s=0.02, multiplier=10.0)
-        schedule = BackoffSchedule(policy, np.random.default_rng(1))
-        for _ in range(50):
-            assert schedule.next_delay() <= policy.cap_s
+        schedule = BackoffSchedule(np.random.default_rng(1))
+        delays = [schedule.next_delay() for _ in range(50)]
+        # Each draw lies in [base, previous x multiplier], then capped.
+        windows = [BACKOFF_BASE_S] + delays[:-1]
+        for previous, delay in zip(windows, delays):
+            assert delay <= min(BACKOFF_CAP_S, previous * BACKOFF_MULTIPLIER)
+        assert BACKOFF_CAP_S in delays
 
 
 class TestCircuitBreaker:

@@ -64,7 +64,7 @@ class TestPerturbedConfig:
 class TestMeasureUnit:
     def test_nominal_unit_passes(self):
         stats = measure_unit(CompassConfig(), n_headings=6)
-        assert stats.meets(1.0)
+        assert stats.in_spec
 
     def test_bad_unit_fails(self):
         import dataclasses
@@ -76,7 +76,7 @@ class TestMeasureUnit:
             imperfections=PairImperfections(misalignment_deg=8.0),
         )
         stats = measure_unit(bad, n_headings=6)
-        assert not stats.meets(1.0)
+        assert not stats.in_spec
 
 
 class TestYield:

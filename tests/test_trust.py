@@ -2,14 +2,20 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.array.device import ArrayMeasurement
+from repro.core.accuracy import ErrorStats
 from repro.core.heading import HeadingMeasurement
 from repro.core.health import HEALTHY, HealthReport
+from repro.faults.campaign import classify_heading, classify_replay_record
+from repro.faults.chaos import SoakReport
 from repro.fleet.fleet import FleetResponse
-from repro.scenario.runner import StepResult
+from repro.scenario.campaign import classify_scenario
+from repro.scenario.dsl import ENV_SCREEN
+from repro.scenario.runner import ScenarioResult, StepResult
 from repro.service import ServiceResponse, ServiceVerdict
 from repro.trust import Outcome, in_spec, served_outcome
 from repro.units import (
@@ -24,23 +30,90 @@ JUST_OVER = math.nextafter(TOL, math.inf)
 
 class TestBoundary:
     def test_error_exactly_at_tolerance_is_in_spec(self):
-        assert in_spec(TOL, TOL)
-        assert served_outcome(TOL, True, TOL) is Outcome.BENIGN
+        assert in_spec(TOL)
+        assert served_outcome(TOL, True) is Outcome.BENIGN
 
     def test_next_float_above_tolerance_is_out_of_spec(self):
-        assert not in_spec(JUST_OVER, TOL)
-        assert served_outcome(JUST_OVER, True, TOL) is Outcome.SILENT_WRONG
-        assert served_outcome(JUST_OVER, False, TOL) is Outcome.DEGRADED
+        assert not in_spec(JUST_OVER)
+        assert served_outcome(JUST_OVER, True) is Outcome.SILENT_WRONG
+        assert served_outcome(JUST_OVER, False) is Outcome.DEGRADED
 
     @pytest.mark.parametrize("error", [0.0, TOL, JUST_OVER, 180.0])
     def test_not_authoritative_is_degraded_at_any_error(self, error):
-        assert served_outcome(error, False, TOL) is Outcome.DEGRADED
+        assert served_outcome(error, False) is Outcome.DEGRADED
 
     def test_outcome_is_re_exported_by_faults(self):
         from repro.faults import Outcome as FaultsOutcome
         from repro.faults.campaign import Outcome as CampaignOutcome
 
         assert FaultsOutcome is Outcome is CampaignOutcome
+
+
+def _headings_astride(truth):
+    """``(at, over)``: served headings whose error from ``truth`` is the
+    spec exactly, and the first float above ``at`` whose error exceeds
+    it (the wrap arithmetic quantises the error near 180, so ``over``'s
+    error may sit several ulps above the spec)."""
+    at = truth + TOL
+    assert heading_error_deg(at, truth) == TOL
+    over = at
+    while heading_error_deg(over, truth) <= TOL:
+        over = math.nextafter(over, math.inf)
+    return at, over
+
+
+def _scenario_step(error_deg):
+    return StepResult(
+        step=0, commanded_heading_deg=0.0, raw_heading_deg=error_deg,
+        served_heading_deg=error_deg, error_deg=error_deg, flags=(),
+        detail="", true_temperature_c=25.0, sensed_temperature_c=25.0,
+        true_pitch_deg=0.0, true_roll_deg=0.0,
+    )
+
+
+class TestClassifiersAgreeAtTheSpec:
+    """Every classifier draws the spec line where :mod:`repro.trust` does:
+    an error of exactly 1° is in spec (benign), the next error above it
+    is out of spec (silent-wrong when served as trusted)."""
+
+    @pytest.mark.parametrize("truth", [0.5, 45.0, 222.25, 359.5])
+    def test_classify_heading(self, truth):
+        at, over = _headings_astride(truth)
+        outcome, error, _ = classify_heading(at, truth, True)
+        assert (outcome, error) == (Outcome.BENIGN, TOL)
+        outcome, error, _ = classify_heading(over, truth, True)
+        assert outcome is Outcome.SILENT_WRONG and error > TOL
+        assert not in_spec(error)
+
+    @pytest.mark.parametrize("truth", [0.5, 45.0, 222.25, 359.5])
+    def test_classify_replay_record(self, truth):
+        at, over = _headings_astride(truth)
+        record = SimpleNamespace(heading_deg=at, health=None)
+        assert classify_replay_record(record, truth)[0] is Outcome.BENIGN
+        record = SimpleNamespace(heading_deg=over, health=None)
+        assert classify_replay_record(record, truth)[0] is Outcome.SILENT_WRONG
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scenario_step_and_run(self, sign):
+        at = _scenario_step(sign * TOL)
+        over = _scenario_step(sign * JUST_OVER)
+        assert at.in_spec and not at.silent_wrong
+        assert not over.in_spec and over.silent_wrong
+        run = ScenarioResult(scenario=ENV_SCREEN, steps=(at,))
+        assert classify_scenario(run)[0] is Outcome.BENIGN
+        run = ScenarioResult(scenario=ENV_SCREEN, steps=(at, over))
+        assert classify_scenario(run)[0] is Outcome.SILENT_WRONG
+
+    def test_soak_report_invariants(self):
+        def report(worst):
+            return SoakReport(requests=1, served=1, worst_error_deg=worst)
+
+        assert report(TOL).invariants_ok(availability_floor=1.0)
+        assert not report(JUST_OVER).invariants_ok(availability_floor=1.0)
+
+    def test_error_stats(self):
+        assert ErrorStats.from_errors([0.2, -TOL]).in_spec
+        assert not ErrorStats.from_errors([0.2, -JUST_OVER]).in_spec
 
 
 def _measurement(health):
