@@ -102,11 +102,13 @@ replay:
 
 # Certify the closed-form analog fast path, the default engine: the
 # exact conformance suites (default compass == the stepped pin, counts,
-# heading, field and health, on the golden vectors and Hypothesis
-# draws), the sweep with its fastpath line, then BENCH_fastpath.json
-# with the >=20x gate.  Recordings are stepped: `make replay` covers them.
+# heading, field and health, on the golden vectors, Hypothesis draws
+# and every registered measurement fault) and the armed-record routing,
+# slow tests included, the sweep with its fastpath line, then
+# BENCH_fastpath.json with the >=20x gate.  Recordings are stepped: `make replay` covers them.
 fastpath:
-	PYTHONPATH=src pytest tests/test_fastpath.py tests/test_property_fastpath.py -q
+	PYTHONPATH=src pytest tests/test_fastpath.py tests/test_property_fastpath.py \
+		tests/test_armed_record.py -m "slow or not slow" -q
 	PYTHONPATH=src python -m repro sweep --points 24
 	PYTHONPATH=src pytest benchmarks/bench_fastpath.py --benchmark-only -s
 

@@ -94,6 +94,10 @@ class Comparator:
 
     def __init__(self, params: ComparatorParameters):
         self.params = params
+        #: A stuck comparator never releases: :meth:`falling_edges_batch`
+        #: returns an empty edge stream for every row (the stuck
+        #: comparator fault sets it).
+        self.stuck = False
         self._code_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._batch_scratch: Dict[
             Tuple[int, int],
@@ -225,8 +229,11 @@ class Comparator:
         the result is one edge-time array per row.  ``negate=True``
         evaluates the comparator on ``-v`` without materialising the
         negated matrix (the pulse-position detector's negative comparator
-        watches the inverted pickup).
+        watches the inverted pickup).  A :attr:`stuck` comparator returns
+        an empty array per row without looking at the values.
         """
+        if self.stuck:
+            return [np.empty(0) for _ in range(values.shape[0])]
         return self._edges_batch(values, times, negate, rising=False)
 
     # -- one-row views --------------------------------------------------------
@@ -252,7 +259,9 @@ class PickupAmplifier:
     """Gain stage between the pickup coil and the comparators.
 
     The voltage gain is the fixed :data:`AMPLIFIER_GAIN` (the
-    :attr:`gain` attribute).
+    :attr:`gain` attribute).  :attr:`output_offset` [V] is a static
+    offset at the output, ``0.0`` unless an amplifier-offset fault is
+    armed (an input-referred offset times the gain).
 
     Parameters
     ----------
@@ -283,6 +292,7 @@ class PickupAmplifier:
         if bandwidth_hz is not None and bandwidth_hz <= 0.0:
             raise ConfigurationError("bandwidth must be positive or None")
         self.gain = AMPLIFIER_GAIN
+        self.output_offset = 0.0
         self.budget = budget
         self.bandwidth_hz = bandwidth_hz
         self._seed = seed
@@ -376,7 +386,8 @@ class PickupAmplifier:
         can replicate exactly the draws a sequence of :meth:`amplify` calls
         would have made (it does **not** advance the stream — the caller
         accounts for the block with :meth:`consume_noise_draws`).  Ignored
-        for a noiseless budget.
+        for a noiseless budget.  A non-zero :attr:`output_offset` is added
+        after the gain.
         """
         if values.ndim != 2:
             raise ConfigurationError("amplify_batch needs an (N, n_samples) matrix")
@@ -393,6 +404,9 @@ class PickupAmplifier:
             values = noisy
         filtered = self._lowpass(values, sample_rate)
         if filtered is values:
-            return filtered * self.gain
-        filtered *= self.gain
+            filtered = filtered * self.gain
+        else:
+            filtered *= self.gain
+        if self.output_offset:
+            filtered += self.output_offset
         return filtered

@@ -168,8 +168,10 @@ def ineligibility_reason(front_end, sensor) -> Optional[str]:
     channel when it wraps a method of the channel's sensor, the
     amplifier, the detector, a comparator or the excitation source's
     parts: the closed form never calls those methods, so it cannot
-    reproduce what the wrapper does.  A patched value (a sensor fault's
-    ``params``) is read by the solver itself and stays on the fast path.
+    reproduce what the wrapper does.  A patched value (a sensor's
+    ``params`` or ``pickup_scales``, the amplifier's ``output_offset``,
+    a comparator's ``stuck`` flag) is read by the solver itself and
+    stays on the fast path.
     """
     if not front_end.amplifier.budget.is_noiseless:
         return "noise-budget"
@@ -263,7 +265,8 @@ class _ExactWindow:
     engine's edge time, bit for bit, by running the stepped engine's own
     arithmetic on samples ``[start, stop)`` only: the oscillator and
     converter, the sensor's ``simulate_batch`` with the whole axis's
-    stencil, the amplifier's single-pole filter and the comparator's
+    stencil (and its pickup scales), the amplifier's single-pole filter,
+    gain and output offset, and the comparator's
     ``falling_edges_batch``.  Every stage but the filter is elementwise
     in time.  The filter's state entering the window is unknown, so it
     runs from both ends of a bound ``±M`` on it, in ``lfilter``'s float
@@ -285,6 +288,7 @@ class _ExactWindow:
         self.converter = front_end.excitation.converters[channel]
         self.sensor = sensor
         self.gain = front_end.amplifier.gain
+        self.offset = front_end.amplifier.output_offset
         self.grid = grid
         self.uniform = _axis_is_uniform(
             grid.n_periods, grid.samples_per_period, grid.frequency_hz
@@ -299,29 +303,33 @@ class _ExactWindow:
 
     def _amplified(self, pickup: np.ndarray) -> Optional[tuple]:
         """``(first, values)``: the amplified samples from the first index
-        at which the bounding trajectories coalesce, or ``None``."""
-        if self.alpha is None:
-            return 0, pickup * self.gain
-        b0, a1 = 1.0 - self.alpha, -self.alpha
-        low, high = -self.bound, self.bound
+        at which the bounding trajectories coalesce, or ``None``.  The
+        gain, then a non-zero output offset, is applied in
+        ``PickupAmplifier.amplify_batch``'s order."""
         xs = pickup.tolist()
-        for first, x in enumerate(xs):
-            y_low = low + b0 * x
-            y_high = high + b0 * x
-            if y_low == y_high:
-                break
-            low = 0.0 * x - a1 * y_low
-            high = 0.0 * x - a1 * y_high
-        else:
-            return None
-        values = [y_low]
-        z = 0.0 * xs[first] - a1 * y_low
-        for x in xs[first + 1:]:
-            y = z + b0 * x
-            values.append(y)
-            z = 0.0 * x - a1 * y
+        first, values = 0, xs
+        if self.alpha is not None:
+            b0, a1 = 1.0 - self.alpha, -self.alpha
+            low, high = -self.bound, self.bound
+            for first, x in enumerate(xs):
+                y_low = low + b0 * x
+                y_high = high + b0 * x
+                if y_low == y_high:
+                    break
+                low = 0.0 * x - a1 * y_low
+                high = 0.0 * x - a1 * y_high
+            else:
+                return None
+            values = [y_low]
+            z = 0.0 * xs[first] - a1 * y_low
+            for x in xs[first + 1:]:
+                y = z + b0 * x
+                values.append(y)
+                z = 0.0 * x - a1 * y
         amplified = np.array(values)
         amplified *= self.gain
+        if self.offset:
+            amplified += self.offset
         return first, amplified
 
     def release_time(
@@ -484,12 +492,12 @@ def _solve(
     bs = core_params.saturation_flux_density
     hk = core_params.anisotropy_field
     mu_max = bs / hk
-    scale = front_end.amplifier.gain * params.pickup_turns * params.core_area
+    amplifier = front_end.amplifier
+    pickup_gain = math.prod(sensor.pickup_scales)
+    scale = amplifier.gain * params.pickup_turns * params.core_area * pickup_gain
     # The stepped filter's sample rate: Trace.sample_rate on this grid.
-    alpha = front_end.amplifier.pole(1.0 / grid.dt)
-    delay, tau, var2 = _filter_delay_tau_var2(
-        alpha, front_end.amplifier.bandwidth_hz, grid.dt
-    )
+    alpha = amplifier.pole(1.0 / grid.dt)
+    delay, tau, var2 = _filter_delay_tau_var2(alpha, amplifier.bandwidth_hz, grid.dt)
     if tau > 0.0 and (
         hk / slew_rise < MIN_BANDWIDTH_RATIO * tau
         or hk / slew_fall < MIN_BANDWIDTH_RATIO * tau
@@ -497,12 +505,20 @@ def _solve(
         return envelope
 
     detector = front_end.detector
+    # With both comparators stuck there is no edge stream at all: the
+    # stepped detector raises, so let it.
+    stuck = (detector.comparator_positive.stuck, detector.comparator_negative.stuck)
+    if all(stuck):
+        return envelope
     pos = detector.comparator_positive.params
     neg = detector.comparator_negative.params
-    release_rise = _crossing(pos.release_level, scale * slew_rise, mu_max, hk)
-    trip_rise = _crossing(pos.trip_level, scale * slew_rise, mu_max, hk)
-    release_fall = _crossing(neg.release_level, scale * slew_fall, mu_max, hk)
-    trip_fall = _crossing(neg.trip_level, scale * slew_fall, mu_max, hk)
+    # The output offset sits on the pulse, so each comparator's levels
+    # move against it (the negative one watches the inverted pickup).
+    offset = amplifier.output_offset
+    release_rise = _crossing(pos.release_level - offset, scale * slew_rise, mu_max, hk)
+    trip_rise = _crossing(pos.trip_level - offset, scale * slew_rise, mu_max, hk)
+    release_fall = _crossing(neg.release_level + offset, scale * slew_fall, mu_max, hk)
+    trip_fall = _crossing(neg.trip_level + offset, scale * slew_fall, mu_max, hk)
     if None in (release_rise, trip_rise, release_fall, trip_fall):
         return envelope
     h_release_rise, q_rise = release_rise
@@ -549,6 +565,17 @@ def _solve(
     times = np.empty((h0.size, 2 * grid.n_periods))
     times[:, 0::2] = t_set
     times[:, 1::2] = t_reset
+    values = _latch_values(grid.n_periods)
+    initial = np.zeros(h0.size, dtype=np.int8)
+    # A stuck comparator's edge stream is empty, so the SR latch keeps
+    # the other stream's first edge only, holding the opposite value
+    # before it (``PulsePositionDetector._latch``).  ``skip`` is the
+    # column of that edge, and the parity of each kept column's kind.
+    skip = 1 if stuck[0] else 0
+    if any(stuck):
+        times = times[:, skip:skip + 1].copy()
+        values = np.array([[1 - skip]], dtype=np.int8)
+        initial += skip
 
     resolved = 0
     if lattice is not None:
@@ -556,10 +583,11 @@ def _solve(
         if near.any():
             rows, cols = np.nonzero(near)
             # The filter state never exceeds the pickup's peak
-            # N_p·A·µmax·s (a convex average of it); twice that is M.
+            # N_p·A·µmax·s times the pickup scales (a convex average of
+            # it); twice that is M.
             bound = 2.0 * params.pickup_turns * params.core_area * mu_max * max(
                 slew_rise, slew_fall
-            )
+            ) * pickup_gain
             resolver = _ExactWindow(front_end, sensor, channel, grid, alpha, bound)
             # (comparator, negate, centre-to-edge samples) per edge kind.
             kinds = (
@@ -569,7 +597,7 @@ def _solve(
                  round(h_release_fall / (slew_fall * grid.dt))),
             )
             for row, col in zip(rows.tolist(), cols.tolist()):
-                comparator, negate, lead = kinds[col % 2]
+                comparator, negate, lead = kinds[(col + skip) % 2]
                 exact = resolver.release_time(
                     comparator, negate, float(h_external[row]),
                     float(times[row, col]), lead,
@@ -580,11 +608,10 @@ def _solve(
             resolved = rows.size
 
     window = (grid.t_start, grid.t_start + float(grid.n_samples - 1) * grid.dt)
-    initial = np.zeros(h0.size, dtype=np.int8)
     # Read-only: compasses sharing one solve share the block.
-    times.flags.writeable = False
-    initial.flags.writeable = False
-    block = EdgeBlock(times, _latch_values(grid.n_periods), initial, window)
+    for array in (times, values, initial):
+        array.flags.writeable = False
+    block = EdgeBlock(times, values, initial, window)
     return block.rows(), resolved
 
 

@@ -55,8 +55,9 @@ class ArmedFaults:
     record is empty, which is the one check the fast path and the
     excitation-trace cache make in the common case.  A patched *method*
     (a callable value) is a wrapper neither of them may stand in for; a
-    patched value (a sensor's ``params``, the CORDIC ``rom``) is read
-    where it lives.
+    patched value (a sensor's ``params`` or ``pickup_scales``, the
+    amplifier's ``output_offset``, a comparator's ``stuck`` flag, the
+    CORDIC ``rom``) is read where it lives.
     """
 
     __slots__ = ("_patches",)

@@ -110,7 +110,8 @@ def _inject_all(
 def _fresh_compass(record_logs: bool) -> Tuple[IntegratedCompass, Optional[LogRecorder]]:
     # The default CompassConfig is the factory setting: paper design
     # point, strict supervision (degrade=False), certified fast path
-    # (stepped whenever a fault is armed or a recorder attached).
+    # (stepped when a recorder is attached or a fault leaves the
+    # validity envelope).
     compass = IntegratedCompass()
     recorder = None
     if record_logs:

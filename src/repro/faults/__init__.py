@@ -8,8 +8,10 @@ reproduction:
 * :mod:`repro.faults.model` — a registry of parameterized, injectable
   faults spanning every layer (sensor coils, analogue front-end, digital
   datapath, scan chain, and the environment seams of
-  :mod:`repro.scenario`), implemented as reversible monkey-hooks around
-  live component instances so no production code path changes shape;
+  :mod:`repro.scenario`), implemented as reversible patches of live
+  component instances — mostly of values the signal chain reads, so the
+  certified fast path measures a faulted compass as the stepped chain
+  does;
 * :mod:`repro.faults.campaign` — a campaign engine that sweeps
   (fault × severity × heading) grids through the scalar and batch
   measurement paths and classifies every outcome as *detected*,

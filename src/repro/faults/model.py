@@ -1,12 +1,23 @@
 """The fault model: a registry of parameterized, injectable faults.
 
-Every fault is a *reversible monkey-hook* around live component
-instances of an :class:`~repro.core.compass.IntegratedCompass` (or a
+Every fault is a *reversible patch* of live component instances of an
+:class:`~repro.core.compass.IntegratedCompass` (or a
 :class:`~repro.btest.interconnect.SubstrateHarness` for scan-chain
-faults): injection patches instance attributes/methods inside a context
-manager and restores them on exit, so production code paths never grow
-fault-injection branches and a campaign can never leak a fault into the
-next cell.
+faults): injection sets instance attributes inside a context manager
+and restores them on exit, so a campaign can never leak a fault into
+the next cell.
+
+A measurement fault patches a *value* wherever the signal chain reads
+one: a sensor's frozen ``params``, the CORDIC ``rom``, and the three
+values the analog kernels keep for faults —
+``FluxgateSensor.pickup_scales`` (shorted pickup turns, axis gain loss),
+``PickupAmplifier.output_offset`` (amplifier offset) and
+``Comparator.stuck`` (stuck comparator).  The stepped kernels apply them
+where the physical fault acts, and the certified fast path reads the
+same values, so a faulted channel stays on the closed form unless the
+fault leaves its validity envelope (``docs/fastpath.md`` §3).  Only the
+counter stuck bit (past the edge stream) and the scan faults wrap a
+method.
 
 Each :class:`FaultSpec` declares:
 
@@ -44,8 +55,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from ..analog.frontend import ArmedFaults
 from ..core.compass import IntegratedCompass
@@ -286,18 +295,12 @@ def _patched(obj: object, attribute: str, value: object) -> Iterator[None]:
 def _scale_sensor_pickup(sensor: object, scale: float) -> ContextManager[None]:
     """Scale one sensor's pickup voltage on the measurement path.
 
-    Only ``simulate_batch`` is wrapped: every measurement (hysteretic
-    cores included) goes through it, and ``simulate`` stays the unfaulted
-    waveform probe — wrapping both would scale a hysteretic row twice.
+    The factor joins the sensor's ``pickup_scales``, which
+    ``simulate_batch`` multiplies in after the factors armed before it
+    (every measurement, hysteretic cores included, takes its pickup
+    there); ``simulate`` stays the unfaulted waveform probe.
     """
-    original_batch = sensor.simulate_batch
-
-    def simulate_batch(current, h_external, gradient=None):
-        pickup = original_batch(current, h_external, gradient)
-        pickup *= scale
-        return pickup
-
-    return _patched(sensor, "simulate_batch", simulate_batch)
+    return _patched(sensor, "pickup_scales", sensor.pickup_scales + (scale,))
 
 
 # -- sensor-layer faults -------------------------------------------------------
@@ -384,13 +387,8 @@ def _inject_amplifier_offset(
 ) -> Iterator[None]:
     """Static input-referred offset [V] at the pickup amplifier."""
     amplifier = compass.front_end.amplifier
-    offset_out = severity * amplifier.gain
-    original_batch = amplifier.amplify_batch
-
-    def amplify_batch(values, sample_rate, draw_indices=None):
-        return original_batch(values, sample_rate, draw_indices) + offset_out
-
-    with _patched(amplifier, "amplify_batch", amplify_batch):
+    offset_out = amplifier.output_offset + severity * amplifier.gain
+    with _patched(amplifier, "output_offset", offset_out):
         yield
 
 
@@ -400,11 +398,7 @@ def _inject_stuck_comparator(
 ) -> Iterator[None]:
     """The positive comparator never releases: its edge stream is empty."""
     comparator = compass.front_end.detector.comparator_positive
-
-    def falling_edges_batch(values, times, negate=False):
-        return [np.empty(0) for _ in range(values.shape[0])]
-
-    with _patched(comparator, "falling_edges_batch", falling_edges_batch):
+    with _patched(comparator, "stuck", True):
         yield
 
 

@@ -95,6 +95,10 @@ class FluxgateSensor:
         self.params = params
         self.core: MagnetisationModel = make_core(core_model, params.core)
         self.core_model_name = core_model
+        #: Pickup gain factors of armed faults (shorted turns, axis gain
+        #: loss), in arming order; :meth:`simulate_batch` multiplies the
+        #: pickup by each in turn.
+        self.pickup_scales: Tuple[float, ...] = ()
         self._batch_scratch: Dict[
             Tuple[int, int], Tuple[np.ndarray, np.ndarray]
         ] = {}
@@ -162,7 +166,9 @@ class FluxgateSensor:
         not computed — the measurement chain only consumes the pickup.
         A hysteretic core integrates sample by sample, so its rows run
         one :meth:`simulate` call at a time (from a reset core each) into
-        a fresh matrix.
+        a fresh matrix.  Either way the pickup is then multiplied by each
+        of :attr:`pickup_scales` in turn (``pickup *= s``); the waveform
+        probe :meth:`simulate` never applies them.
 
         For an anhysteretic core the returned matrix lives in a
         sensor-owned scratch buffer that the *next* ``simulate_batch``
@@ -186,9 +192,12 @@ class FluxgateSensor:
         if h.ndim != 1:
             raise ConfigurationError("h_external must be a 1-D array of fields")
         if self.core.is_hysteretic:
-            return np.stack([
+            pickup = np.stack([
                 self.simulate(current, float(x)).pickup_voltage.v for x in h
             ])
+            for scale in self.pickup_scales:
+                pickup *= scale
+            return pickup
         shape = (h.size, current.t.size)
         scratch = self._batch_scratch.pop(shape, None)
         if scratch is None and h.size > 1:
@@ -208,6 +217,8 @@ class FluxgateSensor:
             gradient = TimeGradient(current.t)
         db_dt = gradient.apply(b, out=deriv)
         db_dt *= p.pickup_turns * p.core_area
+        for scale in self.pickup_scales:
+            db_dt *= scale
         return db_dt
 
     # -- analytic helpers (used as test oracles) -------------------------------

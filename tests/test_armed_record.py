@@ -6,7 +6,9 @@ which counts each attribute it patches on the target compass's
 excitation-trace cache read that record; they used to scan the
 signal-chain objects' instance dicts instead.  The scan is kept here as
 the oracle: the record must route exactly the faults it flagged to the
-stepped engine, channel by channel.
+stepped engine, channel by channel.  No registered fault wraps a method
+any more (each patches a value the fast path reads), so the wrapped
+route is held with test doubles armed through the same seam.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.analog import fastpath
 from repro.array import ArrayCompass, ArrayConfig, ArrayGeometry
 from repro.core.compass import IntegratedCompass
 from repro.faults import REGISTRY
+from repro.faults.model import _patched, arming
 
 MEASUREMENT_FAULTS = [
     (name, severity)
@@ -79,19 +82,27 @@ def test_record_empties_on_exit_by_exception(name, severity):
     assert routing(compass) == CLEAN
 
 
+def wrapped(compass, obj, name):
+    """A method-wrapper double of ``obj.name``, armed on ``compass``."""
+    original = getattr(obj, name)
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    return arming(compass, _patched(obj, name, wrapper))
+
+
 def test_the_oracle_flags_exactly_the_method_wrappers():
-    flagged = set()
     for name, severity in MEASUREMENT_FAULTS:
         compass = IntegratedCompass()
         with REGISTRY.inject(name, compass, severity):
-            if any(armed for armed, _ in routing(compass)):
-                flagged.add(name)
-    assert flagged == {
-        "analog.amplifier_offset",
-        "analog.stuck_comparator",
-        "sensor.axis_gain_mismatch",
-        "sensor.shorted_pickup_coil",
-    }
+            assert not any(armed for armed, _ in routing(compass)), name
+    compass = IntegratedCompass()
+    with wrapped(compass, compass.sensors.sensor_y, "simulate_batch"):
+        assert routing(compass) == [(False, None), (True, "armed-fault")]
+    with wrapped(compass, compass.front_end.amplifier, "amplify_batch"):
+        assert routing(compass) == [(True, "armed-fault")] * 2
+    assert routing(compass) == CLEAN
 
 
 def test_nested_faults_on_one_attribute_are_counted():
@@ -100,10 +111,19 @@ def test_nested_faults_on_one_attribute_are_counted():
     record = compass.armed_faults
     with REGISTRY.inject("sensor.shorted_pickup_coil", compass, 0.3):
         with REGISTRY.inject("sensor.axis_gain_mismatch", compass, 0.02):
+            assert record.count(sensor, "pickup_scales") == 2
+            assert sensor.pickup_scales == (0.7, 0.98)
+        assert record.count(sensor, "pickup_scales") == 1
+        assert sensor.pickup_scales == (0.7,)
+        assert routing(compass) == CLEAN
+    assert record.count(sensor, "pickup_scales") == 0
+    assert sensor.pickup_scales == ()
+    assert not record
+    with wrapped(compass, sensor, "simulate_batch"):
+        with wrapped(compass, sensor, "simulate_batch"):
             assert record.count(sensor, "simulate_batch") == 2
         assert record.count(sensor, "simulate_batch") == 1
         assert routing(compass) == [(True, "armed-fault"), (False, None)]
-    assert record.count(sensor, "simulate_batch") == 0
     assert not record
     assert routing(compass) == CLEAN
 

@@ -5,8 +5,10 @@ certified closed form — edge times within well below one grid tick of
 the stepped engine, and every edge near a counter tick resolved to the
 stepped edge exactly, so counts and headings are bit-identical — or
 (b) falls back to the stepped engine, with *identical* results, whenever
-noise, an armed analog fault, a non-tanh core, the field-dependent
+noise, an armed method wrapper, a non-tanh core, the field-dependent
 validity envelope or an unresolvable edge makes the algebra inexact.
+Every registered measurement fault patches a value the solver reads, so
+the method-wrapper route is exercised with test doubles.
 ``FrontEndConfig(fastpath=False)`` pins the stepped engine as the
 reference.  The fast path must never change what is measured.
 """
@@ -28,7 +30,7 @@ from repro.analog.frontend import AnalogFrontEnd, FrontEndConfig
 from repro.analog.pulse_detector import DetectorParameters
 from repro.batch.engine import BatchCompass
 from repro.core.compass import CompassConfig, IntegratedCompass
-from repro.faults.model import REGISTRY
+from repro.faults.model import REGISTRY, _patched, arming
 from repro.observe import Observability
 from repro.observe.trace import STAGE_FASTPATH
 from repro.physics.noise import NoiseBudget
@@ -72,6 +74,19 @@ def measurement_key(m):
     return (m.x_count, m.y_count, m.heading_deg, m.field_estimate_a_per_m)
 
 
+def wrapped_amplifier_offset(compass, volts):
+    """A method-wrapper double: ``volts`` input-referred, added to the
+    output of the amplifier's ``amplify_batch``, armed on ``compass``."""
+    amplifier = compass.front_end.amplifier
+    original = amplifier.amplify_batch
+    offset = volts * amplifier.gain
+
+    def amplify_batch(values, sample_rate, draw_indices=None):
+        return original(values, sample_rate, draw_indices) + offset
+
+    return arming(compass, _patched(amplifier, "amplify_batch", amplify_batch))
+
+
 class TestEligibility:
     def test_default_configuration_is_eligible(self, front_end, sensor):
         assert fastpath.ineligibility_reason(front_end, sensor) is None
@@ -91,15 +106,25 @@ class TestEligibility:
         compass = fast_compass()
         fe = compass.front_end
         assert fastpath.ineligibility_reason(fe, sensor) is None
-        with REGISTRY.inject("analog.amplifier_offset", compass, 0.0002):
+        with wrapped_amplifier_offset(compass, 0.0002):
             assert fastpath.ineligibility_reason(fe, sensor) == "armed-fault"
         assert fastpath.ineligibility_reason(fe, sensor) is None
 
     def test_stuck_comparator_fault_refused(self, sensor):
         compass = fast_compass()
         fe = compass.front_end
-        with REGISTRY.inject("analog.stuck_comparator", compass, 1.0):
+        comparator = fe.detector.comparator_positive
+
+        def falling_edges_batch(values, times, negate=False):
+            return [np.empty(0) for _ in range(values.shape[0])]
+
+        wrapper = _patched(comparator, "falling_edges_batch", falling_edges_batch)
+        with arming(compass, wrapper):
             assert fastpath.ineligibility_reason(fe, sensor) == "armed-fault"
+        # The registered fault sets the comparator's ``stuck`` flag, a
+        # value the solver reads.
+        with REGISTRY.inject("analog.stuck_comparator", compass, 1.0):
+            assert fastpath.ineligibility_reason(fe, sensor) is None
 
 
 class TestClosedFormEdges:
@@ -247,7 +272,7 @@ class TestCertificate:
         compass = IntegratedCompass(CompassConfig(observe=Observability.on()))
         h_x, h_y = self.NEAR_TICK[0]
         compass.measure_components(h_x, h_y)
-        with REGISTRY.inject("analog.amplifier_offset", compass, 0.0002):
+        with wrapped_amplifier_offset(compass, 0.0002):
             compass.measure_components(h_x, h_y)
         total = compass.observer.metrics.get("fastpath_total")
         assert total.value(outcome="used", reason="none") == 2
@@ -396,9 +421,9 @@ class TestCompassEquivalence:
     def test_armed_fault_falls_back_to_faulty_stepped_result(self):
         fast = fast_compass()
         stepped = stepped_compass()
-        with REGISTRY.inject("analog.amplifier_offset", fast, 0.0002):
+        with wrapped_amplifier_offset(fast, 0.0002):
             a = fast.measure_heading(120.0, 50e-6)
-        with REGISTRY.inject("analog.amplifier_offset", stepped, 0.0002):
+        with wrapped_amplifier_offset(stepped, 0.0002):
             b = stepped.measure_heading(120.0, 50e-6)
         assert measurement_key(a) == measurement_key(b)
         assert fast.front_end.fastpath_stats.fallbacks == {"armed-fault": 2}
@@ -429,6 +454,71 @@ class TestCompassEquivalence:
         b = stepped.measure_heading(42.0, 50e-6)
         assert measurement_key(a) == measurement_key(b)
         assert fast.front_end.fastpath_stats.fallbacks == {"core-model": 2}
+
+
+ENVELOPE = "validity-envelope"
+USED = ("used", "used")
+
+#: The (x, y) channel routing of every registered measurement fault ×
+#: severity at a rated field (30°, 50 µT): ``used`` or the fallback
+#: reason.  Each one patches a value the solver reads, so none is an
+#: ``armed-fault``; only a severity that leaves the envelope refuses.
+FAULT_ROUTES = {
+    ("analog.amplifier_offset", 5e-6): USED,
+    ("analog.amplifier_offset", 2e-3): (ENVELOPE, ENVELOPE),
+    ("analog.stuck_comparator", 1.0): USED,
+    ("digital.cordic_rom_bitflip", 0.0): USED,
+    ("digital.cordic_rom_bitflip", 9.0): USED,
+    ("digital.counter_stuck_bit", 1.0): USED,
+    ("digital.counter_stuck_bit", 12.0): USED,
+    ("sensor.axis_gain_mismatch", 0.02): USED,
+    ("sensor.axis_gain_mismatch", 0.9): (ENVELOPE, "used"),
+    ("sensor.common_gain_drift", 0.05): USED,
+    ("sensor.common_gain_drift", 4.0): (ENVELOPE, ENVELOPE),
+    ("sensor.open_excitation_coil", 1.0): (ENVELOPE, "used"),
+    ("sensor.saturation_loss", 0.2): USED,
+    ("sensor.saturation_loss", 0.8): (ENVELOPE, ENVELOPE),
+    ("sensor.shorted_pickup_coil", 0.3): USED,
+    ("sensor.shorted_pickup_coil", 0.9): (ENVELOPE, "used"),
+    ("sensor.shorted_pickup_coil", 1.0): (ENVELOPE, "used"),
+}
+
+
+class TestFaultRouting:
+    """Which channels of a faulted compass the closed form serves."""
+
+    @staticmethod
+    def _route(compass, channel, sensor, h):
+        """``used``, or the reason ``fastpath_stats.fallbacks`` gained."""
+        stats = compass.front_end.fastpath_stats
+        before = dict(stats.fallbacks)
+        compass.front_end.excitation.select_channel(channel)
+        solved = compass._closed_form_rows(
+            sensor, channel, np.array([h]), compass._channel_grid()
+        )
+        if solved is not None:
+            return "used"
+        (reason,) = [r for r, n in stats.fallbacks.items() if n != before.get(r, 0)]
+        return reason
+
+    def test_every_measurement_fault_is_pinned(self):
+        assert set(FAULT_ROUTES) == {
+            (name, severity)
+            for name in REGISTRY.select("measurement")
+            for severity in REGISTRY.get(name).severities
+        }
+
+    @pytest.mark.parametrize("name,severity", sorted(FAULT_ROUTES))
+    def test_routing_per_channel(self, name, severity):
+        compass = fast_compass()
+        h_x, h_y = compass.sensors.axis_fields_from_tesla(50e-6, 30.0)
+        with REGISTRY.inject(name, compass, severity):
+            routes = (
+                self._route(compass, "x", compass.sensors.sensor_x, h_x),
+                self._route(compass, "y", compass.sensors.sensor_y, h_y),
+            )
+        assert "armed-fault" not in routes
+        assert routes == FAULT_ROUTES[name, severity]
 
 
 class TestGoldenConformance:
