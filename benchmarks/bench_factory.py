@@ -2,14 +2,15 @@
 
 The standing record of the factory claim: a 10,000-unit lot minted at
 the default process defect density, pushed through the full staged test
-program (boundary scan → BIST → batched calibration sweep), finishes in
-**well under a minute of wall clock** with an **escape rate of exactly
-zero** — every defective unit that would serve a silent-wrong heading
-in the field is stopped by some stage.  Signature memoization is what
-makes the wall-clock claim possible (a 10k lot collapses to ~10²
-distinct defect signatures, each evaluated once on the real signal
-chain); the per-stage catch counts and cost-per-defect-caught land in
-``BENCH_factory.json`` at the repo root (also uploaded by the
+program (boundary scan → BIST → batched calibration sweep → environment
+screen), finishes in **well under a minute of wall clock** with an
+**escape rate of exactly zero** — every defective unit that would serve
+a silent-wrong heading in the field is stopped by some stage.
+Signature memoization is what makes the wall-clock claim possible (a
+10k lot collapses to ~10² distinct defect signatures, and each stage
+runs once per distinct set of defects its probe sees, on the real
+signal chain); the per-stage catch counts and cost-per-defect-caught
+land in ``BENCH_factory.json`` at the repo root (also uploaded by the
 ``factory`` CI job).
 """
 

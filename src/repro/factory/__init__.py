@@ -3,7 +3,8 @@
 Mints lots of device instances with defects drawn from a seeded
 distribution over the fault registry (:mod:`repro.factory.defects`),
 pushes them through a staged test program — interconnect boundary scan,
-power-on BIST, field calibration sweep (:mod:`repro.factory.stages`) —
+power-on BIST, field calibration sweep, environment screen
+(:mod:`repro.factory.stages`) —
 and accounts yield, per-stage catches, false fails, test time and
 escapes in a bit-identically reproducible
 :class:`~repro.factory.report.LotReport`

@@ -123,10 +123,10 @@ class LotConfig:
     stages:
         The test program, a non-empty ordered subset of
         :data:`STAGE_NAMES`.  Units stop at their first failing stage
-        (that stage gets the catch and the remaining stages' test time
-        is saved), but every configured stage is *evaluated* on a fresh
-        target per defect signature, so reordering stages can only move
-        a catch between stages — never change what escapes.
+        (that stage gets the catch, and the later stages are neither
+        run nor charged), and each stage's verdict comes from a fresh
+        target, so reordering stages can only move a catch between
+        stages — never change what escapes.
     field_magnitude_t:
         Horizontal field on the factory's field bench [T].
     bist_heading_deg:

@@ -4,7 +4,7 @@
 per-unit defect tuples.  Everything downstream keys on the **defect
 signature** — the sorted ``(fault, severity)`` tuple — so two units with
 the same defects are physically identical and the line evaluates their
-staged verdicts exactly once (:mod:`repro.factory.line`).
+staged verdicts once (:mod:`repro.factory.line`).
 
 The mint uses :class:`random.Random`, whose ``random``/``choice``/
 ``choices`` streams are pinned by CPython across versions, so a lot is

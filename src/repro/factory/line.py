@@ -3,18 +3,27 @@
 :class:`FactoryLine` is the scheduler around :mod:`repro.factory.stages`:
 
 * **Signature memoization** — units are grouped by their defect
-  signature and each distinct signature's stage verdicts are evaluated
-  exactly once (on fresh targets), then fanned back out to every unit
-  carrying it.  A 10k-unit lot at a few percent defect rate has ~100
-  distinct signatures, which is why it finishes in seconds while still
-  running the real signal chain for every physics-distinct device.
-* **First-fail attribution** — every configured stage is evaluated per
-  signature, but a unit *stops* at its first failing stage in program
-  order: that stage earns the catch (or the false fail) and only the
-  stages the unit reached are charged tester time.  Because the
-  verdicts themselves are order-independent (fresh target per stage),
-  permuting the program can only move a catch between stages, never
-  change the escape set.
+  signature and each distinct signature is evaluated once, then fanned
+  back out to every unit carrying it.  A 10k-unit lot at a few percent
+  defect rate has ~100 distinct signatures, which is why it finishes in
+  seconds while still running the real signal chain for every
+  physics-distinct device.
+* **Sub-signature memoization** — a stage's probe sees only its own
+  class of defect (:func:`~repro.factory.stages.split_defects`): boundary
+  scan the scan defects, BIST and calibration the measurement defects,
+  the environment screen the scenario defects.  Within one
+  :meth:`FactoryLine.run`, each stage runs once per distinct visible
+  sub-signature, and the field oracle once per distinct (measurement,
+  scenario) pair; every signature that shares it reads the same
+  verdict.  The memo lives and dies with the lot: a second lot re-runs
+  everything.
+* **First-fail attribution** — a signature's stages run in program
+  order and stop at the first failing one: every unit carrying the
+  signature leaves the line there, that stage earns the catch (or the
+  false fail), and only the stages the unit reached are charged tester
+  time.  Because each verdict is order-independent (fresh target per
+  stage), permuting the program can only move a catch between stages,
+  never change the escape set.
 * **The field-audit oracle** — a defective unit that passes the whole
   program gets a dense off-grid heading sweep classified against the
   1° product spec through the same trust rule
@@ -28,7 +37,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.model import REGISTRY, FaultRegistry
 from ..core.heading import headings_evenly_spaced
@@ -39,12 +48,24 @@ from ..units import TARGET_ACCURACY_DEG, heading_error_deg
 from .config import LotConfig
 from .defects import Defect, Signature, mint_units, signature
 from .report import LotReport, OracleResult, StageReport, UnitRecord
-from .stages import StageResult, _fresh_compass, _inject_all, _sweep, run_stage
+from .stages import (
+    StageResult,
+    _fresh_compass,
+    _inject_all,
+    _sweep,
+    run_stage,
+    split_defects,
+)
 
 
 @dataclass
 class SignatureEvaluation:
-    """All stage verdicts (and the oracle, if reached) for one signature."""
+    """The verdicts of the stages one signature reached, and its oracle.
+
+    ``results`` holds the program's stages in order up to and including
+    the first failing one (every stage when none fails); ``oracle`` is
+    set for a defective signature that passed them all.
+    """
 
     signature: Signature
     results: Dict[str, StageResult]
@@ -63,8 +84,6 @@ def run_field_oracle(
     registry: FaultRegistry = REGISTRY,
 ) -> OracleResult:
     """Audit a passing defective unit against the product spec in the field."""
-    from .stages import split_defects
-
     _, measurement_defects, env_defects = split_defects(defects, registry)
     compass, _ = _fresh_compass(record_logs=False)
     headings = headings_evenly_spaced(
@@ -167,21 +186,45 @@ class FactoryLine:
     # -- evaluation --------------------------------------------------------------
 
     def _evaluate_signature(
-        self, defects: Tuple[Defect, ...], record_logs: bool
+        self,
+        defects: Tuple[Defect, ...],
+        record_logs: bool,
+        memo: Dict[tuple, Any],
     ) -> SignatureEvaluation:
-        results = {
-            stage: run_stage(
-                stage, defects, self.config, self.registry, record_logs
-            )
-            for stage in self.config.stages
+        """Run the program on one signature, reusing ``memo``'s verdicts.
+
+        ``memo`` maps ``(stage, signature of the defects it sees)`` to a
+        verdict; it belongs to one :meth:`run`.
+        """
+        scan, measurement, environment = split_defects(
+            defects, self.registry
+        )
+        sees = {
+            "btest": scan,
+            "bist": measurement,
+            "calibration": measurement,
+            "env": environment,
         }
+        results: Dict[str, StageResult] = {}
+        for stage in self.config.stages:
+            key = (stage, signature(sees[stage]))
+            if key not in memo:
+                memo[key] = run_stage(
+                    stage, defects, self.config, self.registry, record_logs
+                )
+            results[stage] = memo[key]
+            if not results[stage].passed:
+                break
         evaluation = SignatureEvaluation(
             signature=signature(defects), results=results
         )
         if defects and evaluation.first_failure(self.config.stages) is None:
-            evaluation.oracle = run_field_oracle(
-                defects, self.config, self.registry
-            )
+            key = ("oracle", (signature(measurement), signature(environment)))
+            if key not in memo:
+                memo[key] = run_field_oracle(
+                    defects, self.config, self.registry
+                )
+            evaluation.oracle = memo[key]
         return evaluation
 
     def _count_unit(self, disposition: str) -> None:
@@ -208,13 +251,16 @@ class FactoryLine:
         """Test a lot; ``units`` overrides minting (seeded coupons, tests).
 
         ``record_logs=True`` arms an in-memory replay recorder on each
-        signature's calibration compass; the logs ride on the report's
-        ``evaluations`` (never in the serialised output).
+        calibration compass the lot runs; the logs ride on the report's
+        ``evaluations`` (never in the serialised output), one per
+        signature that reaches calibration, shared by signatures with the
+        same measurement defects.
         """
         t0 = time.perf_counter()
         if units is None:
             units = mint_units(self.config, self.registry)
         evaluations: Dict[Signature, SignatureEvaluation] = {}
+        memo: Dict[tuple, Any] = {}
         stage_reports = {
             stage: StageReport(name=stage) for stage in self.config.stages
         }
@@ -223,7 +269,7 @@ class FactoryLine:
             key = signature(defects)
             if key not in evaluations:
                 evaluations[key] = self._evaluate_signature(
-                    defects, record_logs
+                    defects, record_logs, memo
                 )
             evaluation = evaluations[key]
             failed_stage = evaluation.first_failure(self.config.stages)

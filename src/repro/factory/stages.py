@@ -8,20 +8,23 @@ the defects its probe can see (``probe="scan"`` faults live on the
 substrate harness, ``probe="measurement"`` faults on the compass,
 ``probe="scenario"`` faults on the environment-screen runner).
 Fresh targets are a correctness feature, not a convenience: no stage
-can perturb another stage's RNG draw or leave state behind, so the
-three stage verdicts of a defect signature are independent of the
-order the program runs them in — which is exactly the invariant the
-property suite's stage-permutation law asserts.
+can perturb another stage's RNG draw or leave state behind, so a
+stage's verdict is a function of the defects it sees alone — independent
+of the order the program runs the stages in (the invariant the property
+suite's stage-permutation law asserts), and the same for every
+signature that shares those defects (the memo
+:class:`~repro.factory.line.FactoryLine` keeps per lot).
 
 Stage test *times* are simulated from the machine models (scan clocks
 through the TAP, controller state walks per measurement), not wall
 clock, so the economics in the lot report are deterministic.
 
 The compass stages run the paper's design point with the strict health
-supervisor and **without** the closed-form analog fast path: factory
-test equipment must exercise the real signal chain (the fast path
-computes counts from configuration algebra and would measure a
-defective unit as if it were clean).
+supervisor on the default engine: the certified closed-form fast path,
+which stays exact under the registered measurement faults (they are
+values it reads, :mod:`repro.faults.model`) and hands a channel to the
+stepped signal chain wherever a fault takes it outside the validity
+envelope, or when a replay recorder is attached.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ class StageResult:
         the factory grid (or served-heading error over the screening
         mission), when the sweep completed without raising.
     recorder:
-        Calibration only, and only when the line runs with
+        Calibration only, and only when the stage runs with
         ``record_logs=True``: the in-memory replay log of the
         calibration compass (the record/replay seam for lot audits).
+        Within one lot every signature with the same measurement
+        defects shares this result, and so this log.
     """
 
     stage: str
@@ -310,18 +315,6 @@ def run_calibration(
     )
 
 
-#: Memoized environment-screen verdicts, keyed by the environment
-#: sub-signature (plus the gate and registry identity).  The screen is a
-#: full simulated mission — pre-flight calibration rotation plus the
-#: six-step ENV_SCREEN through the compensation chain — three orders of
-#: magnitude costlier than one stage measurement, and most defect
-#: signatures share the *empty* environment sub-signature, so the cache
-#: collapses a lot (and a permutation sweep of lots) to a handful of
-#: scenario runs.  Safe to share across lines: the verdict is a pure
-#: function of the key, and StageResult is treated as read-only.
-_ENV_MEMO: dict = {}
-
-
 def run_env(
     defects: Tuple[Defect, ...],
     config: LotConfig,
@@ -342,14 +335,6 @@ def run_env(
     from ..scenario.runner import CALIBRATION_HEADINGS, ScenarioRunner
 
     _, _, env_defects = split_defects(defects, registry)
-    key = (
-        tuple(sorted((d.fault, d.severity) for d in env_defects)),
-        config.gate_tolerance_deg,
-        id(registry),
-    )
-    cached = _ENV_MEMO.get(key)
-    if cached is not None:
-        return cached
     compass, _ = _fresh_compass(record_logs=False)
     sim_time = (
         len(CALIBRATION_HEADINGS) + ENV_SCREEN.steps
@@ -360,17 +345,15 @@ def run_env(
         try:
             run = runner.run()
         except ReproError as error:
-            result = StageResult(
+            return StageResult(
                 stage="env",
                 passed=False,
                 detail=f"{type(error).__name__}: {error}",
                 sim_time_s=sim_time,
             )
-            _ENV_MEMO[key] = result
-            return result
     worst = run.max_abs_error_deg
     if run.degraded_steps:
-        result = StageResult(
+        return StageResult(
             stage="env",
             passed=False,
             detail=(
@@ -381,8 +364,8 @@ def run_env(
             sim_time_s=sim_time,
             worst_error_deg=worst,
         )
-    elif worst > config.gate_tolerance_deg:
-        result = StageResult(
+    if worst > config.gate_tolerance_deg:
+        return StageResult(
             stage="env",
             passed=False,
             detail=(
@@ -392,19 +375,16 @@ def run_env(
             sim_time_s=sim_time,
             worst_error_deg=worst,
         )
-    else:
-        result = StageResult(
-            stage="env",
-            passed=True,
-            detail=(
-                f"mission clean, worst served error {worst:.3f} deg "
-                f"over {len(run.steps)} steps"
-            ),
-            sim_time_s=sim_time,
-            worst_error_deg=worst,
-        )
-    _ENV_MEMO[key] = result
-    return result
+    return StageResult(
+        stage="env",
+        passed=True,
+        detail=(
+            f"mission clean, worst served error {worst:.3f} deg "
+            f"over {len(run.steps)} steps"
+        ),
+        sim_time_s=sim_time,
+        worst_error_deg=worst,
+    )
 
 
 _RUNNERS = {

@@ -1,5 +1,6 @@
 """Tests for the simulated production line (`repro.factory`)."""
 
+import collections
 import dataclasses
 import json
 import pathlib
@@ -222,23 +223,75 @@ class TestGoldenLot:
     def test_clean_units_never_false_fail(self, golden_report):
         assert golden_report.counts()["false-fail"] == 0
 
+    def test_each_stage_runs_once_per_visible_sub_signature(
+        self, monkeypatch
+    ):
+        """The line's work on the golden lot, pinned per runner.
+
+        Its 38 signatures have 5 distinct scan, 18 measurement and 8
+        environment sub-signatures; a stage runs once for each one that
+        reaches it, and the oracle once per passing defective
+        (measurement, scenario) pair.
+        """
+        from repro.factory import line
+
+        calls = collections.Counter()
+        run_stage, run_field_oracle = line.run_stage, line.run_field_oracle
+
+        def counted_stage(stage, *args):
+            calls[stage] += 1
+            return run_stage(stage, *args)
+
+        def counted_oracle(*args):
+            calls["oracle"] += 1
+            return run_field_oracle(*args)
+
+        monkeypatch.setattr(line, "run_stage", counted_stage)
+        monkeypatch.setattr(line, "run_field_oracle", counted_oracle)
+        report = FactoryLine(golden_lot_config()).run()
+        assert report.distinct_signatures == 38
+        assert calls == {
+            "btest": 5,
+            "bist": 18,
+            "calibration": 9,
+            "env": 6,
+            "oracle": 8,
+        }
+
     def test_replay_seam_audits_the_calibration_logs(self, golden_report):
         """The record/replay contract on the factory's calibration stage.
 
-        Every recorded log re-derives its stage verdict bit-exactly from
-        the records alone; logs of signatures without measurement-layer
-        defects replay bit-exactly through the clean back-end; logs
-        recorded under a measurement defect may legitimately diverge from
-        a clean replay — that divergence *is* the defect's signature in
-        the log — but must never diverge for clean signatures.
+        Exactly the signatures with no earlier failing stage carry a
+        calibration log, and every log is audited: it re-derives its
+        stage verdict bit-exactly from the records alone; logs of
+        signatures without measurement-layer defects replay bit-exactly
+        through the clean back-end; logs recorded under a measurement
+        defect may legitimately diverge from a clean replay — that
+        divergence *is* the defect's signature in the log — but must
+        never diverge for clean signatures.  A log with no records is a
+        calibration sweep that raised, so it must carry a failing verdict.
         """
-        audited = exact = 0
-        for sig, evaluation in golden_report.evaluations.items():
-            result = evaluation.results["calibration"]
+        program = golden_report.config.stages
+        reaches_calibration = program[program.index("calibration"):]
+        reached = {
+            signature(unit.defects)
+            for unit in golden_report.units
+            if unit.caught_by is None or unit.caught_by in reaches_calibration
+        }
+        carrying = {
+            sig
+            for sig, evaluation in golden_report.evaluations.items()
+            if "calibration" in evaluation.results
+        }
+        assert carrying == reached
+        exact = 0
+        for sig in carrying:
+            result = golden_report.evaluations[sig].results["calibration"]
             recorder = result.recorder
-            if recorder is None or not recorder.records:
+            assert recorder is not None, f"{sig} reached calibration unlogged"
+            if not recorder.records:
+                assert not result.passed and result.worst_error_deg is None
                 continue
-            audited += 1
             reader = reader_from_records(recorder.header, recorder.records)
             records = reader.records()
             has_measurement_fault = any(
@@ -270,7 +323,7 @@ class TestGoldenLot:
                     for r in records
                 )
                 assert worst == result.worst_error_deg
-        assert audited > 0 and exact > 0
+        assert reached and exact > 0
 
 
 class TestStageOrderInvariance:

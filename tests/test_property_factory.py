@@ -15,13 +15,18 @@ Three claims carry the production line's story:
    evaluated on a fresh target per stage, so permuting the program can
    only move a catch between stages — the escape set, the caught set,
    and every unit's disposition are permutation-invariant.
+4. **The line's shortcuts are invisible.**  A signature runs the
+   program only up to its first failing stage, and each stage (and the
+   field oracle) runs once per lot for each distinct set of defects its
+   probe sees; every verdict still equals the stage run alone on the
+   unit's own defects.
 
-Real-physics lots are expensive (~250 ms per distinct defect
-signature), so the suite memoizes signature evaluations *across*
-examples via :class:`MemoLine` — sound because a stage verdict is a
-function of (signature, stage knobs) alone, which is the same
-memoization :class:`~repro.factory.FactoryLine` performs within one
-run, and all examples here share the default stage knobs.
+Real-physics lots cost tens of milliseconds per distinct defect
+signature, so claims 1–3 memoize signature evaluations *across*
+examples via :class:`MemoLine` — sound because an evaluation is a
+function of (signature, ordered program, stage knobs) alone, and all
+examples here share the default stage knobs.  Claim 4 runs the plain
+:class:`~repro.factory.FactoryLine`.
 """
 
 import dataclasses
@@ -29,7 +34,7 @@ import dataclasses
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.factory import (
     DefectDistribution,
@@ -37,8 +42,12 @@ from repro.factory import (
     LotConfig,
     SEVERITY_LAWS,
     STAGE_NAMES,
+    defect,
+    run_field_oracle,
+    run_stage,
     signature,
 )
+from repro.faults.model import registered_faults
 
 
 class MemoLine(FactoryLine):
@@ -46,11 +55,12 @@ class MemoLine(FactoryLine):
 
     _memo = {}
 
-    def _evaluate_signature(self, defects, record_logs):
-        key = (tuple(sorted(self.config.stages)), signature(defects))
+    def _evaluate_signature(self, defects, record_logs, memo):
+        # The program's order decides where a signature stops.
+        key = (self.config.stages, signature(defects))
         if key not in self._memo:
             self._memo[key] = super()._evaluate_signature(
-                defects, record_logs
+                defects, record_logs, memo
             )
         return self._memo[key]
 
@@ -147,3 +157,100 @@ class TestStageOrderInvariance:
             assert a.disposition == b.disposition
             # Only the *attributed* stage may move between programs.
             assert (a.caught_by is None) == (b.caught_by is None)
+
+
+#: (fault, severity) cells of each probe a factory stage can see.
+PROBE_CELLS = [
+    [
+        (spec.name, severity)
+        for spec in registered_faults()
+        if spec.probe == probe
+        for severity in spec.severities
+    ]
+    for probe in ("scan", "measurement", "scenario")
+]
+
+
+@st.composite
+def mixed_units(draw):
+    """Hand-built units over a small pool per probe, so a lot's units
+    share scan, measurement and environment sub-signatures in every
+    combination (sorted per unit, as :func:`mint_units` leaves them)."""
+    pools = [
+        draw(
+            st.lists(
+                st.sampled_from(cells), min_size=1, max_size=2, unique=True
+            )
+        )
+        for cells in PROBE_CELLS
+    ]
+    units = []
+    for _ in range(draw(st.integers(1, 6))):
+        cells = [draw(st.none() | st.sampled_from(pool)) for pool in pools]
+        defects = [defect(*cell) for cell in cells if cell is not None]
+        units.append(
+            tuple(sorted(defects, key=lambda d: (d.fault, d.severity)))
+        )
+    return units
+
+
+PROGRAMS = st.builds(
+    lambda order, length: tuple(order[:length]),
+    st.permutations(list(STAGE_NAMES)),
+    st.integers(1, len(STAGE_NAMES)),
+)
+
+
+class TestMemoAndEarlyStopAreInvisible:
+    @staticmethod
+    def _assert_each_signature_as_run_alone(config, report):
+        representatives = {}
+        for unit in report.units:
+            representatives.setdefault(signature(unit.defects), unit.defects)
+        assert set(representatives) == set(report.evaluations)
+        for key, defects in representatives.items():
+            evaluation = report.evaluations[key]
+            reached = []
+            for stage in config.stages:
+                alone = run_stage(stage, defects, config)
+                reached.append(stage)
+                assert evaluation.results[stage] == alone, (key, stage)
+                if not alone.passed:
+                    break
+            # The reached stages are the program up to its first failure.
+            assert list(evaluation.results) == reached
+            if defects and all(r.passed for r in evaluation.results.values()):
+                assert evaluation.oracle == run_field_oracle(defects, config)
+            else:
+                assert evaluation.oracle is None
+
+    @given(
+        size=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+        defects=DISTRIBUTIONS,
+        stages=PROGRAMS,
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_minted_lots(self, size, seed, defects, stages):
+        config = LotConfig(
+            size=size, seed=seed, defects=defects, stages=stages
+        )
+        report = FactoryLine(config).run()
+        self._assert_each_signature_as_run_alone(config, report)
+
+    @given(units=mixed_units(), stages=PROGRAMS)
+    # Without the env stage, both units pass with the same (empty)
+    # measurement defects; only the field oracle's mission tells them
+    # apart, so its memo must key on the scenario defects too.
+    @example(
+        units=[
+            (defect("environment.anomaly_ambush", 0.3),),
+            (defect("environment.calibration_stale", 12.0),),
+        ],
+        stages=("btest", "bist", "calibration"),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_hand_built_units_mixing_probes(self, units, stages):
+        config = LotConfig(size=len(units), stages=stages)
+        report = FactoryLine(config).run(units=units)
+        self._assert_each_signature_as_run_alone(config, report)
