@@ -17,15 +17,16 @@ budget enters the timing chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..physics.noise import NoiseBudget, NoiseGenerator, NOISELESS
-from ..simulation.scratch import ScratchPool
+from ..simulation.scratch import scratch
 from ..simulation.signals import Trace
 
 #: Pickup-amplifier voltage gain [V/V] (``FrontEndConfig.amplifier_gain``).
@@ -70,6 +71,24 @@ class ComparatorParameters:
         return self.threshold + self.offset - self.hysteresis / 2.0
 
 
+@functools.lru_cache(maxsize=8)
+def _event_codes(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only per-column event codes ``(set, reset)`` of an ``n``-sample
+    grid, for the parity-accumulate state machine.
+
+    Odd codes mark a "forced high" sample, even codes "forced low";
+    later columns always carry larger codes, so a running maximum yields
+    the most recent forcing event and its parity is the Schmitt-trigger
+    state.  int32 comfortably holds 2n+3 and halves the matrix memory
+    traffic.
+    """
+    set_codes = (2 * np.arange(n, dtype=np.int64) + 3).astype(np.int32)
+    reset_codes = set_codes - np.int32(1)
+    set_codes.flags.writeable = False
+    reset_codes.flags.writeable = False
+    return set_codes, reset_codes
+
+
 class Comparator:
     """Threshold comparator with hysteresis, offset and delay.
 
@@ -82,76 +101,12 @@ class Comparator:
     had not yet tripped.
     """
 
-    #: At most this many scratch-buffer shapes are retained; a chunked
-    #: batch sweep alternates between the full chunk shape and one
-    #: remainder shape, so two entries make every steady-state call a hit
-    #: while a long-lived service fed arbitrary chunk sizes stays bounded.
-    SCRATCH_CAPACITY = 2
-
-    #: Scratch of freed comparators, reused by new ones (a 4-element
-    #: array's detector pairs fill it).
-    SPARE_SCRATCH = ScratchPool(capacity=8)
-
     def __init__(self, params: ComparatorParameters):
         self.params = params
         #: A stuck comparator never releases: :meth:`falling_edges_batch`
         #: returns an empty edge stream for every row (the stuck
         #: comparator fault sets it).
         self.stuck = False
-        self._code_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._batch_scratch: Dict[
-            Tuple[int, int],
-            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-        self.SPARE_SCRATCH.track(self, self._batch_scratch)
-
-    def _batch_buffers(
-        self, shape: Tuple[int, int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Persistent per-shape scratch for :meth:`_state_matrix`.
-
-        ``(forced_high, forced_low, encoded, parity, change)`` —
-        reallocating these multi-megabyte temporaries per chunk costs
-        kernel page faults; none of them escape the comparator, so reuse
-        is safe.  The cache is LRU-bounded at :attr:`SCRATCH_CAPACITY`
-        shapes so varying chunk sizes cannot grow memory without bound,
-        and a one-row call (a scalar measurement) keeps nothing.
-        """
-        buffers = self._batch_scratch.pop(shape, None)
-        if buffers is None and shape[0] > 1:
-            buffers = self.SPARE_SCRATCH.take(shape)
-        if buffers is None:
-            buffers = (
-                np.empty(shape, dtype=bool),
-                np.empty(shape, dtype=bool),
-                np.empty(shape, dtype=np.int32),
-                np.empty(shape, dtype=np.int8),
-                np.empty((shape[0], max(shape[1] - 1, 0)), dtype=bool),
-            )
-        # (Re-)insert so dict order tracks recency: oldest first.
-        if shape[0] > 1:
-            while len(self._batch_scratch) >= self.SCRATCH_CAPACITY:
-                self._batch_scratch.pop(next(iter(self._batch_scratch)))
-            self._batch_scratch[shape] = buffers
-        return buffers
-
-    def _codes(self, shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column event codes for the parity-accumulate state machine,
-        cached per grid size (a one-row call keeps nothing)."""
-        n = shape[1]
-        cached = self._code_cache.get(n)
-        if cached is None:
-            # Odd codes mark a "forced high" sample, even codes "forced
-            # low"; later columns always carry larger codes, so a running
-            # maximum yields the most recent forcing event and its parity
-            # is the Schmitt-trigger state.  int32 comfortably holds
-            # 2n+3 and halves the matrix memory traffic.
-            set_codes = (2 * np.arange(n, dtype=np.int64) + 3).astype(np.int32)
-            reset_codes = set_codes - np.int32(1)
-            cached = (set_codes, reset_codes)
-            if shape[0] > 1:
-                self._code_cache[n] = cached
-        return cached
 
     def _state_matrix(
         self, values: np.ndarray, times: np.ndarray, negate: bool
@@ -160,8 +115,13 @@ class Comparator:
 
         Returns ``(parity, change)``: the state matrix and an uninitialised
         ``(N, n_samples − 1)`` bool buffer for the caller's edge compare.
-        Both live in comparator scratch.  Before its first forcing sample
-        a row holds the reset state (low).
+        For more than one row both are buffers of the process-wide
+        :func:`~repro.simulation.scratch.scratch` workspace, shared by
+        every comparator (so the caller reads them before the next
+        call), as are the forcing masks and the encoded matrix they are
+        built from; every element is written before it is read.  The
+        per-grid event codes are cached read-only.  Before its first
+        forcing sample a row holds the reset state (low).
         """
         p = self.params
         V = values
@@ -170,10 +130,16 @@ class Comparator:
                 "the comparator needs an (N, n_samples) matrix on the "
                 "shared time axis"
             )
-        set_codes, reset_codes = self._codes(V.shape)
-        forced_high, forced_low, encoded, parity, change = self._batch_buffers(
-            V.shape
-        )
+        rows, n = V.shape
+        # A one-row call (a scalar measurement, or an exact window of
+        # any length) keeps no code table, so it cannot evict a sweep's.
+        codes = _event_codes if rows > 1 else _event_codes.__wrapped__
+        set_codes, reset_codes = codes(n)
+        forced_high = scratch("comparator.forced_high", V.shape, bool)
+        forced_low = scratch("comparator.forced_low", V.shape, bool)
+        encoded = scratch("comparator.encoded", V.shape, np.int32)
+        parity = scratch("comparator.parity", V.shape, np.int8)
+        change = scratch("comparator.change", (rows, max(n - 1, 0)), bool)
         if negate:
             np.less(V, -p.trip_level, out=forced_high)
             np.greater(V, -p.release_level, out=forced_low)
@@ -255,6 +221,23 @@ class Comparator:
         return self.falling_edges_batch(signal.v[None, :], signal.t)[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _steady_state(alpha: float) -> np.ndarray:
+    """Read-only ``lfilter_zi`` of the single-pole band limit with pole
+    ``alpha``: the filter state of a unit step in steady state.
+
+    It is not exactly ``alpha`` in floats, so it is computed (once per
+    pole) rather than replaced by ``alpha``.  ``scipy.signal`` is
+    imported on the first call only (the default fast-path engine never
+    filters a waveform).
+    """
+    from scipy.signal import lfilter_zi
+
+    zi = lfilter_zi([1.0 - alpha], [1.0, -alpha])
+    zi.flags.writeable = False
+    return zi
+
+
 class PickupAmplifier:
     """Gain stage between the pickup coil and the comparators.
 
@@ -297,9 +280,6 @@ class PickupAmplifier:
         self.bandwidth_hz = bandwidth_hz
         self._seed = seed
         self._noise_draws = 0
-        #: ``(alpha, lfilter_zi(b, a))`` of the last band limit applied;
-        #: recomputed only when the sample rate moves ``alpha``.
-        self._zi_memo: Optional[Tuple[float, np.ndarray]] = None
 
     # -- noise stream ---------------------------------------------------------
 
@@ -351,15 +331,10 @@ class PickupAmplifier:
         alpha = self.pole(sample_rate)
         if alpha is None:
             return values
-        from scipy.signal import lfilter, lfilter_zi
+        from scipy.signal import lfilter
 
-        b, a = [1.0 - alpha], [1.0, -alpha]
-        # lfilter_zi(b, a) is not exactly alpha in floats, so memoise the
-        # value rather than replace it.
-        if self._zi_memo is None or self._zi_memo[0] != alpha:
-            self._zi_memo = (alpha, lfilter_zi(b, a))
-        zi = self._zi_memo[1] * values[:, :1]
-        out, _ = lfilter(b, a, values, axis=-1, zi=zi)
+        zi = _steady_state(alpha) * values[:, :1]
+        out, _ = lfilter([1.0 - alpha], [1.0, -alpha], values, axis=-1, zi=zi)
         return out
 
     def amplify(self, signal: Trace) -> Trace:

@@ -53,7 +53,7 @@ from ..sensors.fluxgate import FluxgateSensor
 from ..sensors.pair import IDEAL_PAIR, OrthogonalSensorPair, PairImperfections
 from ..sensors.parameters import FluxgateParameters, IDEAL_TARGET
 from ..simulation.engine import TimeGrid
-from ..units import CORDIC_ITERATIONS
+from ..units import CORDIC_ITERATIONS, field_from_count
 from .heading import HeadingMeasurement
 from .health import HealthConfig, HealthSupervisor
 
@@ -504,13 +504,13 @@ class IntegratedCompass:
         results, error = back_end.process_measurement(
             detectors_x, detectors_y, window_x=count_window, window_y=count_window
         )
-        # The counter pair also encodes the field *magnitude*:
-        # |count| = ticks · |H| / Ha.  The arctangent discards it, but it
-        # is free diagnostic information (see repro.core.anomaly).  Each
-        # count is normalised by its *own* channel's tick total — the
-        # windows may legitimately differ.
+        # The counter pair also encodes the field *magnitude*
+        # (field_from_count).  The arctangent discards it, but it is free
+        # diagnostic information (see repro.core.anomaly).  Each count is
+        # normalised by its *own* channel's tick total — the windows may
+        # legitimately differ.
+        coil = self.config.sensor.excitation_coil_constant
         amplitude = self.config.front_end.excitation.current_amplitude
-        h_amp = self.config.sensor.excitation_coil_constant * amplitude
         field_estimates = []
         for result in results:
             x_ticks = result.x_result.total_ticks
@@ -519,7 +519,8 @@ class IntegratedCompass:
                 break
             field_estimates.append(
                 math.hypot(
-                    result.x_count * h_amp / x_ticks, result.y_count * h_amp / y_ticks
+                    field_from_count(result.x_count, x_ticks, coil, amplitude),
+                    field_from_count(result.y_count, y_ticks, coil, amplitude),
                 )
             )
         served = len(field_estimates)

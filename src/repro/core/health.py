@@ -50,6 +50,7 @@ from ..units import (
     EARTH_FIELD_MIN_T,
     MU_0,
     angular_difference_deg,
+    field_from_count,
     wrap_degrees,
 )
 
@@ -229,9 +230,9 @@ class HealthSupervisor:
     def __init__(self, compass: "IntegratedCompass", config: HealthConfig):
         self.config = config
         # A weak reference: a strong one would make every compass a
-        # reference cycle, so its multi-megabyte scratch buffers would
-        # wait for the cyclic garbage collector instead of being freed
-        # with the compass.
+        # reference cycle, so a dropped compass and all it holds (front
+        # end, back end, observer) would wait for the cyclic garbage
+        # collector instead of being freed with its last reference.
         self._compass = weakref.proxy(compass)
         # Golden ROM signature, captured at build time like a BIST
         # reference: a later bit-flip in the live ROM cannot also flip
@@ -522,14 +523,17 @@ class HealthSupervisor:
         finally:
             counter.disable()
 
-        amplitude = compass.config.front_end.excitation.current_amplitude
-        h_amp = compass.config.sensor.excitation_coil_constant * amplitude
         if count_result.total_ticks == 0:
             raise DegradedOperationError(
                 f"single-axis fallback on channel {channel} impossible: "
                 "zero counter ticks"
             ) from cause
-        h_axis = count_result.count * h_amp / count_result.total_ticks
+        h_axis = field_from_count(
+            count_result.count,
+            count_result.total_ticks,
+            compass.config.sensor.excitation_coil_constant,
+            compass.config.front_end.excitation.current_amplitude,
+        )
         if self._last_good is not None:
             h_ref = self._last_good.field_estimate_a_per_m
         else:

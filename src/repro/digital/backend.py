@@ -160,21 +160,24 @@ class DigitalBackEnd:
         becomes :attr:`last_result`.  ``None`` is a row the datapath
         failed on: it walks, but has no counts or heading to show.
 
-        The spans are retrospective: the datapath ran for every row of
-        the call at once, so they carry its structure (counts, ticks,
+        The spans are retrospective, and each says so with the fixed
+        attribute ``retrospective=True``: the datapath ran for every row
+        of the call at once, so they carry its structure (counts, ticks,
         the CORDIC residuals that sensitise ROM and datapath bugs), not
         its wall time.
         """
         observer = self.observer
-        with observer.span(STAGE_BACKEND):
+        with observer.span(STAGE_BACKEND, retrospective=True):
             self.controller.run_measurement()
             if result is not None and observer.tracer is not None:
                 for channel, count in (("x", result.x_result), ("y", result.y_result)):
                     with observer.span(
-                        f"{STAGE_COUNTER}.{channel}", channel=channel
+                        f"{STAGE_COUNTER}.{channel}",
+                        channel=channel,
+                        retrospective=True,
                     ) as span:
                         span.set(count=count.count, ticks=count.total_ticks)
-                with observer.span(STAGE_CORDIC) as span:
+                with observer.span(STAGE_CORDIC, retrospective=True) as span:
                     span.set(
                         iterations=result.cordic_cycles,
                         angle_deg=from_fixed(
@@ -185,7 +188,8 @@ class DigitalBackEnd:
                     )
                     for step in result.cordic_steps:
                         with observer.span(
-                            f"{STAGE_CORDIC_ITER}.{step.iteration}"
+                            f"{STAGE_CORDIC_ITER}.{step.iteration}",
+                            retrospective=True,
                         ) as it:
                             it.set(
                                 shift=step.shift,

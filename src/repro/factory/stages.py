@@ -30,6 +30,7 @@ envelope, or when a replay recorder is attached.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -122,6 +123,16 @@ def _fresh_compass(record_logs: bool) -> Tuple[IntegratedCompass, Optional[LogRe
     if record_logs:
         recorder = attach_recorder(compass, LogRecorder())
     return compass, recorder
+
+
+@functools.lru_cache(maxsize=1)
+def _measurement_duration() -> float:
+    """Simulated time of one measurement on the default compass [s].
+
+    The environment screen's compasses live inside its mission runner,
+    so this builds one default compass per process to read it.
+    """
+    return IntegratedCompass().back_end.controller.measurement_duration()
 
 
 def btest_sim_time_s(config: LotConfig, harness: SubstrateHarness) -> float:
@@ -335,10 +346,8 @@ def run_env(
     from ..scenario.runner import CALIBRATION_HEADINGS, ScenarioRunner
 
     _, _, env_defects = split_defects(defects, registry)
-    compass, _ = _fresh_compass(record_logs=False)
-    sim_time = (
-        len(CALIBRATION_HEADINGS) + ENV_SCREEN.steps
-    ) * compass.back_end.controller.measurement_duration()
+    steps = len(CALIBRATION_HEADINGS) + ENV_SCREEN.steps
+    sim_time = steps * _measurement_duration()
     runner = ScenarioRunner(ENV_SCREEN)
     with contextlib.ExitStack() as stack:
         _inject_all(stack, env_defects, runner, registry)

@@ -219,11 +219,6 @@ class LogHeader:
         """Peak excitation current [A] (half the recorded peak-to-peak)."""
         return self.excitation_current_pp / 2.0
 
-    @property
-    def h_amplitude(self) -> float:
-        """Peak excitation field [A/m] — the count-to-field scale factor."""
-        return self.coil_constant * self.current_amplitude
-
     def rebuild_config(self):
         """Reconstruct the :class:`CompassConfig` this log was captured on.
 

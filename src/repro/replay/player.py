@@ -26,6 +26,7 @@ import io
 from typing import IO, Iterator, List, Optional, Union
 
 from ..errors import DivergenceError, ReplayError, only_row
+from ..units import field_from_count
 from .format import (
     CordicCapture,
     CounterCapture,
@@ -178,10 +179,11 @@ class ReplayPlayer:
                 f"record {record.seq} replays to a degenerate counting "
                 "window (zero ticks)"
             )
-        h_amp = self.header.h_amplitude
+        coil = self.header.coil_constant
+        amplitude = self.header.current_amplitude
         field_estimate = math.hypot(
-            result.x_count * h_amp / x_ticks,
-            result.y_count * h_amp / y_ticks,
+            field_from_count(result.x_count, x_ticks, coil, amplitude),
+            field_from_count(result.y_count, y_ticks, coil, amplitude),
         )
         steps = result.cordic_steps
         if not steps:

@@ -32,13 +32,13 @@ so the up-down counter integrates to a count proportional to ``H_ext``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..physics.magnetics import MagnetisationModel, make_core
-from ..simulation.scratch import ScratchPool
+from ..simulation.scratch import scratch
 from ..simulation.signals import TimeGradient, Trace
 from .parameters import FluxgateParameters
 
@@ -82,15 +82,6 @@ class FluxgateSensor:
         ``"jiles-atherton"`` (hysteretic, for ablations).
     """
 
-    #: LRU bound on the per-shape batch scratch: the chunked sweep
-    #: alternates between the chunk shape and one remainder shape, so two
-    #: entries cover steady state while arbitrary chunk sizes stay bounded.
-    SCRATCH_CAPACITY = 2
-
-    #: Scratch of freed sensors, reused by new ones (a 4-element array's
-    #: x and y sensors fill it).
-    SPARE_SCRATCH = ScratchPool(capacity=8)
-
     def __init__(self, params: FluxgateParameters, core_model: str = "tanh"):
         self.params = params
         self.core: MagnetisationModel = make_core(core_model, params.core)
@@ -99,10 +90,6 @@ class FluxgateSensor:
         #: loss), in arming order; :meth:`simulate_batch` multiplies the
         #: pickup by each in turn.
         self.pickup_scales: Tuple[float, ...] = ()
-        self._batch_scratch: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray]
-        ] = {}
-        self.SPARE_SCRATCH.track(self, self._batch_scratch)
 
     # -- elementary transforms -------------------------------------------------
 
@@ -170,12 +157,12 @@ class FluxgateSensor:
         of :attr:`pickup_scales` in turn (``pickup *= s``); the waveform
         probe :meth:`simulate` never applies them.
 
-        For an anhysteretic core the returned matrix lives in a
-        sensor-owned scratch buffer that the *next* ``simulate_batch``
-        call with the same shape overwrites — consume (or copy) it before
-        batching again.  Once the sensor is freed the buffer passes to
-        another sensor (:attr:`SPARE_SCRATCH`), so do not keep it beyond
-        the sensor.
+        For an anhysteretic core a multi-row result is a buffer of the
+        process-wide :func:`~repro.simulation.scratch.scratch` workspace:
+        it is valid until the next multi-row call of the same shape on
+        *any* sensor, so consume (or copy) it at once, as the stepped
+        chain does (``IntegratedCompass._channel_rows`` amplifies it
+        before the next call).  A one-row result is a fresh array.
 
         Parameters
         ----------
@@ -199,23 +186,12 @@ class FluxgateSensor:
                 pickup *= scale
             return pickup
         shape = (h.size, current.t.size)
-        scratch = self._batch_scratch.pop(shape, None)
-        if scratch is None and h.size > 1:
-            scratch = self.SPARE_SCRATCH.take(shape)
-        if scratch is None:
-            scratch = (np.empty(shape), np.empty(shape))
-        # A one-row call (a scalar measurement) keeps nothing; otherwise
-        # (re-)insert so dict order tracks recency: oldest first.
-        if h.size > 1:
-            while len(self._batch_scratch) >= self.SCRATCH_CAPACITY:
-                self._batch_scratch.pop(next(iter(self._batch_scratch)))
-            self._batch_scratch[shape] = scratch
-        h_total, deriv = scratch
+        h_total = scratch("fluxgate.field", shape)
         np.add(current.v * p.excitation_coil_constant, h[:, None], out=h_total)
         b = self.core.flux_density_into(h_total, out=h_total)
         if gradient is None:
             gradient = TimeGradient(current.t)
-        db_dt = gradient.apply(b, out=deriv)
+        db_dt = gradient.apply(b, out=scratch("fluxgate.pickup", shape))
         db_dt *= p.pickup_turns * p.core_area
         for scale in self.pickup_scales:
             db_dt *= scale

@@ -1,54 +1,51 @@
-"""Scratch buffers handed from a freed owner to the next one.
+"""One process-wide workspace for the stepped chain's multi-row scratch.
 
-Sensors and comparators keep per-shape scratch matrices so a chunked
-sweep never reallocates them.  Many compasses are short-lived — a
-Monte-Carlo trial, a scenario plant, a factory unit — and when one is
-freed the allocator returns its multi-megabyte buffers to the operating
-system, so the next compass pays a page fault per 4 KB page for fresh
-ones.  A :class:`ScratchPool` adopts a freed owner's buffers instead and
-hands them to the next owner that asks for the same shape.
+A chunked stepped sweep needs the same multi-megabyte temporaries —
+the sensor's field and pickup matrices, the comparator's state-machine
+matrices — for every chunk of every channel of every compass.  Many
+compasses are short-lived (a Monte-Carlo trial, a scenario plant, a
+factory unit), so buffers they owned would be freed and paged in afresh
+for the next one.  :func:`scratch` hands out one buffer per
+``(role, shape, dtype)`` instead, whichever sensor or comparator asks.
+
+It is safe under two conditions, which every caller keeps:
+
+* every element of a scratch buffer is written before it is read, so
+  no result can see what an earlier call left there;
+* one thread runs the stepped chain, like ``DEFAULT_TRACE_CACHE`` and
+  the tracer: two concurrent calls would write one buffer.
+
+A caller consumes a buffer before it asks for the same role and shape
+again (the next chunk, or the other channel's sensor).
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+import functools
+from typing import Tuple
+
+import numpy as np
+
+#: Buffers held at most: seven roles (two sensor, five comparator) for
+#: both the chunk shape and the remainder shape of a chunked sweep.
+SCRATCH_ENTRIES = 16
 
 
-class ScratchPool:
-    """Bounded store of scratch buffers whose owner has been freed.
+@functools.lru_cache(maxsize=SCRATCH_ENTRIES)
+def _held(role: str, shape: Tuple[int, ...], dtype: type) -> np.ndarray:
+    return np.empty(shape, dtype=dtype)
 
-    An owner registers its ``{shape: buffers}`` scratch dict with
-    :meth:`track`; when the owner is garbage collected the buffers move
-    here, and :meth:`take` gives each one to exactly one new owner, so
-    no two live owners ever share a buffer.  Only the ``capacity`` most
-    recently adopted entries are kept, and only until a request misses.
+
+def scratch(role: str, shape: Tuple[int, ...], dtype: type = float) -> np.ndarray:
+    """An uninitialised ``shape`` buffer for ``role``, shared process-wide.
+
+    A multi-row shape returns the buffer the last call with the same
+    arguments returned, while fewer than :data:`SCRATCH_ENTRIES` other
+    keys were asked for since.  A shape of one row (a scalar
+    measurement, the fast path's exact windows) or none gets a fresh
+    array and keeps nothing, so small calls cannot evict a sweep's chunk
+    buffers.
     """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._spare: List[Tuple[Hashable, Any]] = []
-
-    def track(self, owner: object, scratch: Dict[Hashable, Any]) -> None:
-        """Adopt the entries of ``scratch`` once ``owner`` is freed."""
-        weakref.finalize(owner, self._adopt, scratch).atexit = False
-
-    def _adopt(self, scratch: Dict[Hashable, Any]) -> None:
-        self._spare.extend(scratch.items())
-        del self._spare[: -self.capacity]
-
-    def take(self, shape: Hashable) -> Optional[Any]:
-        """Remove and return a spare entry for ``shape`` (or ``None``).
-
-        A miss drops every spare entry: the caller is about to allocate
-        fresh buffers, and freeing stale shapes first lets the allocator
-        reuse their memory instead of adding to the peak.
-        """
-        for index in range(len(self._spare) - 1, -1, -1):
-            if self._spare[index][0] == shape:
-                return self._spare.pop(index)[1]
-        self._spare.clear()
-        return None
-
-    def __len__(self) -> int:
-        return len(self._spare)
+    if shape[0] < 2:
+        return np.empty(shape, dtype=dtype)
+    return _held(role, shape, dtype)

@@ -171,3 +171,17 @@ def heading_from_components_deg(h_x: float, h_y: float) -> float:
     # Float modulo of a tiny negative angle can round up to exactly
     # 360.0; fold that boundary case back to 0.
     return 0.0 if heading >= 360.0 else heading
+
+
+def field_from_count(
+    count: int, ticks: int, coil_constant: float, current_amplitude: float
+) -> float:
+    """The axis field [A/m] that an up-down count over ``ticks`` encodes.
+
+    The detector's duty cycle is ``1/2 + H/(2·Ha)``, so the counter ends
+    at ``ticks · H / Ha``, where ``Ha`` is the peak excitation field: the
+    coil constant [A/m per A] times the peak current [A].  ``ticks`` must
+    be non-zero; each caller raises its own error for an empty window.
+    """
+    h_amp = coil_constant * current_amplitude
+    return count * h_amp / ticks

@@ -9,9 +9,11 @@ from repro.analog.comparator import (
     Comparator,
     ComparatorParameters,
     PickupAmplifier,
+    _event_codes,
 )
 from repro.errors import ConfigurationError
 from repro.physics.noise import NOISELESS, NoiseBudget
+from repro.simulation import scratch as workspace
 from repro.simulation.signals import Trace
 
 
@@ -158,6 +160,14 @@ class TestNoiseStream:
 
 
 class TestBatchCaches:
+    """A comparator keeps its batch buffers and code tables only in the
+    process-wide, bounded caches."""
+
+    @pytest.fixture(autouse=True)
+    def _empty(self):
+        workspace._held.cache_clear()
+        _event_codes.cache_clear()
+
     def _edges(self, comp, n, rows=2):
         t = np.linspace(0.0, 1e-3, n)
         v = np.tile(np.sin(2 * np.pi * 4e3 * t), (rows, 1))
@@ -168,34 +178,45 @@ class TestBatchCaches:
         # so alternating sizes (chunk + remainder) recomputed every call.
         comp = Comparator(ComparatorParameters(threshold=0.1))
         self._edges(comp, 500)
-        first = comp._code_cache[500]
+        first = _event_codes(500)
         self._edges(comp, 300)
-        assert set(comp._code_cache) == {500, 300}
+        assert _event_codes.cache_info().currsize == 2
         self._edges(comp, 500)
-        assert comp._code_cache[500] is first  # not recomputed
+        assert _event_codes(500) is first  # not recomputed
+        assert not first[0].flags.writeable
 
     def test_scratch_cache_bounded_lru(self):
         comp = Comparator(ComparatorParameters(threshold=0.1))
-        for n in (400, 500, 600):
+        for n in range(400, 400 + 10 * workspace.SCRATCH_ENTRIES, 10):
             self._edges(comp, n)
-        assert len(comp._batch_scratch) == comp.SCRATCH_CAPACITY == 2
-        # Oldest shape (400) was evicted; most recent two remain.
-        assert set(comp._batch_scratch) == {(2, 500), (2, 600)}
+        assert workspace._held.cache_info().currsize == workspace.SCRATCH_ENTRIES
+        misses = workspace._held.cache_info().misses
+        self._edges(comp, n)  # the newest shape was kept
+        assert workspace._held.cache_info().misses == misses
 
     def test_scratch_reuse_tracks_recency(self):
+        # The comparator asks for five buffers per shape: 400 and 500
+        # fill ten entries, a refreshed 400 becomes the newest, and just
+        # enough new shapes to overflow the bound then evict 500 first.
         comp = Comparator(ComparatorParameters(threshold=0.1))
         self._edges(comp, 400)
         self._edges(comp, 500)
-        self._edges(comp, 400)  # refresh 400 -> 500 is now oldest
-        self._edges(comp, 600)
-        assert set(comp._batch_scratch) == {(2, 400), (2, 600)}
+        self._edges(comp, 400)
+        for n in range(600, 601 + (workspace.SCRATCH_ENTRIES - 10) // 5):
+            self._edges(comp, n)
+        misses = workspace._held.cache_info().misses
+        self._edges(comp, 400)
+        assert workspace._held.cache_info().misses == misses
+        self._edges(comp, 500)
+        assert workspace._held.cache_info().misses > misses
 
     def test_one_row_call_keeps_nothing(self):
         # A scalar measurement is a one-row batch; it must not leave
-        # per-compass scratch or code tables behind.
+        # scratch or code tables behind.
         comp = Comparator(ComparatorParameters(threshold=0.1))
         self._edges(comp, 500, rows=1)
-        assert comp._batch_scratch == {} and comp._code_cache == {}
+        assert workspace._held.cache_info().currsize == 0
+        assert _event_codes.cache_info().currsize == 0
 
 
 def latch_oracle(values, times, params, negate=False):

@@ -412,6 +412,39 @@ class TestEscapeAccounting:
         assert "escaped" in capsys.readouterr().err
 
 
+class TestEnvStage:
+    def test_env_run_builds_only_the_mission_compasses(self, monkeypatch):
+        """The env stage reads its test time from one default compass per
+        process; each run then builds only the mission runner's own."""
+        from repro.core.compass import IntegratedCompass
+        from repro.factory import stages
+        from repro.scenario.dsl import ENV_SCREEN
+        from repro.scenario.runner import CALIBRATION_HEADINGS, ScenarioRunner
+
+        builds = []
+        init = IntegratedCompass.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntegratedCompass, "__init__", counted)
+        ScenarioRunner(ENV_SCREEN).run()
+        mission = len(builds)
+        assert mission > 0
+        stages._measurement_duration.cache_clear()
+        del builds[:]
+        first = stages.run_env((), golden_lot_config())
+        assert len(builds) == mission + 1
+        del builds[:]
+        second = stages.run_env((), golden_lot_config())
+        assert len(builds) == mission
+        assert first == second
+        duration = IntegratedCompass().back_end.controller.measurement_duration()
+        steps = len(CALIBRATION_HEADINGS) + ENV_SCREEN.steps
+        assert first.sim_time_s == steps * duration
+
+
 class TestCLI:
     def test_factory_verb_passes_and_writes_artifacts(self, tmp_path, capsys):
         json_path = tmp_path / "lot.json"

@@ -7,6 +7,7 @@ from repro.analog.excitation import ExcitationSource
 from repro.errors import ConfigurationError
 from repro.sensors.fluxgate import FluxgateSensor
 from repro.sensors.parameters import DISCRETE_MINIATURE, IDEAL_TARGET, MICROMACHINED_KAW95
+from repro.simulation import scratch as workspace
 from repro.simulation.engine import TimeGrid
 from repro.simulation.signals import find_pulses
 from repro.units import EXCITATION_CURRENT_PP
@@ -178,24 +179,39 @@ class TestSimulatedVsAnalyticDuty:
 
 
 class TestBatchScratchBound:
+    """A sensor keeps its batch buffers only in the process-wide, bounded
+    workspace (two buffers per shape)."""
+
+    @pytest.fixture(autouse=True)
+    def _empty(self):
+        workspace._held.cache_clear()
+
     def test_scratch_bounded_lru(self, current):
         sensor = FluxgateSensor(IDEAL_TARGET)
-        for rows in (2, 3, 4):
+        for rows in range(2, 2 + workspace.SCRATCH_ENTRIES):
             sensor.simulate_batch(current, np.zeros(rows))
-        assert len(sensor._batch_scratch) == sensor.SCRATCH_CAPACITY == 2
-        n = current.t.size
-        assert set(sensor._batch_scratch) == {(3, n), (4, n)}
+        assert workspace._held.cache_info().currsize == workspace.SCRATCH_ENTRIES
+        misses = workspace._held.cache_info().misses
+        sensor.simulate_batch(current, np.zeros(rows))  # the newest was kept
+        assert workspace._held.cache_info().misses == misses
 
     def test_one_row_call_keeps_nothing(self, current):
         sensor = FluxgateSensor(IDEAL_TARGET)
         sensor.simulate_batch(current, np.zeros(1))
-        assert sensor._batch_scratch == {}
+        assert workspace._held.cache_info().currsize == 0
 
     def test_scratch_reuse_tracks_recency(self, current):
+        # Two and three rows fill four entries, a refreshed two rows
+        # becomes the newest, and just enough new shapes to overflow the
+        # bound then evict three rows first.
         sensor = FluxgateSensor(IDEAL_TARGET)
         sensor.simulate_batch(current, np.zeros(2))
         sensor.simulate_batch(current, np.zeros(3))
-        sensor.simulate_batch(current, np.zeros(2))  # refresh -> 3 is oldest
-        sensor.simulate_batch(current, np.zeros(4))
-        n = current.t.size
-        assert set(sensor._batch_scratch) == {(2, n), (4, n)}
+        sensor.simulate_batch(current, np.zeros(2))
+        for rows in range(4, 5 + (workspace.SCRATCH_ENTRIES - 4) // 2):
+            sensor.simulate_batch(current, np.zeros(rows))
+        misses = workspace._held.cache_info().misses
+        sensor.simulate_batch(current, np.zeros(2))
+        assert workspace._held.cache_info().misses == misses
+        sensor.simulate_batch(current, np.zeros(3))
+        assert workspace._held.cache_info().misses > misses

@@ -184,6 +184,13 @@ class TestInstrumentedPaths:
         assert iters == {f"{STAGE_CORDIC_ITER}.{i}" for i in range(8)}
         # One vocabulary for both paths: no batch-only channel spans.
         assert {n for n in names if n.startswith("batch.")} <= {STAGE_BATCH}
+        # Exactly the back end's spans say that their durations time
+        # nothing: the datapath ran for every row before they opened.
+        for span in root.walk():
+            backend = span.name == STAGE_BACKEND or span.name.startswith(
+                (STAGE_COUNTER, STAGE_CORDIC)
+            )
+            assert span.attributes.get("retrospective", False) is backend
 
     def test_metrics_counters_nonzero_for_both_paths(self, compass):
         compass.measure_heading(200.0, 50.0e-6)

@@ -61,8 +61,8 @@ class TestTransparency:
         assert m.health is None
 
     def test_dropped_compass_is_freed_without_the_cycle_collector(self):
-        # The supervisor must not keep its compass (and the compass's
-        # scratch buffers) alive in a reference cycle.
+        # The supervisor must not keep its compass (and all the compass
+        # holds) alive in a reference cycle.
         compass = IntegratedCompass()
         compass.measure_heading(45.0)
         alive = weakref.ref(compass)
