@@ -33,14 +33,15 @@ object is ever materialised — and certifies it: the edge times agree
 with the stepped engine to well below one grid tick, and every edge
 close enough to a counter tick for that to matter is resolved to the
 stepped edge exactly, so the counts are the stepped engine's.  It
-*refuses* (returns ``None``) whenever the closed form would not
-reproduce the stepped engine: noise in the budget, a non-tanh core,
-soft-start or nonlinear excitation, an armed fault wrapping a method of
-the signal chain, an external field that pushes a crossing out of the
-guarded validity envelope, or an edge it cannot resolve.  The caller then runs
-the stepped engine, so the fast path never changes *what* is measured —
-only how fast (see ``docs/fastpath.md`` for the error budget and the
-certificate).
+*refuses* whenever the closed form would not reproduce the stepped
+engine: the whole call (``None``) for noise in the budget, a non-tanh
+core, soft-start or nonlinear excitation, an armed fault wrapping a
+method of the signal chain, a device outside the validity envelope, or
+an edge it cannot resolve; a single row (a ``None`` entry) for an
+external field that pushes a crossing out of the guarded ramp.  The
+caller runs the stepped engine on what was refused, so the fast path
+never changes *what* is measured — only how fast (see
+``docs/fastpath.md`` for the error budget and the certificate).
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ TICK_GUARD_S = 100e-12
 #: ``2**-COALESCE_BITS`` — below one ulp of the pulse flank — by the
 #: time the comparator needs the true samples.
 COALESCE_BITS = 60
+
+#: The reason for a refusal by a field/geometry/error-budget check: for
+#: the whole call, or for one row whose crossings leave the guarded ramp.
+VALIDITY_ENVELOPE = "validity-envelope"
 
 
 @dataclass
@@ -416,22 +421,24 @@ def solve_channel_batch(
     grid: TimeGrid,
     lattice: Optional[CountLattice] = None,
     stats: Optional[FastPathStats] = None,
-) -> Optional[List[DetectorOutput]]:
+) -> Optional[List[Optional[DetectorOutput]]]:
     """Closed-form detector outputs for a batch of external fields.
 
-    Returns one :class:`DetectorOutput` per entry of ``h_external`` —
-    equal to the stepped engine's output to well below one grid tick —
-    or ``None`` when *any* entry leaves the validity envelope (the
-    caller falls back to the stepped engine for the whole batch, keeping
-    routing deterministic and trivially diffable).
+    Returns one entry per entry of ``h_external``: the row's
+    :class:`DetectorOutput` — equal to the stepped engine's output to
+    well below one grid tick — or ``None`` for a row whose crossings
+    leave the guarded ramp (``validity-envelope``), which the caller
+    steps.  The whole call is refused (``None``) when a device-level
+    check fails (grid, compliance, level reachability, bandwidth, error
+    budget, both comparators stuck), when no row is left to solve, or
+    when an edge cannot be resolved (``tick-margin``).
 
     With a ``lattice`` the outputs are certified: every edge within
     :data:`TICK_GUARD_S` of a counter tick or of the count-window end
     is replaced by the stepped engine's exact edge time
     (:class:`_ExactWindow`), so the counter reads the stepped engine's
-    counts.  An edge that cannot be resolved refuses the batch
-    (``tick-margin``).  ``stats``, when given, receives the refusal
-    reason for every row, or the number of resolved edges.
+    counts.  ``stats``, when given, receives the refusal reason for
+    every refused row, and the number of resolved edges.
 
     ``ineligibility_reason`` must have returned ``None`` first; this
     function only adds the geometry- and field-dependent checks.
@@ -442,10 +449,15 @@ def solve_channel_batch(
         if stats is not None:
             stats.record_fallback(solved, h.size)
         return None
-    outputs, resolved = solved
+    outputs, resolved, valid = solved
     if stats is not None:
         stats.resolved += resolved
-    return outputs
+    if valid is None:
+        return outputs
+    if stats is not None:
+        stats.record_fallback(VALIDITY_ENVELOPE, h.size - len(outputs))
+    rows = iter(outputs)
+    return [next(rows) if ok else None for ok in valid.tolist()]
 
 
 def _solve(
@@ -456,14 +468,19 @@ def _solve(
     grid: TimeGrid,
     lattice: Optional[CountLattice],
 ) -> Union[tuple, str]:
-    """``(outputs, resolved edge count)``, or the reason for refusing."""
-    envelope = "validity-envelope"
+    """``(outputs, resolved edge count, valid)``, or the reason for refusing.
+
+    ``valid`` is the mask of the rows inside the guarded ramp, or
+    ``None`` when every row is; ``outputs`` holds the valid rows only,
+    in order.  A device-level check, an unresolvable edge or a mask
+    with no row set refuses the whole call.
+    """
     excitation = front_end.excitation
     osc = excitation.oscillator.params
     # The compass builds its grid on the oscillator's own frequency; a
     # grid on any other clock would sample a non-periodic pattern.
     if grid.t_start != 0.0 or grid.frequency_hz != osc.frequency_hz:
-        return envelope
+        return VALIDITY_ENVELOPE
     converter = excitation.converters[channel]
     params = sensor.params
     core_params = sensor.core.params
@@ -476,12 +493,12 @@ def _solve(
         params.series_resistance * abs(gm) * peak_volts
         >= converter.params.compliance_voltage
     ):
-        return envelope
+        return VALIDITY_ENVELOPE
 
     coil = params.excitation_coil_constant
     h_amp = coil * gm * osc.amplitude
     if h_amp <= 0.0:
-        return envelope
+        return VALIDITY_ENVELOPE
     h_offset = coil * gm * osc.residual_offset
 
     period = 1.0 / osc.frequency_hz
@@ -502,14 +519,14 @@ def _solve(
         hk / slew_rise < MIN_BANDWIDTH_RATIO * tau
         or hk / slew_fall < MIN_BANDWIDTH_RATIO * tau
     ):
-        return envelope
+        return VALIDITY_ENVELOPE
 
     detector = front_end.detector
     # With both comparators stuck there is no edge stream at all: the
     # stepped detector raises, so let it.
     stuck = (detector.comparator_positive.stuck, detector.comparator_negative.stuck)
     if all(stuck):
-        return envelope
+        return VALIDITY_ENVELOPE
     pos = detector.comparator_positive.params
     neg = detector.comparator_negative.params
     # The output offset sits on the pulse, so each comparator's levels
@@ -520,7 +537,7 @@ def _solve(
     release_fall = _crossing(neg.release_level + offset, scale * slew_fall, mu_max, hk)
     trip_fall = _crossing(neg.trip_level + offset, scale * slew_fall, mu_max, hk)
     if None in (release_rise, trip_rise, release_fall, trip_fall):
-        return envelope
+        return VALIDITY_ENVELOPE
     h_release_rise, q_rise = release_rise
     h_release_fall, q_fall = release_fall
     h_trip_rise = trip_rise[0]
@@ -529,7 +546,7 @@ def _solve(
         _edge_error_bound(q_rise, slew_rise, hk, grid.dt, alpha),
         _edge_error_bound(q_fall, slew_fall, hk, grid.dt, alpha),
     ) > 0.5 * TICK_GUARD_S:
-        return envelope
+        return VALIDITY_ENVELOPE
     shift_rise = _curvature_shift(var2, slew_rise, hk, q_rise)
     shift_fall = _curvature_shift(var2, slew_fall, hk, q_fall)
 
@@ -544,8 +561,16 @@ def _solve(
         & (h0 >= h_trip_fall - h_amp + guard_fall)
         & (h0 <= h_amp - h_release_fall - guard_fall)
     )
-    if not bool(np.all(valid)):
-        return envelope
+    if not valid.all():
+        # Refuse the call only when no row is left to solve; otherwise
+        # solve the valid rows, and every row index below (the
+        # resolver's included) addresses that subset.
+        if not valid.any():
+            return VALIDITY_ENVELOPE
+        h_external = h_external[valid]
+        h0 = h0[valid]
+    else:
+        valid = None
 
     # Ramp inversion: normalised triangle value at the crossing → time.
     v_set = (h_release_rise - h0) / h_amp
@@ -612,7 +637,7 @@ def _solve(
     for array in (times, values, initial):
         array.flags.writeable = False
     block = EdgeBlock(times, values, initial, window)
-    return block.rows(), resolved
+    return block.rows(), resolved, valid
 
 
 def solve_channel(

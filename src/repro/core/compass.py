@@ -58,9 +58,9 @@ from .heading import HeadingMeasurement
 from .health import HealthConfig, HealthSupervisor
 
 #: A shared solve memo (:meth:`IntegratedCompass.share_solves`): channel
-#: → (the rows' field bytes, the certified detector outputs, the edges
-#: the certificate resolved).
-SolveMemo = Dict[str, Tuple[bytes, Tuple[DetectorOutput, ...], int]]
+#: → (the rows' field bytes, the certified detector outputs with ``None``
+#: for each row the solve refused, the edges the certificate resolved).
+SolveMemo = Dict[str, Tuple[bytes, Tuple[Optional[DetectorOutput], ...], int]]
 
 #: Rows per numpy pass of the stepped chain.  Small chunks keep every
 #: intermediate ``(chunk, n_samples)`` matrix inside the CPU caches (a
@@ -331,18 +331,19 @@ class IntegratedCompass:
     ) -> List[DetectorOutput]:
         """One channel's detector outputs for every row.
 
-        The one routing point: the certified closed-form fast path for
-        the whole channel when it is enabled, no recorder is attached
-        (a recording is always of the stepped chain) and every row is
-        eligible, else the sampled excitation → pickup → comparator
-        chain, :data:`CHUNK_ROWS` rows per numpy pass and bit-identical to
-        :meth:`AnalogFrontEnd.measure_channel` row by row.  ``draws`` is
-        a batch's reserved noise-block base plus the channel offset (row
+        The one routing point: the certified closed-form fast path when
+        it is enabled and no recorder is attached (a recording is always
+        of the stepped chain), else the sampled excitation → pickup →
+        comparator chain, :data:`CHUNK_ROWS` rows per numpy pass and
+        bit-identical to :meth:`AnalogFrontEnd.measure_channel` row by
+        row.  The rows the solve refuses one by one (their crossings
+        leave the guarded ramp) are stepped together and merged back in
+        order; a solve refused whole steps every row.  ``draws`` is a
+        batch's reserved noise-block base plus the channel offset (row
         ``i`` draws ``draws + 2·i``), or ``None`` to draw as the
         amplifier runs.
         """
         front_end = self.front_end
-        amplifier = front_end.amplifier
         observer = self.observer
         rows = int(h.size)
         front_end.excitation.select_channel(channel)
@@ -350,69 +351,99 @@ class IntegratedCompass:
         with observer.span(
             f"{STAGE_CHANNEL}.{channel}", channel=channel, rows=rows
         ) as channel_span:
+            solved = None
             if front_end.config.fastpath and observer.recorder is None:
                 solved = self._closed_form_rows(sensor, channel, h, grid)
-                if solved is not None:
-                    channel_span.set(fastpath=True)
-                    return solved
+            if solved is None:
+                return self._stepped_rows(sensor, channel, h, grid, draws, cache, path)
+            channel_span.set(fastpath=True)
+            refused = [row for row, output in enumerate(solved) if output is None]
+            if refused:
+                # A noisy budget never reaches the solver, so the refused
+                # rows draw no noise and ``draws`` is never read.
+                stepped = self._stepped_rows(
+                    sensor, channel, h[refused], grid, draws, cache, path
+                )
+                for row, output in zip(refused, stepped):
+                    solved[row] = output
+            return solved
 
-            load = sensor.params.series_resistance
-            with observer.span(STAGE_EXCITATION, channel=channel) as span:
-                trace = cache.entry(
-                    front_end.excitation,
-                    grid,
-                    channel,
-                    load,
-                    observer.metrics,
-                    front_end.armed_faults,
-                )
-                current = trace.current
-                span.set(
-                    samples=len(current),
-                    frequency_hz=front_end.excitation.oscillator.params.frequency_hz,
-                )
-            noisy = not amplifier.budget.is_noiseless
-            outputs: List[DetectorOutput] = []
-            for start in range(0, rows, CHUNK_ROWS):
-                chunk = h[start : start + CHUNK_ROWS]
-                with observer.span(STAGE_PICKUP, channel=channel, rows=int(chunk.size)):
-                    pickup = sensor.simulate_batch(current, chunk, trace.gradient)
-                    indices = None
-                    if noisy:
-                        indices = (
-                            [amplifier.consume_noise_draws(1)]
-                            if draws is None
-                            else [draws + 2 * (start + i) for i in range(chunk.size)]
-                        )
-                    amplified = amplifier.amplify_batch(
-                        pickup, current.sample_rate, indices
+    def _stepped_rows(
+        self,
+        sensor: FluxgateSensor,
+        channel: str,
+        h: np.ndarray,
+        grid: TimeGrid,
+        draws: Optional[int],
+        cache: ExcitationTraceCache,
+        path: str,
+    ) -> List[DetectorOutput]:
+        """The stepped chain's detector outputs for the fields ``h``,
+        :data:`CHUNK_ROWS` rows per numpy pass (``draws`` as for
+        :meth:`_channel_rows`)."""
+        front_end = self.front_end
+        amplifier = front_end.amplifier
+        observer = self.observer
+        load = sensor.params.series_resistance
+        with observer.span(STAGE_EXCITATION, channel=channel) as span:
+            trace = cache.entry(
+                front_end.excitation,
+                grid,
+                channel,
+                load,
+                observer.metrics,
+                front_end.armed_faults,
+            )
+            current = trace.current
+            span.set(
+                samples=len(current),
+                frequency_hz=front_end.excitation.oscillator.params.frequency_hz,
+            )
+        noisy = not amplifier.budget.is_noiseless
+        outputs: List[DetectorOutput] = []
+        for start in range(0, int(h.size), CHUNK_ROWS):
+            chunk = h[start : start + CHUNK_ROWS]
+            with observer.span(STAGE_PICKUP, channel=channel, rows=int(chunk.size)):
+                pickup = sensor.simulate_batch(current, chunk, trace.gradient)
+                indices = None
+                if noisy:
+                    indices = (
+                        [amplifier.consume_noise_draws(1)]
+                        if draws is None
+                        else [draws + 2 * (start + i) for i in range(chunk.size)]
                     )
-                with observer.span(STAGE_COMPARATOR, channel=channel) as span:
-                    detected = front_end.detector.detect_batch(amplified, current.t)
-                    span.set(edges=sum(d.edge_count for d in detected))
-                outputs.extend(detected)
-                if observer.metrics is not None and path != "scalar":
-                    observer.metrics.counter(
-                        M_BATCH_CHUNKS,
-                        "vectorized chunks processed, by channel",
-                        ("channel",),
-                    ).inc(channel=channel)
+                amplified = amplifier.amplify_batch(
+                    pickup, current.sample_rate, indices
+                )
+            with observer.span(STAGE_COMPARATOR, channel=channel) as span:
+                detected = front_end.detector.detect_batch(amplified, current.t)
+                span.set(edges=sum(d.edge_count for d in detected))
+            outputs.extend(detected)
+            if observer.metrics is not None and path != "scalar":
+                observer.metrics.counter(
+                    M_BATCH_CHUNKS,
+                    "vectorized chunks processed, by channel",
+                    ("channel",),
+                ).inc(channel=channel)
         return outputs
 
     def _closed_form_rows(
         self, sensor: FluxgateSensor, channel: str, h: np.ndarray, grid: TimeGrid
-    ) -> Optional[List[DetectorOutput]]:
+    ) -> Optional[List[Optional[DetectorOutput]]]:
         """The fast path's certified outputs for one channel, or ``None``.
 
-        Every row is accounted in ``front_end.fastpath_stats``: used, or
-        fallen back under its reason.  The certificate's lattice is the
-        counter's: ticks from the count-window start, to its end.
+        A ``None`` entry is a row the solve refused alone
+        (``validity-envelope``) for the caller to step.  Every row is
+        accounted in ``front_end.fastpath_stats``: used, or fallen back
+        under its reason.  The certificate's lattice is the counter's:
+        ticks from the count-window start, to its end.
 
         With a shared memo (:meth:`share_solves`) and no fault armed, a
         solve of the same channel and the same field rows is reused —
-        the same read-only block and its resolved-edge count, accounted
-        as if solved here — and a fresh solve is stored.  The ``fastpath``
-        span says which (``shared``).
+        the same read-only block, refused rows and resolved-edge count,
+        accounted as if solved here — and a fresh solve is stored.  The
+        ``fastpath`` span says which (``shared``) and how many rows were
+        refused (``refused``).
         """
         front_end = self.front_end
         stats = front_end.fastpath_stats
@@ -426,7 +457,7 @@ class IntegratedCompass:
         key = None if memo is None else h.tobytes()
         entry = None if memo is None else memo.get(channel)
         shared = entry is not None and entry[0] == key
-        solved: Optional[List[DetectorOutput]]
+        solved: Optional[List[Optional[DetectorOutput]]]
         with self.observer.span(STAGE_FASTPATH, channel=channel) as span:
             if shared:
                 _, outputs, resolved = entry
@@ -443,9 +474,18 @@ class IntegratedCompass:
                 resolved = stats.resolved - resolved
                 if solved is not None and memo is not None:
                     memo[channel] = (key, tuple(solved), resolved)
-            span.set(solved=solved is not None, resolved=resolved, shared=shared)
+            refused = rows if solved is None else solved.count(None)
+            if shared and refused:
+                # A solve recorded these in solve_channel_batch.
+                stats.record_fallback(fastpath.VALIDITY_ENVELOPE, refused)
+            span.set(
+                solved=solved is not None,
+                resolved=resolved,
+                shared=shared,
+                refused=refused,
+            )
         if solved is not None:
-            stats.record_use(rows)
+            stats.record_use(rows - refused)
         return solved
 
     def _single_axis_fallback(

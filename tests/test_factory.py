@@ -258,6 +258,40 @@ class TestGoldenLot:
             "oracle": 8,
         }
 
+    def test_fast_path_routes_per_channel_row(self, monkeypatch):
+        """The golden lot's channel-rows by fast-path outcome.
+
+        A call that mixes rows inside and outside the guarded ramp steps
+        only the outside ones: the 20 left are the BIST's one-row
+        refusals (8) and the out-of-ramp rows of the
+        ``sensor.saturation_loss`` 0.2 calibration sweep (4) and oracle
+        sweep (8).
+        """
+        from repro.analog import fastpath
+        from repro.scenario import compensation
+
+        # The env screen's thermal fit is cached per process: start
+        # without it, as a fresh process does.
+        monkeypatch.setattr(compensation, "_THERMAL_CACHE", {})
+        rows = collections.Counter()
+        record_use = fastpath.FastPathStats.record_use
+        record_fallback = fastpath.FastPathStats.record_fallback
+
+        def counted_use(stats, n=1):
+            rows["used"] += n
+            record_use(stats, n)
+
+        def counted_fallback(stats, reason, n=1):
+            rows[reason] += n
+            record_fallback(stats, reason, n)
+
+        monkeypatch.setattr(fastpath.FastPathStats, "record_use", counted_use)
+        monkeypatch.setattr(
+            fastpath.FastPathStats, "record_fallback", counted_fallback
+        )
+        FactoryLine(golden_lot_config()).run()
+        assert rows == {"used": 928, "validity-envelope": 20}
+
     def test_replay_seam_audits_the_calibration_logs(self, golden_report):
         """The record/replay contract on the factory's calibration stage.
 

@@ -161,14 +161,27 @@ class TestClosedFormEdges:
                 (e.time, e.value) for e in single.edges
             ]
 
-    def test_batch_refuses_whole_batch_on_one_bad_row(
-        self, front_end, sensor, grid
-    ):
+    def test_batch_refuses_only_the_bad_row(self, front_end, sensor, grid):
         fields = np.array([0.0, 25.0, 60.0])  # last row out of envelope
+        stats = fastpath.FastPathStats()
+        batch = fastpath.solve_channel_batch(
+            front_end, sensor, "x", fields, grid, stats=stats
+        )
+        assert len(batch) == fields.size and batch[2] is None
+        for h, row in zip(fields[:2], batch):
+            assert row == fastpath.solve_channel(front_end, sensor, "x", h, grid)
+        assert stats.fallbacks == {"validity-envelope": 1}
+
+    def test_batch_of_bad_rows_is_refused_whole(self, front_end, sensor, grid):
+        stats = fastpath.FastPathStats()
+        fields = np.array([60.0, -60.0])
         assert (
-            fastpath.solve_channel_batch(front_end, sensor, "x", fields, grid)
+            fastpath.solve_channel_batch(
+                front_end, sensor, "x", fields, grid, stats=stats
+            )
             is None
         )
+        assert stats.fallbacks == {"validity-envelope": 2}
 
 
 class TestCertificate:

@@ -280,6 +280,89 @@ class TestValueFaultProperty:
         assert solved[0] == stepped
 
 
+#: Axis fields of one row of a mixed call: inside the guarded ramp, or
+#: past its ±52 A/m edge, where the solve refuses the row alone.
+mixed_axis_fields = st.one_of(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=53.0, max_value=70.0),
+    st.floats(min_value=-70.0, max_value=-53.0),
+)
+mixed_rows = st.lists(
+    st.tuples(mixed_axis_fields, mixed_axis_fields), min_size=2, max_size=6
+)
+fault_values = st.one_of(
+    st.just(((), 0.0, False)),
+    st.tuples(pickup_scale_lists, output_offsets, st.booleans()),
+)
+
+
+def served_rows(compass: IntegratedCompass, rows):
+    """Every row of one batch call, or the typed error the call raised."""
+    h_x, h_y = (np.array(axis, dtype=float) for axis in zip(*rows))
+    try:
+        measurements = compass._measure_rows(h_x, h_y, "batch")
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return [
+        (m.x_count, m.y_count, m.heading_deg, m.field_estimate_a_per_m, m.health)
+        for m in measurements
+    ]
+
+
+class TestMixedCallProperty:
+    """A call that mixes rows inside and outside the guarded ramp: the
+    solve keeps its valid rows, the compass steps the refused ones as
+    one chunk, and the merge keeps the call's row order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=mixed_rows, faults=fault_values)
+    @example(rows=[(60.0, 0.0), (-26.88036490132368, -12.07800985652365)],
+             faults=((), 0.0, False))
+    @example(rows=[(10.0, -60.0), (-60.0, 10.0), (-7.371475062976813, 55.0)],
+             faults=([0.7, 0.98], 5e-4, True))
+    def test_mixed_call_equals_stepped_row_by_row(self, rows, faults):
+        fast = engine(CompassConfig(), fast=True)
+        stepped = engine(CompassConfig(), fast=False)
+        with value_faults(fast, *faults):
+            a = served_rows(fast, rows)
+        with value_faults(stepped, *faults):
+            b = served_rows(stepped, rows)
+        assert a == b
+        stats = fast.front_end.fastpath_stats
+        assert stats.used + stats.fallback_total == stats.attempted
+        assert "armed-fault" not in stats.fallbacks
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=mixed_rows, faults=fault_values)
+    @example(rows=[(60.0, 0.0), (-26.88036490132368, 0.0), (10.0, 0.0)],
+             faults=((), 0.0, False))
+    def test_every_solved_row_is_its_one_row_solve(self, rows, faults):
+        compass = engine(CompassConfig(), True)
+        front_end, sensor = compass.front_end, compass.sensors.sensor_x
+        grid = compass._channel_grid()
+        tick = compass.back_end.counter.config.tick
+        lattice = fastpath.CountLattice(*compass._count_window(grid), tick)
+        front_end.excitation.select_channel("x")
+        h = np.array([h_x for h_x, _ in rows])
+
+        def solve(fields):
+            return fastpath.solve_channel_batch(
+                front_end, sensor, "x", fields, grid, lattice
+            )
+
+        # A guard of one whole tick sends every edge through the exact
+        # resolver, which must address the solved rows.
+        with value_faults(compass, *faults), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastpath, "TICK_GUARD_S", tick)
+            batch = solve(h)
+            alone = [solve(h[row:row + 1]) for row in range(h.size)]
+        alone = [None if one is None else one[0] for one in alone]
+        if batch is None:
+            assert alone == [None] * h.size
+        else:
+            assert batch == alone
+
+
 @pytest.mark.parametrize("name,severity", MEASUREMENT_FAULTS)
 def test_registered_fault_measures_as_stepped(name, severity):
     """Every registered measurement fault on 8 golden vectors: the default

@@ -179,6 +179,27 @@ class TestSharing:
         assert len(solves) == sum(s.attempted for s in stats) > 6
         assert not any(s.attributes["shared"] for s in _fastpath_spans(service))
 
+    def test_a_mixed_scene_solves_each_channel_once(self, solves):
+        # At 70 µT heading 0 puts x, and heading 90 puts y, past the
+        # guarded ramp: each channel's call refuses one of its three rows.
+        service, _ = services()
+        scene = BatchScene.from_headings(
+            service.replicas[0].compass.sensors, [0.0, 45.0, 90.0], 70e-6
+        )
+        service.measure_scene(scene)
+        assert solves == ["x", "y"]
+        for replica in service.replicas:
+            stats = replica.compass.front_end.fastpath_stats
+            assert stats.used == 4
+            assert stats.fallbacks == {"validity-envelope": 2}
+        spans = _fastpath_spans(service)
+        assert [s.attributes["shared"] for s in spans] == [
+            False, False, True, True, True, True,
+        ]
+        assert [s.attributes["refused"] for s in spans] == [1] * 6
+        memo = service.replicas[0].compass._shared_solves
+        assert [outputs.count(None) for _, outputs, _ in memo.values()] == [1, 1]
+
     def test_shared_blocks_are_read_only(self):
         service, _ = services()
         service.measure_heading(123.4)
