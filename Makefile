@@ -104,12 +104,15 @@ replay:
 # exact conformance suites (default compass == the stepped pin, counts,
 # heading, field and health, on the golden vectors, Hypothesis draws
 # and every registered measurement fault), the armed-record routing, the
-# shared solve memo and the mixed-origin assembly that partial solves
-# feed, slow tests included, the sweep with its fastpath line, then
-# BENCH_fastpath.json with the >=20x gate.  Recordings are stepped: `make replay` covers them.
+# comparator and front-end suites, the shared solve memo and the
+# mixed-origin assembly that partial solves feed, slow tests included
+# (the suites of the CI fastpath-conformance job), the sweep with its
+# fastpath line, then BENCH_fastpath.json with the >=20x gate.
+# Recordings are stepped: `make replay` covers them.
 fastpath:
 	PYTHONPATH=src pytest tests/test_fastpath.py tests/test_property_fastpath.py \
-		tests/test_armed_record.py tests/test_shared_solve.py tests/test_assembly.py \
+		tests/test_armed_record.py tests/test_comparator.py \
+		tests/test_frontend.py tests/test_shared_solve.py tests/test_assembly.py \
 		-m "slow or not slow" -q
 	PYTHONPATH=src python -m repro sweep --points 24
 	PYTHONPATH=src pytest benchmarks/bench_fastpath.py --benchmark-only -s

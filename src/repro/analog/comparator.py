@@ -362,7 +362,9 @@ class PickupAmplifier:
         would have made (it does **not** advance the stream — the caller
         accounts for the block with :meth:`consume_noise_draws`).  Ignored
         for a noiseless budget.  A non-zero :attr:`output_offset` is added
-        after the gain.
+        after the gain.  A noisy budget sums pickup and noise in a
+        :func:`~repro.simulation.scratch.scratch` buffer that the filter
+        (or the gain) consumes into a fresh result.
         """
         if values.ndim != 2:
             raise ConfigurationError("amplify_batch needs an (N, n_samples) matrix")
@@ -371,7 +373,7 @@ class PickupAmplifier:
                 raise ConfigurationError(
                     "amplify_batch needs one noise draw index per row"
                 )
-            noisy = np.empty_like(values, dtype=float)
+            noisy = scratch("amplifier.noisy", values.shape)
             for row, index in enumerate(draw_indices):
                 noisy[row] = values[row] + self.noise_realization(
                     values.shape[1], sample_rate, index

@@ -32,7 +32,13 @@ health review consume, one :class:`~repro.analog.pulse_detector
 object is ever materialised — and certifies it: the edge times agree
 with the stepped engine to well below one grid tick, and every edge
 close enough to a counter tick for that to matter is resolved to the
-stepped edge exactly, so the counts are the stepped engine's.  It
+stepped edge exactly, so the counts are the stepped engine's.
+Everything that does not depend on the fields — the device-level
+checks, the crossings and every constant the rows share — is the
+channel's device certificate (:func:`_certify`), which the front end
+keeps per channel and recomputes only when a value it read changes
+(:func:`_device_key`).  A one-row call solves in Python floats
+(:func:`_solve_row`); more rows solve as arrays.  It
 *refuses* whenever the closed form would not reproduce the stepped
 engine: the whole call (``None``) for noise in the budget, a non-tanh
 core, soft-start or nonlinear excitation, an armed fault wrapping a
@@ -49,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -161,6 +167,21 @@ class CountLattice(NamedTuple):
         ticks -= np.rint(ticks)
         near = np.abs(ticks, out=ticks) < TICK_GUARD_S / self.tick
         near |= np.abs(times - self.end) < TICK_GUARD_S
+        return near
+
+    def near_row(self, times: List[float]) -> List[bool]:
+        """:meth:`near` of one row of Python floats, element by element in
+        the same arithmetic (``round`` rounds half to even like
+        ``np.rint``)."""
+        origin, end, tick = self
+        guard = TICK_GUARD_S
+        tick_guard = guard / tick
+        near = []
+        for time in times:
+            ticks = (time - origin) / tick - 1e-12
+            near.append(
+                abs(ticks - round(ticks)) < tick_guard or abs(time - end) < guard
+            )
         return near
 
 
@@ -381,12 +402,12 @@ class _ExactWindow:
 
 
 @functools.lru_cache(maxsize=8)
-def _latch_values(n_periods: int) -> np.ndarray:
-    """The latch values every solved row shares, as one read-only
-    :class:`EdgeBlock` row: set, reset, ... once per period."""
-    values = np.tile(np.array([1, 0], dtype=np.int8), n_periods)[None, :]
-    values.flags.writeable = False
-    return values
+def _int8_constant(values: tuple) -> np.ndarray:
+    """A shared read-only int8 array of ``values`` (nested tuples): the
+    latch values and initial states of solved blocks."""
+    array = np.array(values, dtype=np.int8)
+    array.flags.writeable = False
+    return array
 
 
 def _edge_error_bound(
@@ -460,20 +481,99 @@ def solve_channel_batch(
     return [next(rows) if ok else None for ok in valid.tolist()]
 
 
-def _solve(
-    front_end,
-    sensor,
-    channel: str,
-    h_external: np.ndarray,
-    grid: TimeGrid,
-    lattice: Optional[CountLattice],
-) -> Union[tuple, str]:
-    """``(outputs, resolved edge count, valid)``, or the reason for refusing.
+class _Certificate(NamedTuple):
+    """What one device state fixes for every row of a channel call: the
+    device-level checks passed, and these constants (:func:`_certify`)."""
 
-    ``valid`` is the mask of the rows inside the guarded ramp, or
-    ``None`` when every row is; ``outputs`` holds the valid rows only,
-    in order.  A device-level check, an unresolvable edge or a mask
-    with no row set refuses the whole call.
+    h_offset: float
+    h_amp: float
+    #: The guarded ramp as bounds on ``H0``: both crossings of both ramps
+    #: sit inside it exactly when ``lower <= H0 <= upper``.
+    lower: float
+    upper: float
+    h_release_rise: float
+    h_release_fall: float
+    rise: float
+    period: float
+    #: ``0.5·rise·period``: the set phase per unit of ``v_set + 1``.
+    set_span: float
+    #: ``delay + curvature shift + comparator delay`` of each edge kind.
+    set_constant: float
+    reset_constant: float
+    #: ``k·period`` for every period.
+    starts: List[float]
+    #: A comparator is stuck: each row keeps only column ``skip``.
+    stuck: bool
+    skip: int
+    #: The latch values every row shares, the ``initial`` of a one-row
+    #: block (both read-only and shared), and the gate window.
+    values: np.ndarray
+    initial: np.ndarray
+    window: Tuple[float, float]
+    #: The resolver's filter pole and state bound ``M``, and each edge
+    #: kind's pulse-centre-to-edge samples.
+    alpha: Optional[float]
+    bound: float
+    leads: Tuple[int, int]
+
+
+def _device_key(front_end, sensor, channel: str, grid: TimeGrid) -> tuple:
+    """Every value :func:`_certify` reads, compared by value: the grid,
+    the oscillator, the channel's converter, the sensor and its core,
+    the amplifier, both comparators and the module constants."""
+    excitation = front_end.excitation
+    amplifier = front_end.amplifier
+    positive = front_end.detector.comparator_positive
+    negative = front_end.detector.comparator_negative
+    return (
+        grid.n_periods,
+        grid.samples_per_period,
+        grid.frequency_hz,
+        grid.t_start,
+        excitation.oscillator.params,
+        excitation.converters[channel].params,
+        sensor.params,
+        sensor.core.params,
+        sensor.pickup_scales,
+        amplifier.gain,
+        amplifier.bandwidth_hz,
+        amplifier.output_offset,
+        positive.params,
+        positive.stuck,
+        negative.params,
+        negative.stuck,
+        PEAK_MARGIN,
+        GUARD_FILTER_TAUS,
+        GUARD_GRID_SAMPLES,
+        MIN_BANDWIDTH_RATIO,
+        TICK_GUARD_S,
+    )
+
+
+def _certificate(
+    front_end, sensor, channel: str, grid: TimeGrid
+) -> Union[_Certificate, str]:
+    """The channel's certificate or refusal reason, computed once per
+    device state: the front end keeps one per channel with the
+    :func:`_device_key` it was computed from, and reuses it while the
+    key compares equal."""
+    key = _device_key(front_end, sensor, channel, grid)
+    held = front_end.fastpath_certificates.get(channel)
+    if held is not None and held[0] == key:
+        return held[1]
+    certificate = _certify(front_end, sensor, channel, grid)
+    front_end.fastpath_certificates[channel] = (key, certificate)
+    return certificate
+
+
+def _certify(
+    front_end, sensor, channel: str, grid: TimeGrid
+) -> Union[_Certificate, str]:
+    """The device-level checks, and the constants of every row's solve.
+
+    Refuses (``validity-envelope``) on the grid, compliance, bandwidth,
+    level-reachability and error-budget checks and when both comparators
+    are stuck.  Reads nothing but what :func:`_device_key` holds.
     """
     excitation = front_end.excitation
     osc = excitation.oscillator.params
@@ -513,8 +613,9 @@ def _solve(
     pickup_gain = math.prod(sensor.pickup_scales)
     scale = amplifier.gain * params.pickup_turns * params.core_area * pickup_gain
     # The stepped filter's sample rate: Trace.sample_rate on this grid.
-    alpha = amplifier.pole(1.0 / grid.dt)
-    delay, tau, var2 = _filter_delay_tau_var2(alpha, amplifier.bandwidth_hz, grid.dt)
+    dt = grid.dt
+    alpha = amplifier.pole(1.0 / dt)
+    delay, tau, var2 = _filter_delay_tau_var2(alpha, amplifier.bandwidth_hz, dt)
     if tau > 0.0 and (
         hk / slew_rise < MIN_BANDWIDTH_RATIO * tau
         or hk / slew_fall < MIN_BANDWIDTH_RATIO * tau
@@ -543,24 +644,86 @@ def _solve(
     h_trip_rise = trip_rise[0]
     h_trip_fall = trip_fall[0]
     if max(
-        _edge_error_bound(q_rise, slew_rise, hk, grid.dt, alpha),
-        _edge_error_bound(q_fall, slew_fall, hk, grid.dt, alpha),
+        _edge_error_bound(q_rise, slew_rise, hk, dt, alpha),
+        _edge_error_bound(q_fall, slew_fall, hk, dt, alpha),
     ) > 0.5 * TICK_GUARD_S:
         return VALIDITY_ENVELOPE
     shift_rise = _curvature_shift(var2, slew_rise, hk, q_rise)
     shift_fall = _curvature_shift(var2, slew_fall, hk, q_fall)
 
-    guard_rise = (GUARD_FILTER_TAUS * tau + GUARD_GRID_SAMPLES * grid.dt) * slew_rise
-    guard_fall = (GUARD_FILTER_TAUS * tau + GUARD_GRID_SAMPLES * grid.dt) * slew_fall
-    h0 = h_external + h_offset
-    # Both crossings of both ramps must sit strictly inside the guarded
-    # ramp: trip after the corner, release before the apex.
-    valid = (
-        (h0 <= h_amp - h_trip_rise - guard_rise)
-        & (h0 >= h_release_rise - h_amp + guard_rise)
-        & (h0 >= h_trip_fall - h_amp + guard_fall)
-        & (h0 <= h_amp - h_release_fall - guard_fall)
+    guard_rise = (GUARD_FILTER_TAUS * tau + GUARD_GRID_SAMPLES * dt) * slew_rise
+    guard_fall = (GUARD_FILTER_TAUS * tau + GUARD_GRID_SAMPLES * dt) * slew_fall
+    # A stuck comparator's edge stream is empty, so the SR latch keeps
+    # the other stream's first edge only, holding the opposite value
+    # before it (``PulsePositionDetector._latch``).  ``skip`` is the
+    # column of that edge, and the parity of each kept column's kind.
+    skip = 1 if stuck[0] else 0
+    if any(stuck):
+        values = _int8_constant(((1 - skip,),))
+    else:
+        values = _int8_constant(((1, 0) * grid.n_periods,))
+    # The filter state never exceeds the pickup's peak N_p·A·µmax·s
+    # times the pickup scales (a convex average of it); twice that is M.
+    bound = 2.0 * params.pickup_turns * params.core_area * mu_max * max(
+        slew_rise, slew_fall
+    ) * pickup_gain
+    return _Certificate(
+        h_offset=h_offset,
+        h_amp=h_amp,
+        # Trip after the corner and release before the apex, both ramps.
+        lower=max(h_release_rise - h_amp + guard_rise, h_trip_fall - h_amp + guard_fall),
+        upper=min(h_amp - h_trip_rise - guard_rise, h_amp - h_release_fall - guard_fall),
+        h_release_rise=h_release_rise,
+        h_release_fall=h_release_fall,
+        rise=rise,
+        period=period,
+        set_span=0.5 * rise * period,
+        set_constant=delay + shift_rise + pos.delay,
+        reset_constant=delay + shift_fall + neg.delay,
+        starts=[k * period for k in range(grid.n_periods)],
+        stuck=any(stuck),
+        skip=skip,
+        values=values,
+        initial=_int8_constant((skip,)),
+        window=(grid.t_start, grid.t_start + float(grid.n_samples - 1) * dt),
+        alpha=alpha,
+        bound=bound,
+        leads=(
+            round(h_release_rise / (slew_rise * dt)),
+            round(h_release_fall / (slew_fall * dt)),
+        ),
     )
+
+
+def _solve(
+    front_end,
+    sensor,
+    channel: str,
+    h_external: np.ndarray,
+    grid: TimeGrid,
+    lattice: Optional[CountLattice],
+) -> Union[tuple, str]:
+    """``(outputs, resolved edge count, valid)``, or the reason for refusing.
+
+    ``valid`` is the mask of the rows inside the guarded ramp, or
+    ``None`` when every row is; ``outputs`` holds the valid rows only,
+    in order.  A device-level check (the channel's certificate, kept
+    per device state), an unresolvable edge or a mask with no row set
+    refuses the whole call.  A one-row call solves in Python floats
+    (:func:`_solve_row`); more rows solve as arrays.  Both evaluate
+    each edge as ``(k·period + phase) + constant``, in the same order.
+    """
+    certificate = _certificate(front_end, sensor, channel, grid)
+    if isinstance(certificate, str):
+        return certificate
+    if h_external.size == 1:
+        return _solve_row(
+            front_end, sensor, channel, h_external.item(), grid, lattice,
+            certificate,
+        )
+    c = certificate
+    h0 = h_external + c.h_offset
+    valid = (h0 >= c.lower) & (h0 <= c.upper)
     if not valid.all():
         # Refuse the call only when no row is left to solve; otherwise
         # solve the valid rows, and every row index below (the
@@ -573,71 +736,111 @@ def _solve(
         valid = None
 
     # Ramp inversion: normalised triangle value at the crossing → time.
-    v_set = (h_release_rise - h0) / h_amp
-    v_reset = (-h_release_fall - h0) / h_amp
-    periods = np.arange(grid.n_periods, dtype=float) * period
-    t_set = (
-        periods[None, :]
-        + (v_set[:, None] + 1.0) * (0.5 * rise * period)
-        + (delay + shift_rise + pos.delay)
-    )
-    t_reset = (
-        periods[None, :]
-        + (rise + (1.0 - v_reset[:, None]) * 0.5 * (1.0 - rise)) * period
-        + (delay + shift_fall + neg.delay)
-    )
+    v_set = (c.h_release_rise - h0) / c.h_amp
+    v_reset = (-c.h_release_fall - h0) / c.h_amp
     # Interleaved (set, reset) pairs: each row's edges in time order.
+    starts = np.array(c.starts)
     times = np.empty((h0.size, 2 * grid.n_periods))
-    times[:, 0::2] = t_set
-    times[:, 1::2] = t_reset
-    values = _latch_values(grid.n_periods)
-    initial = np.zeros(h0.size, dtype=np.int8)
-    # A stuck comparator's edge stream is empty, so the SR latch keeps
-    # the other stream's first edge only, holding the opposite value
-    # before it (``PulsePositionDetector._latch``).  ``skip`` is the
-    # column of that edge, and the parity of each kept column's kind.
-    skip = 1 if stuck[0] else 0
-    if any(stuck):
-        times = times[:, skip:skip + 1].copy()
-        values = np.array([[1 - skip]], dtype=np.int8)
-        initial += skip
+    times[:, 0::2] = starts + (v_set[:, None] + 1.0) * c.set_span + c.set_constant
+    times[:, 1::2] = (
+        starts
+        + (c.rise + (1.0 - v_reset[:, None]) * 0.5 * (1.0 - c.rise)) * c.period
+        + c.reset_constant
+    )
+    initial = np.full(h0.size, c.skip, dtype=np.int8)
+    if c.stuck:
+        times = times[:, c.skip:c.skip + 1].copy()
 
     resolved = 0
     if lattice is not None:
         near = lattice.near(times)
         if near.any():
             rows, cols = np.nonzero(near)
-            # The filter state never exceeds the pickup's peak
-            # N_p·A·µmax·s times the pickup scales (a convex average of
-            # it); twice that is M.
-            bound = 2.0 * params.pickup_turns * params.core_area * mu_max * max(
-                slew_rise, slew_fall
-            ) * pickup_gain
-            resolver = _ExactWindow(front_end, sensor, channel, grid, alpha, bound)
-            # (comparator, negate, centre-to-edge samples) per edge kind.
-            kinds = (
-                (detector.comparator_positive, False,
-                 round(h_release_rise / (slew_rise * grid.dt))),
-                (detector.comparator_negative, True,
-                 round(h_release_fall / (slew_fall * grid.dt))),
-            )
-            for row, col in zip(rows.tolist(), cols.tolist()):
-                comparator, negate, lead = kinds[(col + skip) % 2]
-                exact = resolver.release_time(
-                    comparator, negate, float(h_external[row]),
-                    float(times[row, col]), lead,
-                )
-                if exact is None:
-                    return "tick-margin"
-                times[row, col] = exact
+            exact = _resolve(front_end, sensor, channel, grid, c, zip(
+                h_external[rows].tolist(), times[rows, cols].tolist(), cols.tolist()
+            ))
+            if exact is None:
+                return "tick-margin"
+            times[rows, cols] = exact
             resolved = rows.size
 
-    window = (grid.t_start, grid.t_start + float(grid.n_samples - 1) * grid.dt)
     # Read-only: compasses sharing one solve share the block.
-    for array in (times, values, initial):
-        array.flags.writeable = False
-    block = EdgeBlock(times, values, initial, window)
+    times.flags.writeable = False
+    initial.flags.writeable = False
+    block = EdgeBlock(times, c.values, initial, c.window)
     return block.rows(), resolved, valid
+
+
+def _resolve(
+    front_end, sensor, channel: str, grid: TimeGrid, c: _Certificate, edges
+) -> Optional[List[float]]:
+    """The stepped engine's time of each ``(h, closed-form time, column)``
+    edge in ``edges``, or ``None`` as soon as one cannot be resolved.
+    A column's parity, shifted by the certificate's ``skip``, says which
+    comparator released it."""
+    resolver = _ExactWindow(front_end, sensor, channel, grid, c.alpha, c.bound)
+    detector = front_end.detector
+    comparators = (detector.comparator_positive, detector.comparator_negative)
+    exact = []
+    for h, time, col in edges:
+        kind = (col + c.skip) % 2
+        stepped = resolver.release_time(
+            comparators[kind], kind == 1, h, time, c.leads[kind]
+        )
+        if stepped is None:
+            return None
+        exact.append(stepped)
+    return exact
+
+
+def _solve_row(
+    front_end,
+    sensor,
+    channel: str,
+    h: float,
+    grid: TimeGrid,
+    lattice: Optional[CountLattice],
+    c: _Certificate,
+) -> Union[tuple, str]:
+    """:func:`_solve` of one row, in Python floats.
+
+    For one row numpy's per-call overhead costs more than the whole
+    solve, so each step is the array lane's arithmetic on floats: the
+    ramp bounds, then every edge as ``(k·period + phase) + constant``,
+    then the lattice guard (:meth:`CountLattice.near_row`) and the
+    resolver; the edges become an array only for the block.
+    """
+    h0 = h + c.h_offset
+    if not (h0 >= c.lower and h0 <= c.upper):
+        return VALIDITY_ENVELOPE
+    set_phase = ((c.h_release_rise - h0) / c.h_amp + 1.0) * c.set_span
+    v_reset = (-c.h_release_fall - h0) / c.h_amp
+    reset_phase = (c.rise + (1.0 - v_reset) * 0.5 * (1.0 - c.rise)) * c.period
+    set_constant, reset_constant = c.set_constant, c.reset_constant
+    times = []
+    for start in c.starts:
+        times.append((start + set_phase) + set_constant)
+        times.append((start + reset_phase) + reset_constant)
+    if c.stuck:
+        times = times[c.skip:c.skip + 1]
+
+    resolved = 0
+    if lattice is not None:
+        cols = [col for col, near in enumerate(lattice.near_row(times)) if near]
+        if cols:
+            exact = _resolve(front_end, sensor, channel, grid, c, (
+                (h, times[col], col) for col in cols
+            ))
+            if exact is None:
+                return "tick-margin"
+            for col, time in zip(cols, exact):
+                times[col] = time
+            resolved = len(cols)
+
+    block_times = np.array([times])
+    block_times.flags.writeable = False
+    block = EdgeBlock(block_times, c.values, c.initial, c.window)
+    return block.rows(), resolved, None
 
 
 def solve_channel(

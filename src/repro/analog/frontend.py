@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 from ..errors import ConfigurationError
 from ..physics.noise import NoiseBudget, NOISELESS
@@ -130,6 +130,10 @@ class AnalogFrontEnd:
         #: reasons, resolved edges), kept by the compass's measurement
         #: engine.
         self.fastpath_stats = FastPathStats()
+        #: The fast path's certificate (or refusal reason) per channel,
+        #: with the device state it was computed from; the solver
+        #: recomputes it when that state compares unequal.
+        self.fastpath_certificates: Dict[str, tuple] = {}
         #: The compass's armed fault patches (:class:`ArmedFaults`).
         self.armed_faults = ArmedFaults()
 

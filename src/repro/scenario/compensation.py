@@ -214,7 +214,15 @@ _THERMAL_CACHE: Dict[str, ThermalCalibration] = {}
 def thermal_calibration_for(
     base_config: CompassConfig, temperatures_c: Sequence[float]
 ) -> ThermalCalibration:
-    """Cached :meth:`ThermalCalibration.fit` for a compass design."""
+    """Cached :meth:`ThermalCalibration.fit` for a compass design.
+
+    The cache (``_THERMAL_CACHE``) lives for the process, so only the
+    first caller pays the fit's measurements: the first golden lot in a
+    process measures 948 fast-path channel-rows and every later one 936
+    (the fit's 6 two-channel measurements are skipped).  A count of one
+    lot's work must clear the cache first
+    (``tests/test_factory.py::TestGoldenLot``).
+    """
     key = repr(base_config) + repr(tuple(temperatures_c))
     if key not in _THERMAL_CACHE:
         _THERMAL_CACHE[key] = ThermalCalibration.fit(

@@ -1,12 +1,13 @@
 """One process-wide workspace for the stepped chain's multi-row scratch.
 
 A chunked stepped sweep needs the same multi-megabyte temporaries —
-the sensor's field and pickup matrices, the comparator's state-machine
-matrices — for every chunk of every channel of every compass.  Many
-compasses are short-lived (a Monte-Carlo trial, a scenario plant, a
-factory unit), so buffers they owned would be freed and paged in afresh
-for the next one.  :func:`scratch` hands out one buffer per
-``(role, shape, dtype)`` instead, whichever sensor or comparator asks.
+the sensor's field and pickup matrices, the noisy amplifier's input
+sum, the comparator's state-machine matrices — for every chunk of every
+channel of every compass.  Many compasses are short-lived (a
+Monte-Carlo trial, a scenario plant, a factory unit), so buffers they
+owned would be freed and paged in afresh for the next one.
+:func:`scratch` hands out one buffer per ``(role, shape, dtype)``
+instead, whichever sensor, amplifier or comparator asks.
 
 It is safe under two conditions, which every caller keeps:
 
@@ -26,8 +27,9 @@ from typing import Tuple
 
 import numpy as np
 
-#: Buffers held at most: seven roles (two sensor, five comparator) for
-#: both the chunk shape and the remainder shape of a chunked sweep.
+#: Buffers held at most: eight roles (two sensor, one noisy amplifier,
+#: five comparator) for both the chunk shape and the remainder shape of
+#: a chunked sweep.
 SCRATCH_ENTRIES = 16
 
 

@@ -30,6 +30,7 @@ from repro.analog.frontend import AnalogFrontEnd, FrontEndConfig
 from repro.analog.pulse_detector import DetectorParameters
 from repro.batch.engine import BatchCompass
 from repro.core.compass import CompassConfig, IntegratedCompass
+from repro.errors import ReproError
 from repro.faults.model import REGISTRY, _patched, arming
 from repro.observe import Observability
 from repro.observe.trace import STAGE_FASTPATH
@@ -72,6 +73,15 @@ def grid(front_end):
 
 def measurement_key(m):
     return (m.x_count, m.y_count, m.heading_deg, m.field_estimate_a_per_m)
+
+
+def served(compass, h_x, h_y):
+    """The measurement's served values, or the typed error it raised."""
+    try:
+        m = compass.measure_components(h_x, h_y)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return measurement_key(m) + (m.health,)
 
 
 def wrapped_amplifier_offset(compass, volts):
@@ -532,6 +542,174 @@ class TestFaultRouting:
             )
         assert "armed-fault" not in routes
         assert routes == FAULT_ROUTES[name, severity]
+
+
+def _replaced(obj, name, **changes):
+    """A change of some fields of the frozen ``name`` of ``obj(compass)``."""
+    def change(compass, patch, grid):
+        target = obj(compass)
+        patch.setattr(target, name, dataclasses.replace(getattr(target, name), **changes))
+        return grid
+    return change
+
+
+def _set(obj, name, value):
+    """A change of ``obj(compass).name`` to ``value(its old value)``."""
+    def change(compass, patch, grid):
+        target = obj(compass)
+        patch.setattr(target, name, value(getattr(target, name)))
+        return grid
+    return change
+
+
+def _constant(name, value):
+    """A change of a module constant of the fast path."""
+    def change(compass, patch, grid):
+        patch.setattr(fastpath, name, value)
+        return grid
+    return change
+
+
+def _grid(n_periods=0, samples_per_period=1.0, frequency_hz=1.0, t_start=0.0):
+    """A grid with ``n_periods`` more periods, the rest scaled or set."""
+    def change(compass, patch, grid):
+        return TimeGrid(
+            grid.n_periods + n_periods,
+            int(grid.samples_per_period * samples_per_period),
+            grid.frequency_hz * frequency_hz,
+            t_start,
+        )
+    return change
+
+
+def _oscillator(compass):
+    return compass.front_end.excitation.oscillator
+
+
+def _converter(compass):
+    return compass.front_end.excitation.converters["x"]
+
+
+def _sensor(compass):
+    return compass.sensors.sensor_x
+
+
+def _amplifier(compass):
+    return compass.front_end.amplifier
+
+
+def _positive(compass):
+    return compass.front_end.detector.comparator_positive
+
+
+def _negative(compass):
+    return compass.front_end.detector.comparator_negative
+
+
+#: One change per value the channel certificate reads, as
+#: ``change(compass, patch, grid) -> grid``; each one changes the solve
+#: at a rated field.
+CERTIFICATE_INPUTS = {
+    "grid.n_periods": _grid(n_periods=1),
+    "grid.samples_per_period": _grid(samples_per_period=0.5),
+    "grid.frequency_hz": _grid(frequency_hz=1.01),
+    "grid.t_start": _grid(t_start=1e-6),
+    "oscillator.params": _replaced(_oscillator, "params", amplitude=1.05),
+    "converter.params": _replaced(_converter, "params", transconductance=6.3e-3),
+    "sensor.params": _replaced(_sensor, "params", pickup_turns=110),
+    "sensor.core.params": _replaced(
+        lambda compass: _sensor(compass).core, "params", anisotropy_field=21.0
+    ),
+    "sensor.pickup_scales": _set(_sensor, "pickup_scales", lambda scales: (0.9,)),
+    "amplifier.gain": _set(_amplifier, "gain", lambda gain: gain * 1.1),
+    "amplifier.bandwidth_hz": _set(_amplifier, "bandwidth_hz", lambda bw: 2 * bw),
+    "amplifier.output_offset": _set(_amplifier, "output_offset", lambda v: 5e-4),
+    "positive.params": _replaced(_positive, "params", delay=80e-9),
+    "positive.stuck": _set(_positive, "stuck", lambda stuck: True),
+    "negative.params": _replaced(_negative, "params", delay=80e-9),
+    "negative.stuck": _set(_negative, "stuck", lambda stuck: True),
+    "PEAK_MARGIN": _constant("PEAK_MARGIN", 0.05),
+    "GUARD_FILTER_TAUS": _constant("GUARD_FILTER_TAUS", 1e3),
+    "GUARD_GRID_SAMPLES": _constant("GUARD_GRID_SAMPLES", 1e4),
+    "MIN_BANDWIDTH_RATIO": _constant("MIN_BANDWIDTH_RATIO", 1e6),
+    # Below twice the design point's 30 ps modelled error: refused.
+    "TICK_GUARD_S": _constant("TICK_GUARD_S", 50e-12),
+}
+
+
+class TestDeviceCertificate:
+    """The channel certificate is kept per device state: a call after any
+    value it reads changed solves as a fresh front end would."""
+
+    @staticmethod
+    def _solve(compass, h, grid):
+        compass.front_end.excitation.select_channel("x")
+        stats = fastpath.FastPathStats()
+        solved = fastpath.solve_channel_batch(
+            compass.front_end, compass.sensors.sensor_x, "x", h, grid, stats=stats
+        )
+        return solved, stats.fallbacks
+
+    @pytest.mark.parametrize("rows", [[20.0], [20.0, -35.0, 60.0]])
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_INPUTS))
+    def test_a_changed_input_is_recertified(self, name, rows):
+        change = CERTIFICATE_INPUTS[name]
+        h = np.array(rows)
+        kept = fast_compass()
+        grid = kept._channel_grid()
+        before = self._solve(kept, h, grid)
+        with pytest.MonkeyPatch.context() as patch:
+            fresh = fast_compass()
+            changed = change(kept, patch, grid)
+            change(fresh, patch, grid)
+            after = self._solve(kept, h, changed)
+            assert after == self._solve(fresh, h, changed)
+        assert after != before
+        assert self._solve(kept, h, grid) == before
+
+    def test_the_certificate_is_kept_while_nothing_changes(self, monkeypatch):
+        compass = fast_compass()
+        grid = compass._channel_grid()
+        certify = fastpath._certify
+        calls = []
+        monkeypatch.setattr(
+            fastpath, "_certify", lambda *args: calls.append(args) or certify(*args)
+        )
+        h = np.array([20.0])
+        first = self._solve(compass, h, grid)
+        assert self._solve(compass, h, grid) == first
+        assert self._solve(compass, h, compass._channel_grid()) == first
+        assert len(calls) == 1
+        # A refusal is kept the same way.
+        monkeypatch.setattr(fastpath, "MIN_BANDWIDTH_RATIO", 1e6)
+        assert self._solve(compass, h, grid) == (None, {ENVELOPE: 1})
+        assert self._solve(compass, h, grid) == (None, {ENVELOPE: 1})
+        assert len(calls) == 2
+
+    def test_arming_between_calls_serves_what_a_fresh_compass_serves(self):
+        kept = fast_compass()
+        for vector in GOLDEN_VECTORS[::12]:
+            h_x, h_y = kept.sensors.axis_fields_from_tesla(
+                vector["field_ut"] * 1e-6, vector["true_heading_deg"]
+            )
+            for name, severity in sorted(FAULT_ROUTES):
+                fresh = fast_compass()
+                with REGISTRY.inject(name, kept, severity):
+                    armed = served(kept, h_x, h_y)
+                with REGISTRY.inject(name, fresh, severity):
+                    assert armed == served(fresh, h_x, h_y)
+                assert served(kept, h_x, h_y) == served(fast_compass(), h_x, h_y)
+
+    def test_a_patched_guard_serves_what_a_fresh_compass_serves(self, monkeypatch):
+        h_x, h_y = TestCertificate.NEAR_TICK[0]
+        kept = fast_compass()
+        clean = served(kept, h_x, h_y)
+        assert kept.front_end.fastpath_stats.used == 2
+        monkeypatch.setattr(fastpath, "TICK_GUARD_S", 50e-12)
+        fresh = fast_compass()
+        assert served(kept, h_x, h_y) == served(fresh, h_x, h_y) == clean
+        assert kept.front_end.fastpath_stats.fallbacks == {ENVELOPE: 2}
+        assert fresh.front_end.fastpath_stats.fallbacks == {ENVELOPE: 2}
 
 
 class TestGoldenConformance:

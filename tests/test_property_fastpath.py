@@ -363,6 +363,95 @@ class TestMixedCallProperty:
             assert batch == alone
 
 
+def _lattice() -> fastpath.CountLattice:
+    compass = IntegratedCompass()
+    grid = compass._channel_grid()
+    return fastpath.CountLattice(
+        *compass._count_window(grid), compass.back_end.counter.config.tick
+    )
+
+
+#: The default compass's lattice, and one with a power-of-two tick from
+#: 0, where ``(t - origin)/tick`` is exact and half-tick ties are exact.
+LATTICES = [_lattice(), fastpath.CountLattice(0.0, 64.1, 0.25)]
+
+
+@st.composite
+def adversarial_times(draw, lattice):
+    """Edge times where the guard decides: on a tick, at and about the
+    guard's edge around a tick or the window end, at a half tick, and
+    outside the window."""
+    guard = fastpath.TICK_GUARD_S
+    k = draw(st.integers(min_value=-40, max_value=2600))
+    offset = draw(st.one_of(
+        st.sampled_from([
+            0.0, guard, -guard, np.nextafter(guard, 0.0), -np.nextafter(guard, 0.0),
+            np.nextafter(guard, 1.0), -np.nextafter(guard, 1.0),
+        ]),
+        st.floats(min_value=-2.0 * guard, max_value=2.0 * guard),
+    ))
+    kind = draw(st.sampled_from(["tick", "end", "half", "outside"]))
+    if kind == "tick":
+        return lattice.origin + k * lattice.tick + offset
+    if kind == "end":
+        return lattice.end + offset
+    if kind == "half":
+        # ``(t - origin)/tick - 1e-12`` lands on ``k + 1/2`` or next to it.
+        return lattice.origin + (k + 0.5 + 1e-12) * lattice.tick
+    return draw(st.one_of(
+        st.floats(min_value=lattice.origin - 1e-3, max_value=lattice.origin),
+        st.floats(min_value=lattice.end, max_value=lattice.end + 1e-3),
+    ))
+
+
+class TestScalarGuardProperty:
+    """The one-row lane's guard, :meth:`CountLattice.near_row`, marks
+    exactly the edges :meth:`CountLattice.near` marks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lattice=st.sampled_from(LATTICES))
+    def test_scalar_guard_agrees_with_near(self, data, lattice):
+        times = data.draw(st.lists(adversarial_times(lattice), min_size=1, max_size=24))
+        assert lattice.near_row(times) == lattice.near(np.array(times)).tolist()
+
+    def test_the_guard_boundary_is_exclusive_in_both(self, monkeypatch):
+        # A power-of-two guard on the power-of-two lattice puts edges
+        # exactly one guard from a tick or from the window end.
+        guard = 2.0**-34
+        monkeypatch.setattr(fastpath, "TICK_GUARD_S", guard)
+        lattice = LATTICES[1]
+        g = guard / lattice.tick
+        times = [
+            (k + sign * g + 1e-12) * lattice.tick
+            for k in range(64) for sign in (1.0, -1.0)
+        ]
+        times = [
+            t for t in times
+            if abs((t / lattice.tick - 1e-12) - round(t / lattice.tick - 1e-12)) == g
+        ]
+        assert len(times) > 64
+        # One ulp closer to the tick, or to the window end: near.
+        inside = [
+            float(np.nextafter(t, lattice.tick * round(t / lattice.tick)))
+            for t in times
+        ]
+        ends = [lattice.end + guard, lattice.end - guard]
+        times += ends
+        inside += [float(np.nextafter(t, lattice.end)) for t in ends]
+        for row, near in ((times, False), (inside, True)):
+            assert lattice.near_row(row) == lattice.near(np.array(row)).tolist()
+            assert lattice.near_row(row) == [near] * len(row)
+
+    @pytest.mark.parametrize("lattice", LATTICES)
+    def test_half_tick_ties_round_to_even_in_both(self, lattice):
+        times = [lattice.origin + (k + 0.5 + 1e-12) * lattice.tick for k in range(-8, 8)]
+        ticks = [(t - lattice.origin) / lattice.tick - 1e-12 for t in times]
+        if lattice.tick == 0.25:
+            assert ticks == [k + 0.5 for k in range(-8, 8)]
+            assert [round(x) for x in ticks] == np.rint(ticks).tolist()
+        assert lattice.near_row(times) == lattice.near(np.array(times)).tolist()
+
+
 @pytest.mark.parametrize("name,severity", MEASUREMENT_FAULTS)
 def test_registered_fault_measures_as_stepped(name, severity):
     """Every registered measurement fault on 8 golden vectors: the default

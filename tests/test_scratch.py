@@ -6,6 +6,7 @@ import pytest
 from repro.analog.comparator import Comparator, ComparatorParameters, PickupAmplifier
 from repro.analog.excitation import ExcitationSource
 from repro.analog.pulse_detector import PulsePositionDetector
+from repro.physics.noise import NoiseBudget
 from repro.sensors.fluxgate import FluxgateSensor
 from repro.sensors.parameters import DISCRETE_MINIATURE, IDEAL_TARGET
 from repro.simulation import scratch as workspace
@@ -68,6 +69,21 @@ class TestOwners:
         assert held.cache_info().misses == misses
         assert len(expected[0]) > 0
         assert all(np.array_equal(a, b) for a, b in zip(result, expected))
+
+    def test_noisy_amplifier_scratch_is_reused_and_results_match(self, held):
+        budget = NoiseBudget(white_density=1e-6)
+        t = np.arange(1000) * 1e-6
+        pickup = np.tile(np.sin(2 * np.pi * 4e3 * t), (3, 1))
+        amplifier = PickupAmplifier(budget, seed=5)
+        first = amplifier.amplify_batch(pickup, 1e6, [0, 1, 2])
+        misses = held.cache_info().misses
+        second = amplifier.amplify_batch(pickup, 1e6, [0, 1, 2])
+        assert held.cache_info().misses == misses
+        assert second is not first
+        assert np.array_equal(first, second)
+        for row, index in enumerate([0, 1, 2]):
+            alone = amplifier.amplify_batch(pickup[row:row + 1], 1e6, [index])
+            assert np.array_equal(alone[0], first[row])
 
 
 class TestInterleavedOwners:
